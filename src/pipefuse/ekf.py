@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import csv
+import math
 
 import numpy as np
 
@@ -247,6 +248,57 @@ def random_walk_model(q: float, r: float) -> ProcessModel:
         F_jac=one,
         H_jac=one,
     )
+
+
+def check_random_walk(q: float, r: float, p0: float) -> None:
+    """Reject noise variances or an initial variance that are negative or
+    non-finite, as random_walk_model and FilterState would."""
+    for name, value in (("q", q), ("r", r), ("p0", p0)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and non-negative, got {value}")
+
+
+def random_walk_step(x: float, p: float, y: float, q: float, r: float) -> tuple[float, float]:
+    """One predict+update of the scalar random walk on plain floats.
+
+    Bit-identical to `update(predict(state, random_walk_model(q, r)), [y], ...)`
+    for a 1x1 state: the matrix forms reduce exactly to these operations, and
+    the gain is a plain division (a reciprocal product would differ in the
+    last bit). Returns the posterior (x, p).
+    """
+    pp = p + q
+    s = pp + r
+    if s == 0.0:
+        raise SingularBracketError("innovation covariance H P H^T + R is singular; check R")
+    k = pp / s
+    x = x + k * (y - x)
+    p = (1.0 - k) * pp
+    if not (math.isfinite(x) and math.isfinite(p)):
+        raise NumericFailureError("filter state contains non-finite values")
+    return x, p
+
+
+def random_walk_estimates(
+    measurements: Trace, q: float, r: float, x0: float, p0: float
+) -> list[float]:
+    """Posterior estimates of the scalar random-walk filter over a trace.
+
+    Equals `[p.estimate for p in run_filter(random_walk_model(q, r),
+    FilterState([x0], [[p0]]), measurements)]`, without building a state
+    object per reading.
+    """
+    check_random_walk(q, r, p0)
+    if not math.isfinite(x0):
+        raise NumericFailureError("filter state contains non-finite values")
+    x, p = float(x0), float(p0)
+    estimates = []
+    for m in measurements.readings:
+        try:
+            x, p = random_walk_step(x, p, m.value, q, r)
+        except NumericFailureError as exc:
+            raise type(exc)(f"tick {m.timestamp}: {exc}") from exc
+        estimates.append(x)
+    return estimates
 
 
 def write_filter_csv(points: Sequence[FilterPoint], path) -> None:

@@ -203,24 +203,30 @@ class SmoothingPredictor:
 
 
 class EkfPredictor:
-    """Default predictor: scalar random-walk Kalman filter over fused values."""
+    """Default predictor: scalar random-walk Kalman filter over fused values.
+
+    The first observation initializes the estimate with variance p0; each
+    later one is one closed-form `ekf.random_walk_step`.
+    """
 
     def __init__(self, q: float = 0.1, r: float = 0.1, p0: float = 1.0):
-        self._model = ekf.random_walk_model(q, r)
-        self._p0 = p0
-        self._state: Optional[ekf.FilterState] = None
+        ekf.check_random_walk(q, r, p0)
+        self._q, self._r, self._p0 = float(q), float(r), float(p0)
+        self._x: Optional[float] = None
+        self._p = self._p0
 
     def predict(self) -> Optional[float]:
-        if self._state is None:
-            return None
-        return float(self._state.x_hat[0])
+        return self._x
 
     def observe(self, value: float) -> None:
-        if self._state is None:
-            self._state = ekf.FilterState(x_hat=[value], P=[[self._p0]])
+        if self._x is None:
+            if not math.isfinite(value):
+                raise ekf.NumericFailureError("filter state contains non-finite values")
+            self._x = float(value)
         else:
-            prior = ekf.predict(self._state, self._model)
-            self._state = ekf.update(prior, [value], self._model)
+            self._x, self._p = ekf.random_walk_step(
+                self._x, self._p, float(value), self._q, self._r
+            )
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,14 @@ once and reports them with dotted field paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
 import yaml
 
+from ..consensus import CommGraph
 from ..core import SensorKind
 
 
@@ -164,24 +166,64 @@ class ScenarioConfig:
         return max(0.1, 4.0 * noise + slack)
 
 
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+# annotation -> (accepts the value, what the error says was expected)
+_SCALAR_TYPES = {
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (_is_finite_number, "a finite number"),
+    "Optional[float]": (lambda v: v is None or _is_finite_number(v), "a finite number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[str, ...]": (lambda v: all(isinstance(s, str) for s in v), "a list of strings"),
+}
+
+
 def _build_section(cls, data, prefix, errors, converters=None):
+    """Build dataclass `cls` from a mapping. Keys must be fields of `cls`,
+    and after the converters, values of scalar fields must have the field's
+    type; floats must be finite, and integers given for them become floats."""
     converters = converters or {}
     if not isinstance(data, dict):
         errors.append(f"{prefix}: expected a mapping, got {type(data).__name__}")
         return None
-    known = {f.name for f in fields(cls)}
-    for key in data:
-        if key not in known:
-            errors.append(f"{prefix}.{key}: unknown key")
+    types = {f.name: f.type for f in fields(cls)}
     kwargs = {}
+    valid = True
     for key, value in data.items():
-        if key in known:
-            kwargs[key] = converters[key](value) if key in converters else value
+        if key not in types:
+            errors.append(f"{prefix}.{key}: unknown key")
+            continue
+        if key in converters:
+            value = converters[key](value)
+        accepts, expected = _SCALAR_TYPES.get(types[key], (None, None))
+        if accepts is not None and not accepts(value):
+            errors.append(f"{prefix}.{key}: expected {expected}, got {value!r}")
+            valid = False
+            continue
+        kwargs[key] = float(value) if types[key] == "float" else value
+    if not valid:
+        return None
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         errors.append(f"{prefix}: {exc}")
         return None
+
+
+def _list_at(data: dict, key: str, where: str, errors) -> list:
+    value = data.get(key) or []
+    if not isinstance(value, list):
+        errors.append(f"{where}: expected a list, got {value!r}")
+        return []
+    return value
 
 
 def _parse_kind(value, where, errors):
@@ -209,8 +251,8 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
     if seed is None:
         errors.append("seed: required for reproducibility")
         seed = 0
-    elif not isinstance(seed, int) or isinstance(seed, bool):
-        errors.append(f"seed: expected an integer, got {seed!r}")
+    elif not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        errors.append(f"seed: expected a non-negative integer, got {seed!r}")
         seed = 0
     horizon = data.get("horizon")
     if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
@@ -264,34 +306,27 @@ def _parse_topology(data, errors) -> Optional[Topology]:
         errors.append("topology: expected a mapping")
         return None
     nodes = []
-    for i, raw in enumerate(data.get("nodes", []) or []):
+    for i, raw in enumerate(_list_at(data, "nodes", "topology.nodes", errors)):
         prefix = f"topology.nodes[{i}]"
         if not isinstance(raw, dict):
             errors.append(f"{prefix}: expected a mapping")
             continue
         kinds = []
-        for s in raw.get("sensors", []) or []:
+        for s in _list_at(raw, "sensors", f"{prefix}.sensors", errors):
             kind = _parse_kind(s, f"{prefix}.sensors", errors)
             if kind is not None:
                 kinds.append(kind)
-        node = _build_section(
-            NodeSpec,
-            {**raw, "sensors": tuple(kinds)},
-            prefix,
-            errors,
-            converters={"position": float},
-        )
+        node = _build_section(NodeSpec, {**raw, "sensors": tuple(kinds)}, prefix, errors)
         if node is not None:
             nodes.append(node)
     heads = []
-    for i, raw in enumerate(data.get("cluster_heads", []) or []):
+    for i, raw in enumerate(_list_at(data, "cluster_heads", "topology.cluster_heads", errors)):
         prefix = f"topology.cluster_heads[{i}]"
         if not isinstance(raw, dict):
             errors.append(f"{prefix}: expected a mapping")
             continue
-        head = _build_section(
-            ClusterSpec, {**raw, "peers": tuple(raw.get("peers", []) or [])}, prefix, errors
-        )
+        peers = tuple(_list_at(raw, "peers", f"{prefix}.peers", errors))
+        head = _build_section(ClusterSpec, {**raw, "peers": peers}, prefix, errors)
         if head is not None:
             heads.append(head)
     patrol = []
@@ -299,7 +334,7 @@ def _parse_topology(data, errors) -> Optional[Topology]:
     if not isinstance(uav, dict):
         errors.append("topology.uav: expected a mapping")
         uav = {}
-    for i, raw in enumerate(uav.get("patrol", []) or []):
+    for i, raw in enumerate(_list_at(uav, "patrol", "topology.uav.patrol", errors)):
         visit = _build_section(UavVisit, raw, f"topology.uav.patrol[{i}]", errors)
         if visit is not None:
             patrol.append(visit)
@@ -339,9 +374,7 @@ def _parse_events(data, horizon, errors) -> list[EventSpec]:
         return events
     for i, raw in enumerate(data):
         prefix = f"events[{i}]"
-        event = _build_section(EventSpec, raw, prefix, errors,
-                               converters={"location": float, "magnitude": float,
-                                           "radius": float})
+        event = _build_section(EventSpec, raw, prefix, errors)
         if event is None:
             continue
         if event.kind not in ("leak", "intrusion"):
@@ -394,7 +427,7 @@ def _check_topology(topology: Topology, errors) -> None:
                 errors.append(f"topology.cluster_heads[{c.cluster_id}].peers: unknown cluster {p!r}")
             if p == c.cluster_id:
                 errors.append(f"topology.cluster_heads[{c.cluster_id}].peers: self link")
-    if len(cluster_ids) > 1 and not _peer_graph_connected(topology):
+    if len(cluster_ids) > 1 and not _peer_graph(topology).is_connected():
         errors.append("topology.cluster_heads: peer graph must be connected")
     for v in topology.uav_patrol:
         if v.cluster_id not in cluster_ids:
@@ -403,21 +436,16 @@ def _check_topology(topology: Topology, errors) -> None:
             errors.append("topology.uav.patrol: end must be >= start")
 
 
-def _peer_graph_connected(topology: Topology) -> bool:
-    ids = topology.cluster_ids()
-    adj = {c: set() for c in ids}
-    for a, b in topology.peer_edges():
-        if a in adj and b in adj:
-            adj[a].add(b)
-            adj[b].add(a)
-    seen = {ids[0]}
-    stack = [ids[0]]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(ids)
+def _peer_graph(topology: Topology) -> CommGraph:
+    """Peer links between distinct, known cluster heads (others are
+    reported separately)."""
+    index = {c: i for i, c in enumerate(dict.fromkeys(topology.cluster_ids()))}
+    edges = [
+        (index[a], index[b])
+        for a, b in topology.peer_edges()
+        if a != b and a in index and b in index
+    ]
+    return CommGraph.from_edges(len(index), edges)
 
 
 def _check_cross(topology, signals, events, errors) -> None:
@@ -532,7 +560,6 @@ def load_scenario(path, overrides=(), seed: Optional[int] = None) -> ScenarioCon
         raise ConfigError([f"{path}: top level must be a mapping"])
     if overrides:
         data = apply_overrides(data, overrides)
-    config = scenario_from_dict(data, name=path.stem)
     if seed is not None:
-        config = replace(config, seed=seed)
-    return config
+        data = {**data, "seed": seed}
+    return scenario_from_dict(data, name=path.stem)

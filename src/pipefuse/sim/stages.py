@@ -8,6 +8,7 @@ zero-order hold: a report means "valid until superseded".
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -64,11 +65,11 @@ def node_stage(trace: Trace, config: ScenarioConfig, dst: str) -> NodeStageResul
     fusion = config.fusion
     ops = 0
     if fusion.node_ekf and not trace.sensor_kind.is_binary:
-        model = ekf.random_walk_model(fusion.ekf_q, fusion.ekf_r)
-        init = ekf.FilterState([trace.readings[0].value], [[1.0]])
-        points = ekf.run_filter(model, init, trace)
-        series = [(p.tick, p.estimate) for p in points]
-        ops += config.energy.ekf_ops_per_update * len(points)
+        estimates = ekf.random_walk_estimates(
+            trace, fusion.ekf_q, fusion.ekf_r, trace.readings[0].value, 1.0
+        )
+        series = [(m.timestamp, x) for m, x in zip(trace.readings, estimates)]
+        ops += config.energy.ekf_ops_per_update * len(estimates)
     else:
         series = [(m.timestamp, m.value) for m in trace.readings]
 
@@ -135,8 +136,7 @@ class ClusterStageResult:
     ops: int
 
 
-def _window_aggregates(reports_in_window):
-    values = [v for _, v in reports_in_window]
+def _window_aggregates(values):
     if not values:
         return 0, None, None, None
     return len(values), sum(values) / len(values), max(values), min(values)
@@ -202,17 +202,23 @@ def cluster_stage(
                 fused_by_tick[p.tick] = p.fused
                 sigma_by_tick[p.tick] = {r.node_id: r.sigma for r in p.readings}
 
+    member_ticks = []
+    for node_id in member_order:
+        ticks = [t for t, _ in member_reports[node_id]]
+        if any(a > b for a, b in zip(ticks, ticks[1:])):
+            raise ValueError(f"cluster {cluster_id}: reports of {node_id} are not in tick order")
+        member_ticks.append((ticks, [v for _, v in member_reports[node_id]]))
     windows = []
     zero_streak = {node_id: 0 for node_id in member_order}
     suspected = []
     flagged = set()
     for w in range(n_windows):
         start, end = w * window, (w + 1) * window - 1
+        # member order, then tick order: the window average is order-sensitive
         in_window = [
-            (t, v)
-            for node_id in member_order
-            for t, v in member_reports[node_id]
-            if start <= t <= end
+            v
+            for ticks, values in member_ticks
+            for v in values[bisect_left(ticks, start):bisect_right(ticks, end)]
         ]
         count, avg, mx, mn = _window_aggregates(in_window)
         if fusion_cfg.cluster_fusvaf:

@@ -88,6 +88,24 @@ class TestRun:
         assert code == 2
         assert "energy.bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, path", [
+        (["--override", "fusion.report_delta=.nan"], "fusion.report_delta"),
+        (["--override", "fusion.ekf_q=.inf"], "fusion.ekf_q"),
+        (["--override", "fusion.ekf_r=.nan"], "fusion.ekf_r"),
+        (["--override", "fusion.ekf_q=abc"], "fusion.ekf_q"),
+        (["--override", "energy.sample_bits=1.5"], "energy.sample_bits"),
+        (["--override", "detection.window=true"], "detection.window"),
+        (["--override", "topology.nodes=5"], "topology.nodes"),
+        (["--override", "seed=-1"], "seed"),
+        (["--seed", "-1"], "seed"),
+    ])
+    def test_bad_numeric_value_exits_2_and_names_path(self, tmp_path, capsys, args, path):
+        code = main(["--quiet", "run", "--config", str(SCENARIO),
+                     "--out", str(tmp_path / "o")] + args)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"[config-invalid] {path}:" in captured.err
+
     def test_byte_identical_metrics_across_runs(self, tmp_path):
         cfg = small_scenario(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"

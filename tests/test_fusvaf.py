@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from pipefuse import ekf
 from pipefuse.core import SensorKind, trace_from_pairs
 from pipefuse.fusvaf import (
     DegenerateDenominatorError,
@@ -206,6 +207,45 @@ class TestPredictors:
         for _ in range(20):
             p.observe(7.0)
         assert p.predict() == pytest.approx(7.0, abs=1e-6)
+
+    @given(
+        q=st.floats(1e-6, 10),
+        r=st.floats(1e-6, 10),
+        p0=st.floats(1e-6, 10),
+        values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_ekf_predictor_equals_matrix_filter(self, q, r, p0, values):
+        model = ekf.random_walk_model(q, r)
+        predictor = EkfPredictor(q, r, p0)
+        state = None
+        for value in values:
+            predictor.observe(value)
+            if state is None:
+                state = ekf.FilterState([value], [[p0]])
+            else:
+                state = ekf.update(ekf.predict(state, model), [value], model)
+            assert predictor.predict() == float(state.x_hat[0])
+
+    def test_ekf_predictor_singular_bracket(self):
+        p = EkfPredictor(q=0.0, r=0.0, p0=0.0)
+        p.observe(1.0)
+        with pytest.raises(ekf.SingularBracketError):
+            p.observe(2.0)
+
+    @pytest.mark.parametrize("observed", [[float("inf")], [1.0, float("inf")],
+                                          [1.0, float("nan")]])
+    def test_ekf_predictor_non_finite_observation(self, observed):
+        p = EkfPredictor()
+        with pytest.raises(ekf.NumericFailureError):
+            for value in observed:
+                p.observe(value)
+
+    @pytest.mark.parametrize("kwargs", [{"q": -0.1}, {"r": -1.0}, {"p0": -1.0},
+                                        {"q": float("nan")}, {"r": float("inf")}])
+    def test_ekf_predictor_rejects_bad_parameters(self, kwargs):
+        with pytest.raises(ValueError):
+            EkfPredictor(**kwargs)
 
 
 class TestFusvafStream:

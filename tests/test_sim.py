@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pipefuse.core import SensorKind, trace_from_pairs
 from pipefuse.sim import (
@@ -88,6 +89,22 @@ class TestConfigValidation:
             head["peers"] = []
         with pytest.raises(ConfigError, match="connected"):
             scenario_from_dict(data)
+
+    def test_non_string_ids_named(self):
+        data = base_config_dict()
+        data["topology"]["nodes"][0]["node_id"] = 0
+        data["topology"]["cluster_heads"][0]["peers"] = [1]
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict(data)
+        text = "; ".join(exc.value.errors)
+        assert "topology.nodes[0].node_id: expected a string" in text
+        assert "topology.cluster_heads[0].peers: expected a list of strings" in text
+
+    def test_integer_for_real_field_becomes_float(self):
+        data = base_config_dict()
+        data["topology"]["nodes"][0]["position"] = 3
+        config = scenario_from_dict(data)
+        assert type(config.topology.nodes[0].position) is float
 
     def test_unknown_key_reported(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -268,6 +285,36 @@ class TestClusterStage:
         result = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
         fused_msgs = [m for m in result.messages if m.kind == MessageKind.FUSED]
         assert len(fused_msgs) == 200 // 10
+
+    @given(data=st.data(), window=st.integers(1, 12), horizon=st.integers(1, 80))
+    @settings(max_examples=100, deadline=None)
+    def test_windows_equal_brute_force_scan(self, data, window, horizon):
+        config = make_config(horizon=horizon, detection={"window": window},
+                             fusion={"node_ekf": False, "cluster_fusvaf": False})
+        # any tick, window edges included; members may be silent for whole
+        # windows or altogether
+        tick_sets = st.sets(st.integers(0, horizon - 1), max_size=horizon)
+        reports = {
+            node_id: [(t, data.draw(st.floats(-1e3, 1e3)))
+                      for t in sorted(data.draw(tick_sets))]
+            for node_id in data.draw(st.sets(st.sampled_from("abcd"), min_size=1))
+        }
+        result = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
+        assert len(result.windows) == horizon // window
+        for s in result.windows:
+            values = [v for node_id in sorted(reports) for t, v in reports[node_id]
+                      if s.start_tick <= t <= s.end_tick]
+            assert s.count == len(values)
+            if values:
+                assert (s.avg, s.max, s.min) == (sum(values) / len(values),
+                                                 max(values), min(values))
+            else:
+                assert (s.avg, s.max, s.min) == (None, None, None)
+
+    def test_unordered_reports_rejected(self):
+        reports = {"n0": [(5, 1.0), (2, 2.0)]}
+        with pytest.raises(ValueError, match="tick order"):
+            cluster_stage("c0", SensorKind.PRESSURE, reports, make_config(), "gw")
 
     def test_relay_mode_forwards_reports(self):
         config = make_config(fusion={"node_ekf": False, "cluster_fusvaf": False})
