@@ -6,12 +6,11 @@ Deterministic: running this script twice produces identical files.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
 
-from pipefuse.core import SensorKind, save_trace, trace_from_pairs
+from pipefuse.core import SensorKind, save_trace, trace_from_pairs, write_csv
 
 FIXTURES = Path(__file__).resolve().parent.parent / "scenarios" / "fixtures"
 
@@ -50,10 +49,7 @@ def main():
     write_trace("humidity_node_b.csv", hum_b, SensorKind.HUMIDITY, "node_b")
 
     # triangle peer graph for the consensus demo
-    with (FIXTURES / "k3_edges.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j"])
-        writer.writerows([(0, 1), (0, 2), (1, 2)])
+    write_csv(FIXTURES / "k3_edges.csv", ["i", "j"], [(0, 1), (0, 2), (1, 2)])
     print(f"wrote {FIXTURES / 'k3_edges.csv'}")
 
 

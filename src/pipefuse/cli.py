@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import consensus as consensus_mod
 from . import ekf, fusvaf
-from .core import MixedSensorKindError, SensorKind, TraceError, load_trace
+from .core import MixedSensorKindError, SensorKind, TraceError, load_trace, write_csv
 from .sim import load_scenario, run_simulation
 from .sim.config import ConfigError
 from .sim.metrics import (
@@ -70,8 +70,10 @@ def _write_run_outputs(result, out: Path) -> list:
         node_id, kind = key
         truth = result.world.truth[key]
         measured = [m.value for m in result.world.traces[key].readings]
-        held = dict(result.reported_series[key])
-        reported = [held.get(t) for t in range(result.config.horizon)]
+        # the held series is dense from its first tick to the horizon
+        held = result.reported_series[key]
+        first_tick = held[0][0] if held else result.config.horizon
+        reported = [None] * first_tick + [v for _, v in held]
         write_stream_csv(
             truth, measured, reported, record(streams_dir / f"{node_id}_{kind.value}.csv")
         )
@@ -141,10 +143,7 @@ def cmd_sweep(args) -> int:
         _say(args, f"{key}={value}: total_bits={result.metrics.total_bits} "
                    f"rmse_mean={result.metrics.rmse_mean:.6g}")
     sweep_path = out / "sweep_metrics.csv"
-    with sweep_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    write_csv(sweep_path, list(rows[0]), [row.values() for row in rows])
     _say(args, f"sweep metrics written to {sweep_path}")
     return 0
 

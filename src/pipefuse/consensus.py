@@ -9,12 +9,12 @@ progress metric and stop condition.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .core import write_csv
 
 
 class DisconnectedGraphError(ValueError):
@@ -177,9 +177,4 @@ def run_consensus(
 
 def write_mse_csv(mse_history: Sequence[float], path) -> None:
     """Emit `iteration,mse` rows (the agreement decay curve)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "mse"])
-        for i, mse in enumerate(mse_history):
-            writer.writerow([i, repr(mse)])
+    write_csv(path, ["iteration", "mse"], enumerate(mse_history))

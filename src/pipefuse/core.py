@@ -1,4 +1,5 @@
-"""Shared domain types: sensor measurements, per-sensor traces, CSV ingestion.
+"""Shared domain types: sensor measurements, per-sensor traces, CSV input and
+output.
 
 A trace is the raw material every fusion method consumes: an ordered,
 strictly increasing sequence of (tick, value) readings from one sensor on
@@ -14,6 +15,8 @@ from pathlib import Path
 from typing import Iterable
 
 import math
+
+import numpy as np
 
 
 class SensorKind(str, Enum):
@@ -155,14 +158,32 @@ def load_trace(path, node_id: str, sensor_kind: SensorKind) -> Trace:
         raise TraceError(f"{path}: {exc}") from None
 
 
+_FLOATS = (float, np.floating)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write one CSV file; every CSV that pipefuse writes goes through here.
+
+    The file is UTF-8, written by csv.writer (minimal quoting, `\\r\\n` line
+    endings). Each cell is formatted here: None becomes an empty cell, any
+    float (numpy floats included) becomes repr() of the Python float, i.e.
+    the shortest string that reads back to the same value, and any other
+    value is passed to csv.writer as it is. The same run therefore writes
+    the same bytes under any numpy version.
+    """
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, _FLOATS) else "" if v is None else v
+             for v in row]
+            for row in rows
+        )
+
+
 def save_trace(trace: Trace, path) -> None:
     """Write a Trace as a `timestamp,value` CSV (inverse of load_trace)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for m in trace.readings:
-            writer.writerow([m.timestamp, repr(m.value)])
+    write_csv(path, CSV_HEADER, ((m.timestamp, m.value) for m in trace.readings))
 
 
 def merge_traces(traces: Iterable[Trace]) -> list[tuple[int, list[Measurement]]]:

@@ -8,15 +8,13 @@ propagation step; the update uses the plain (I - KH)P covariance form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-import csv
 import math
 
 import numpy as np
 
-from .core import Trace
+from .core import Trace, write_csv
 
 # Tolerated eigenvalue negativity of a covariance before it is rejected.
 EPS_SYM = 1e-9
@@ -303,9 +301,8 @@ def random_walk_estimates(
 
 def write_filter_csv(points: Sequence[FilterPoint], path) -> None:
     """Emit `tick,measurement,estimate,variance` rows for plotting."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tick", "measurement", "estimate", "variance"])
-        for p in points:
-            writer.writerow([p.tick, repr(p.measurement), repr(p.estimate), repr(p.variance)])
+    write_csv(
+        path,
+        ["tick", "measurement", "estimate", "variance"],
+        ([p.tick, p.measurement, p.estimate, p.variance] for p in points),
+    )

@@ -10,15 +10,13 @@ single faulty sensor cannot inflate it.
 
 from __future__ import annotations
 
-import csv
 import math
 import statistics
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .core import Trace, merge_traces
+from .core import Trace, merge_traces, write_csv
 from . import ekf
 
 
@@ -326,17 +324,15 @@ def write_fusion_csv(points: Sequence[FusionPoint], node_ids: Sequence[str], pat
     Column index i follows the order of node_ids; ticks where a node did
     not report leave its z/sigma cells empty.
     """
-    path = Path(path)
     header = ["tick", "fused", "pred"]
     for i in range(1, len(node_ids) + 1):
         header += [f"z_{i}", f"sigma_{i}"]
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for p in points:
-            by_node = {r.node_id: r for r in p.readings}
-            row = [p.tick, repr(p.fused), repr(p.predicted)]
-            for node_id in node_ids:
-                r = by_node.get(node_id)
-                row += ["", ""] if r is None else [repr(r.value), repr(r.sigma)]
-            writer.writerow(row)
+    rows = []
+    for p in points:
+        by_node = {r.node_id: r for r in p.readings}
+        row = [p.tick, p.fused, p.predicted]
+        for node_id in node_ids:
+            r = by_node.get(node_id)
+            row += [None, None] if r is None else [r.value, r.sigma]
+        rows.append(row)
+    write_csv(path, header, rows)

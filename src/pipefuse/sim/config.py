@@ -9,7 +9,7 @@ once and reports them with dotted field paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -188,8 +188,9 @@ _SCALAR_TYPES = {
 
 def _build_section(cls, data, prefix, errors, converters=None):
     """Build dataclass `cls` from a mapping. Keys must be fields of `cls`,
-    and after the converters, values of scalar fields must have the field's
-    type; floats must be finite, and integers given for them become floats."""
+    fields without a default must be present, and after the converters,
+    values of scalar fields must have the field's type; floats must be
+    finite, and integers given for them become floats."""
     converters = converters or {}
     if not isinstance(data, dict):
         errors.append(f"{prefix}: expected a mapping, got {type(data).__name__}")
@@ -197,6 +198,10 @@ def _build_section(cls, data, prefix, errors, converters=None):
     types = {f.name: f.type for f in fields(cls)}
     kwargs = {}
     valid = True
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in data:
+            errors.append(f"{prefix}.{f.name}: required")
+            valid = False
     for key, value in data.items():
         if key not in types:
             errors.append(f"{prefix}.{key}: unknown key")
@@ -209,13 +214,7 @@ def _build_section(cls, data, prefix, errors, converters=None):
             valid = False
             continue
         kwargs[key] = float(value) if types[key] == "float" else value
-    if not valid:
-        return None
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        errors.append(f"{prefix}: {exc}")
-        return None
+    return cls(**kwargs) if valid else None
 
 
 def _list_at(data: dict, key: str, where: str, errors) -> list:
@@ -247,6 +246,8 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
             errors.append(f"{key}: unknown key")
 
     name = data.get("name", name)
+    if not isinstance(name, str):
+        errors.append(f"name: expected a string, got {name!r}")
     seed = data.get("seed")
     if seed is None:
         errors.append("seed: required for reproducibility")
@@ -255,7 +256,8 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         errors.append(f"seed: expected a non-negative integer, got {seed!r}")
         seed = 0
     horizon = data.get("horizon")
-    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
+    horizon_ok = isinstance(horizon, int) and not isinstance(horizon, bool) and horizon >= 1
+    if not horizon_ok:
         errors.append(f"horizon: expected a positive integer, got {horizon!r}")
         horizon = 1
 
@@ -277,6 +279,11 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         _check_fusion(fusion, errors)
     if detection is not None:
         _check_detection(detection, errors)
+        if horizon_ok and detection.window >= 1 and horizon % detection.window:
+            errors.append(
+                f"detection.window: {detection.window} must divide the horizon "
+                f"{horizon}, so that every tick falls in a reporting window"
+            )
     if energy is not None:
         _check_energy(energy, errors)
     if topology is not None:
@@ -286,7 +293,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
     if errors:
         raise ConfigError(errors)
     return ScenarioConfig(
-        name=str(name),
+        name=name,
         seed=seed,
         horizon=horizon,
         topology=topology,

@@ -2,17 +2,19 @@
 
 Radio-equivalent energy charges every transmitted bit at ops_per_bit
 microcontroller operations; compute energy charges the ops the node and
-cluster stages actually spent. All CSV output is deterministic: float cells
-use repr() and no wall-clock data is ever written.
+cluster stages actually spent. All CSV output is deterministic: no
+wall-clock data is ever written, and every file goes through
+`core.write_csv`.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
 from typing import Optional
 
+from ..core import write_csv
 from .config import ScenarioConfig
 from .stages import MessageKind
 
@@ -116,21 +118,8 @@ def match_events(config: ScenarioConfig, detections) -> tuple[list, int]:
     return outcomes, false_positives
 
 
-_METRICS_COLUMNS = [
-    "scenario", "seed", "horizon",
-    "node_messages", "node_bits",
-    "cluster_messages", "cluster_bits",
-    "consensus_messages", "consensus_bits",
-    "alert_messages", "alert_bits",
-    "total_messages", "total_bits",
-    "compute_ops", "radio_energy", "compute_energy", "total_energy",
-    "rmse_mean", "rmse_max",
-    "events", "detections", "detected_events", "false_positives",
-    "mean_detection_latency", "validated_detections",
-]
-
-
 def metrics_row(m: RunMetrics) -> dict:
+    """One run's `metrics.csv` row; the keys, in order, are the columns."""
     latencies = [o.latency for o in m.event_outcomes if o.latency is not None]
     mean_latency = sum(latencies) / len(latencies) if latencies else float("nan")
     return {
@@ -148,68 +137,56 @@ def metrics_row(m: RunMetrics) -> dict:
         "total_messages": m.total_messages,
         "total_bits": m.total_bits,
         "compute_ops": m.compute_ops,
-        "radio_energy": repr(m.radio_energy),
-        "compute_energy": repr(m.compute_energy),
-        "total_energy": repr(m.total_energy),
-        "rmse_mean": repr(m.rmse_mean),
-        "rmse_max": repr(m.rmse_max),
+        "radio_energy": m.radio_energy,
+        "compute_energy": m.compute_energy,
+        "total_energy": m.total_energy,
+        "rmse_mean": m.rmse_mean,
+        "rmse_max": m.rmse_max,
         "events": len(m.event_outcomes),
         "detections": len(m.detections),
         "detected_events": sum(1 for o in m.event_outcomes if o.latency is not None),
         "false_positives": m.false_positives,
-        "mean_detection_latency": repr(mean_latency),
+        "mean_detection_latency": mean_latency,
         "validated_detections": sum(1 for d in m.detections if d.validated),
     }
 
 
 def write_metrics_csv(metrics_list, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_METRICS_COLUMNS)
-        writer.writeheader()
-        for m in metrics_list:
-            writer.writerow(metrics_row(m))
+    """`metrics.csv`: one `metrics_row` per run (at least one run)."""
+    rows = [metrics_row(m) for m in metrics_list]
+    write_csv(path, list(rows[0]), [row.values() for row in rows])
 
 
 def write_detections_csv(detections, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["kind", "tick", "cluster_id", "sensor_kind", "window", "validated",
-             "consensus_value"]
-        )
-        for d in detections:
-            writer.writerow([
-                d.kind, d.tick, d.cluster_id, d.sensor_kind.value, d.window_index,
-                int(d.validated),
-                "" if d.consensus_value is None else repr(d.consensus_value),
-            ])
+    write_csv(
+        path,
+        ["kind", "tick", "cluster_id", "sensor_kind", "window", "validated",
+         "consensus_value"],
+        ([d.kind, d.tick, d.cluster_id, d.sensor_kind.value, d.window_index,
+          int(d.validated), d.consensus_value] for d in detections),
+    )
 
 
 def write_stream_csv(truth, measured, reported, path) -> None:
-    """Per-stream estimate trail: `tick,truth,measurement,reported,abs_error`."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tick", "truth", "measurement", "reported", "abs_error"])
-        for tick, (tr, me, re) in enumerate(zip(truth, measured, reported)):
-            err = "" if re is None else repr(abs(re - tr))
-            writer.writerow([
-                tick, repr(float(tr)), repr(float(me)),
-                "" if re is None else repr(float(re)), err,
-            ])
+    """Per-stream estimate trail: `tick,truth,measurement,reported,abs_error`;
+    `reported` holds None before the stream's first report."""
+    errors = [None if re is None else abs(re - tr) for tr, re in zip(truth, reported)]
+    write_csv(
+        path,
+        ["tick", "truth", "measurement", "reported", "abs_error"],
+        zip(count(), truth, measured, reported, errors),
+    )
 
 
 def write_consensus_runs_csv(runs, path) -> None:
     """All consensus invocations of a run: `run,iteration,mse`."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", "iteration", "mse"])
-        for run_index, result in enumerate(runs):
-            for i, mse in enumerate(result.mse_history):
-                writer.writerow([run_index, i, repr(mse)])
+    write_csv(
+        path,
+        ["run", "iteration", "mse"],
+        ((run_index, i, mse)
+         for run_index, result in enumerate(runs)
+         for i, mse in enumerate(result.mse_history)),
+    )
 
 
 def write_summary(result, out_dir: Path, files: list) -> Path:

@@ -15,11 +15,13 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
-def small_scenario(tmp_path):
-    """Bundled scenario compressed to 250 ticks for fast CLI smoke tests."""
+def small_scenario(tmp_path, **changes):
+    """Bundled scenario compressed to 250 ticks for fast CLI smoke tests;
+    `changes` set further top-level keys."""
     import yaml
 
     data = yaml.safe_load(SCENARIO.read_text(encoding="utf-8"))
+    data.update(changes)
     data["horizon"] = 250
     data["events"][0].update({"start": 100, "end": 110})
     data["events"][1].update({"start": 150, "end": 170})
@@ -32,11 +34,13 @@ def small_scenario(tmp_path):
 class TestRun:
     def test_bundled_scenario_smoke(self, tmp_path):
         out = tmp_path / "out"
-        code = main(["--quiet", "run", "--config", str(small_scenario(tmp_path)),
+        # a name with a comma must come back whole: the cell is quoted
+        code = main(["--quiet", "run", "--config", str(small_scenario(tmp_path, name="a,b")),
                      "--out", str(out)])
         assert code == 0
         rows = read_csv(out / "metrics.csv")
         assert len(rows) == 1
+        assert rows[0]["scenario"] == "a,b"
         assert int(rows[0]["total_messages"]) > 0
         # every artifact the summary references exists and is non-empty
         summary = (out / "summary.txt").read_text(encoding="utf-8")
@@ -98,6 +102,10 @@ class TestRun:
         (["--override", "topology.nodes=5"], "topology.nodes"),
         (["--override", "seed=-1"], "seed"),
         (["--seed", "-1"], "seed"),
+        (["--override", "horizon=605"], "detection.window"),
+        (["--override", "detection.window=601"], "detection.window"),
+        (["--override", "name=[1]"], "name"),
+        (["--override", "events=[{}]"], "events[0].kind"),
     ])
     def test_bad_numeric_value_exits_2_and_names_path(self, tmp_path, capsys, args, path):
         code = main(["--quiet", "run", "--config", str(SCENARIO),
@@ -105,6 +113,28 @@ class TestRun:
         captured = capsys.readouterr()
         assert code == 2
         assert f"[config-invalid] {path}:" in captured.err
+
+    @pytest.mark.parametrize("pipeline", ["fused", "raw"])
+    def test_every_csv_cell_is_a_number_or_declared_text(self, tmp_path, pipeline):
+        out = tmp_path / "out"
+        args = ["--quiet", "run", "--config", str(small_scenario(tmp_path)), "--out", str(out)]
+        if pipeline == "raw":
+            args += ["--override", "fusion.node_ekf=false",
+                     "--override", "fusion.cluster_fusvaf=false",
+                     "--override", "fusion.consensus_policy=off"]
+        assert main(args) == 0
+        text_columns = {"scenario", "kind", "cluster_id", "sensor_kind"}
+        paths = sorted(out.rglob("*.csv"))
+        assert any(p.parent.name == "streams" for p in paths)
+        for path in paths:
+            for row in read_csv(path):
+                for column, cell in row.items():
+                    if cell == "" or column in text_columns:
+                        continue
+                    try:
+                        float(cell)
+                    except ValueError:
+                        pytest.fail(f"{path.relative_to(out)}: {column}={cell!r}")
 
     def test_byte_identical_metrics_across_runs(self, tmp_path):
         cfg = small_scenario(tmp_path)
@@ -197,7 +227,7 @@ class TestConsensusCommand:
 class TestSweep:
     def test_ops_per_bit_sweep(self, tmp_path):
         out = tmp_path / "sweep"
-        cfg = small_scenario(tmp_path)
+        cfg = small_scenario(tmp_path, name="a,b")
         code = main(["--quiet", "sweep", "--config", str(cfg),
                      "--param", "energy.ops_per_bit=1000,3000", "--out", str(out)])
         assert code == 0
@@ -205,5 +235,6 @@ class TestSweep:
         assert (out / "energy.ops_per_bit=3000" / "metrics.csv").exists()
         rows = read_csv(out / "sweep_metrics.csv")
         assert len(rows) == 2
+        assert [row["scenario"] for row in rows] == ["a,b", "a,b"]
         ratio = float(rows[1]["radio_energy"]) / float(rows[0]["radio_energy"])
         assert ratio == pytest.approx(3.0)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -116,6 +118,19 @@ def test_save_load_round_trip(trace, tmp_path_factory):
     save_trace(trace, path)
     loaded = load_trace(path, trace.node_id, trace.sensor_kind)
     assert loaded == trace
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "scenarios" / "fixtures"
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in FIXTURES.glob("*.csv")
+    if "_node_" in p.name or p.name == "ekf_20_samples.csv"
+))
+def test_save_trace_reproduces_fixture_bytes(name, tmp_path):
+    trace = load_trace(FIXTURES / name, "n0", SensorKind.TEMPERATURE)
+    save_trace(trace, tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes()
 
 
 class TestMergeTraces:

@@ -1,7 +1,9 @@
 """Byte-for-byte regression against outputs captured from the reference
-implementation: the figure CSVs of scripts/reproduce_figures.py and the
-`pipefuse run` outputs of the bundled scenario, fused and all-raw."""
+implementation: the figure CSVs of scripts/reproduce_figures.py, and the
+whole `pipefuse run` output tree of the bundled scenario, fused and all-raw,
+pinned by one sha256 manifest per case."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -40,6 +42,15 @@ def test_reproduce_figures_matches_golden(tmp_path):
         assert (tmp_path / rel).read_bytes() == (golden / rel).read_bytes(), rel
 
 
+def read_manifest(path: Path) -> dict:
+    """`<sha256>  <relative path>` lines, as written by `sha256sum`."""
+    entries = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        digest, _, rel = line.partition("  ")
+        entries[rel] = digest
+    return entries
+
+
 @pytest.mark.parametrize("pipeline", ["fused", "raw"])
 @pytest.mark.parametrize("seed", [0, 42])
 def test_run_outputs_match_golden(tmp_path, pipeline, seed):
@@ -48,9 +59,10 @@ def test_run_outputs_match_golden(tmp_path, pipeline, seed):
     if pipeline == "raw":
         args += RAW_OVERRIDES
     assert main(args) == 0
-    golden = GOLDEN / "sim" / f"{pipeline}_seed{seed}"
-    produced = [rel for rel in relative_files(tmp_path)
-                if rel in ("metrics.csv", "detections.csv") or rel.startswith("fused")]
-    assert produced == relative_files(golden)
+    expected = read_manifest(GOLDEN / "sim" / f"{pipeline}_seed{seed}" / "tree.sha256")
+    produced = sorted(p.relative_to(tmp_path).as_posix()
+                      for p in tmp_path.rglob("*") if p.is_file())
+    assert produced == sorted(expected), "output tree has missing or extra files"
     for rel in produced:
-        assert (tmp_path / rel).read_bytes() == (golden / rel).read_bytes(), rel
+        digest = hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest()
+        assert digest == expected[rel], f"{rel} differs from the golden tree"

@@ -286,9 +286,11 @@ class TestClusterStage:
         fused_msgs = [m for m in result.messages if m.kind == MessageKind.FUSED]
         assert len(fused_msgs) == 200 // 10
 
-    @given(data=st.data(), window=st.integers(1, 12), horizon=st.integers(1, 80))
+    @given(data=st.data(), window=st.integers(1, 12), n_windows=st.integers(1, 8))
     @settings(max_examples=100, deadline=None)
-    def test_windows_equal_brute_force_scan(self, data, window, horizon):
+    def test_windows_equal_brute_force_scan(self, data, window, n_windows):
+        # config validation requires the window to divide the horizon
+        horizon = window * n_windows
         config = make_config(horizon=horizon, detection={"window": window},
                              fusion={"node_ekf": False, "cluster_fusvaf": False})
         # any tick, window edges included; members may be silent for whole
