@@ -68,14 +68,13 @@ def _write_run_outputs(result, out: Path) -> list:
     streams_dir.mkdir(exist_ok=True)
     for key in result.world.stream_keys():
         node_id, kind = key
-        truth = result.world.truth[key]
-        measured = [m.value for m in result.world.traces[key].readings]
         # the held series is dense from its first tick to the horizon
-        held = result.reported_series[key]
-        first_tick = held[0][0] if held else result.config.horizon
-        reported = [None] * first_tick + [v for _, v in held]
+        first_tick, held = result.reported_series[key]
         write_stream_csv(
-            truth, measured, reported, record(streams_dir / f"{node_id}_{kind.value}.csv")
+            result.world.truth[key].tolist(),
+            result.world.traces[key].tolist(),
+            [None] * first_tick + held,
+            record(streams_dir / f"{node_id}_{kind.value}.csv"),
         )
 
     fused_dir = out / "fused"

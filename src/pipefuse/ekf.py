@@ -70,10 +70,6 @@ class ProcessModel:
         object.__setattr__(self, "Q", _freeze(q))
         object.__setattr__(self, "R", _freeze(r))
 
-    @property
-    def measurement_dim(self) -> int:
-        return self.R.shape[0]
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
@@ -277,24 +273,25 @@ def random_walk_step(x: float, p: float, y: float, q: float, r: float) -> tuple[
 
 
 def random_walk_estimates(
-    measurements: Trace, q: float, r: float, x0: float, p0: float
+    measurements: Sequence[float], q: float, r: float, x0: float, p0: float
 ) -> list[float]:
-    """Posterior estimates of the scalar random-walk filter over a trace.
+    """Posterior estimates of the scalar random-walk filter over the
+    measurements of ticks 0, 1, ...
 
     Equals `[p.estimate for p in run_filter(random_walk_model(q, r),
-    FilterState([x0], [[p0]]), measurements)]`, without building a state
-    object per reading.
+    FilterState([x0], [[p0]]), trace)]` for a trace of these measurements,
+    without building a state object per reading.
     """
     check_random_walk(q, r, p0)
     if not math.isfinite(x0):
         raise NumericFailureError("filter state contains non-finite values")
     x, p = float(x0), float(p0)
     estimates = []
-    for m in measurements.readings:
+    for tick, y in enumerate(measurements):
         try:
-            x, p = random_walk_step(x, p, m.value, q, r)
+            x, p = random_walk_step(x, p, y, q, r)
         except NumericFailureError as exc:
-            raise type(exc)(f"tick {m.timestamp}: {exc}") from exc
+            raise type(exc)(f"tick {tick}: {exc}") from exc
         estimates.append(x)
     return estimates
 

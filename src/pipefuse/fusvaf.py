@@ -148,12 +148,12 @@ class GateAdaptation:
     initial_half_width: Optional[float] = None
 
     def __post_init__(self):
-        if self.k_sigma <= 0 or self.w_min <= 0 or self.w_max < self.w_min:
-            raise ValueError("require k_sigma > 0 and 0 < w_min <= w_max")
+        if not (0 < self.k_sigma < math.inf and 0 < self.w_min <= self.w_max < math.inf):
+            raise ValueError("require finite k_sigma > 0 and 0 < w_min <= w_max")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.initial_half_width is not None and self.initial_half_width <= 0:
-            raise ValueError("initial_half_width must be positive")
+        if self.initial_half_width is not None and not 0 < self.initial_half_width < math.inf:
+            raise ValueError("initial_half_width must be positive and finite")
 
     @property
     def warmup_half_width(self) -> float:
@@ -270,7 +270,9 @@ def fusvaf_stream(
     flagged.
 
     On the very first tick, before the predictor has seen anything, the
-    prediction falls back to the mean of that tick's measurements.
+    prediction falls back to the mean of that tick's measurements. A
+    prediction that is not finite, or too large for the gate's half-width
+    to register, raises ekf.NumericFailureError.
     """
     if not traces:
         raise ValueError("at least one trace is required")
@@ -287,12 +289,17 @@ def fusvaf_stream(
         predicted = predictor.predict()
         if predicted is None:
             predicted = sum(m.value for m in group) / len(group)
+        if not math.isfinite(predicted):  # e.g. the first-tick mean overflowed
+            raise ekf.NumericFailureError(f"tick {tick}: prediction {predicted} is not finite")
         warmup = ticks_seen < adaptation.window
-        if warmup:
-            gate = ValidationGate.symmetric(predicted, adaptation.warmup_half_width)
-        else:
-            residuals = [r for per_tick in residual_window for r in per_tick]
-            gate = adapt_gate(gate, residuals, predicted, adaptation)
+        try:
+            if warmup:
+                gate = ValidationGate.symmetric(predicted, adaptation.warmup_half_width)
+            else:
+                residuals = [r for per_tick in residual_window for r in per_tick]
+                gate = adapt_gate(gate, residuals, predicted, adaptation)
+        except ValueError as exc:  # the half-width vanishes next to a huge prediction
+            raise ekf.NumericFailureError(f"tick {tick}: {exc}") from None
         pairs = [(m.value, confidence(gate, m.value)) for m in group]
         try:
             fused = _fuse_weighted(pairs, predicted, alpha, params.omega)

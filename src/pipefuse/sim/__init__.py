@@ -20,7 +20,6 @@ from .detect import Detection, detect_events
 from .metrics import RunMetrics, metrics_row, write_metrics_csv
 from .runner import SimulationResult, run_simulation
 from .stages import (
-    Message,
     MessageKind,
     WindowSummary,
     cluster_stage,
@@ -37,7 +36,6 @@ __all__ = [
     "EnergyConfig",
     "EventSpec",
     "FusionConfig",
-    "Message",
     "MessageKind",
     "NodeSpec",
     "RunMetrics",

@@ -259,10 +259,11 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
     horizon_ok = isinstance(horizon, int) and not isinstance(horizon, bool) and horizon >= 1
     if not horizon_ok:
         errors.append(f"horizon: expected a positive integer, got {horizon!r}")
-        horizon = 1
+        horizon = None  # reported once here; the checks against it are skipped
 
     topology = _parse_topology(data.get("topology"), errors)
-    signals = _parse_signals(data.get("signals", {}), errors)
+    declared_signals = data.get("signals", {})
+    signals = _parse_signals(declared_signals, errors)
     events = _parse_events(data.get("events", []), horizon, errors)
     fusion = _build_section(
         FusionConfig,
@@ -288,11 +289,11 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         _check_energy(energy, errors)
     if topology is not None:
         _check_topology(topology, errors)
-        _check_cross(topology, signals, events, errors)
+        _check_cross(topology, declared_signals, events, errors)
 
     if errors:
         raise ConfigError(errors)
-    return ScenarioConfig(
+    config = ScenarioConfig(
         name=name,
         seed=seed,
         horizon=horizon,
@@ -303,6 +304,9 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         detection=detection,
         energy=energy,
     )
+    if fusion.cluster_fusvaf and fusion.gate_w_min is None:
+        _check_gate_floors(config)
+    return config
 
 
 def _parse_topology(data, errors) -> Optional[Topology]:
@@ -390,7 +394,7 @@ def _parse_events(data, horizon, errors) -> list[EventSpec]:
             errors.append(f"{prefix}.start: must be non-negative")
         if event.end < event.start:
             errors.append(f"{prefix}.end: must be >= start")
-        if event.end >= horizon:
+        if horizon is not None and event.end >= horizon:
             errors.append(f"{prefix}.end: tick {event.end} outside horizon {horizon}")
         if event.kind == "leak" and event.magnitude <= 0:
             errors.append(f"{prefix}.magnitude: leak needs a positive magnitude")
@@ -455,10 +459,12 @@ def _peer_graph(topology: Topology) -> CommGraph:
     return CommGraph.from_edges(len(index), edges)
 
 
-def _check_cross(topology, signals, events, errors) -> None:
+def _check_cross(topology, declared_signals, events, errors) -> None:
+    """Cross-section checks; a signal spec that is present but invalid has
+    already been reported, so only an absent one is reported here."""
     used_analog = {k for n in topology.nodes for k in n.sensors if not k.is_binary}
     for kind in sorted(used_analog, key=lambda k: k.value):
-        if kind not in signals:
+        if isinstance(declared_signals, dict) and kind.value not in declared_signals:
             errors.append(f"signals.{kind.value}: required (kind appears in topology)")
     has_binary = any(k.is_binary for n in topology.nodes for k in n.sensors)
     for i, e in enumerate(events):
@@ -468,6 +474,21 @@ def _check_cross(topology, signals, events, errors) -> None:
             SensorKind.PRESSURE in n.sensors for n in topology.nodes
         ):
             errors.append(f"events[{i}]: leak needs a node with a pressure sensor")
+
+
+def _check_gate_floors(config: ScenarioConfig) -> None:
+    """The gate floor each analog kind's noise implies must not exceed
+    gate_w_max; checked on the built config, as it spans three sections."""
+    w_max = config.fusion.gate_w_max
+    kinds = {k for n in config.topology.nodes for k in n.sensors if not k.is_binary}
+    errors = [
+        f"signals.{kind.value}.noise_std: implies a gate floor of "
+        f"{config.gate_floor(kind)}, above fusion.gate_w_max {w_max}"
+        for kind in sorted(kinds, key=lambda k: k.value)
+        if config.gate_floor(kind) > w_max
+    ]
+    if errors:
+        raise ConfigError(errors)
 
 
 def _check_fusion(fusion: FusionConfig, errors) -> None:
@@ -485,6 +506,8 @@ def _check_fusion(fusion: FusionConfig, errors) -> None:
         errors.append("fusion.gate_w_min: must be positive")
     if fusion.gate_w_max <= 0:
         errors.append("fusion.gate_w_max: must be positive")
+    if fusion.gate_w_min is not None and fusion.gate_w_min > fusion.gate_w_max:
+        errors.append("fusion.gate_w_min: must not exceed gate_w_max")
     if fusion.gate_window < 1:
         errors.append("fusion.gate_window: must be >= 1")
     if fusion.consensus_policy not in ("off", "on_detection"):

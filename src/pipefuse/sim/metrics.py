@@ -61,20 +61,17 @@ class RunMetrics:
     suspected_faulty: tuple
 
 
-def tally_messages(messages, node_ids, cluster_ids, gateway_id) -> dict:
-    """Split the message log into the architecture's levels."""
+def tally_messages(ledger, node_ids) -> dict:
+    """Split a message ledger {(src, dst, kind): (messages, bits)} into the
+    architecture's levels."""
     levels = {"node": [0, 0], "cluster": [0, 0], "consensus": [0, 0], "alert": [0, 0]}
-    for m in messages:
-        if m.kind == MessageKind.CONSENSUS:
-            level = "consensus"
-        elif m.kind == MessageKind.ALERT:
-            level = "alert"
-        elif m.src in node_ids:
-            level = "node"
+    for (src, _, kind), (messages, bits) in ledger.items():
+        if kind in (MessageKind.CONSENSUS, MessageKind.ALERT):
+            level = kind.value
         else:
-            level = "cluster"
-        levels[level][0] += 1
-        levels[level][1] += m.payload_bits
+            level = "node" if src in node_ids else "cluster"
+        levels[level][0] += messages
+        levels[level][1] += bits
     return {k: LevelTally(messages=v[0], bits=v[1]) for k, v in levels.items()}
 
 

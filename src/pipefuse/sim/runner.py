@@ -9,14 +9,13 @@ from dataclasses import dataclass
 
 from ..consensus import DisconnectedGraphError
 from ..core import SensorKind
+from ..ekf import NumericFailureError
 from .config import ScenarioConfig
 from .detect import attach_consensus, detect_events
 from .metrics import RunMetrics, match_events, tally_messages
 from .stages import (
-    ClusterStageResult,
-    Message,
     MessageKind,
-    NodeStageResult,
+    add_messages,
     cluster_stage,
     consensus_stage,
     hold_series,
@@ -35,17 +34,18 @@ class SimulationResult:
     reported_series: dict
     detections: list
     consensus_runs: list
-    messages: list
+    messages: dict  # ledger of the whole run
     metrics: RunMetrics
 
 
-def _rmse(reported, truth) -> float:
+def _rmse(stream: str, first_tick: int, reported: list, truth: list) -> float:
     total = 0.0
-    count = 0
-    for tick, value in reported:
-        total += (value - truth[tick]) ** 2
-        count += 1
-    return math.sqrt(total / count) if count else float("nan")
+    for value, true in zip(reported, truth[first_tick:]):
+        error = value - true
+        total += error * error
+    if not math.isfinite(total):
+        raise NumericFailureError(f"stream {stream}: estimation error overflows")
+    return math.sqrt(total / len(reported))
 
 
 def run_simulation(config: ScenarioConfig) -> SimulationResult:
@@ -55,14 +55,14 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
 
     # level 1: per-node pre-processing and report-on-change
     node_results: dict = {}
-    messages: list = []
+    messages: dict = {}
     ops = 0
     for key in world.stream_keys():
         node_id, kind = key
         dst = topology.node(node_id).cluster_id
-        result = node_stage(world.traces[key], config, dst)
+        result = node_stage(world.traces[key], node_id, kind, config, dst)
         node_results[key] = result
-        messages.extend(result.messages)
+        add_messages(messages, result.messages)
         ops += result.ops
 
     # level 2: cluster-head fusion and aggregation
@@ -70,11 +70,7 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
     window_series: dict = {}
     suspected = []
     cluster_kinds = sorted(
-        {
-            (n.cluster_id, kind)
-            for n in topology.nodes
-            for kind in n.sensors
-        },
+        {(n.cluster_id, kind) for n in topology.nodes for kind in n.sensors},
         key=lambda ck: (ck[0], ck[1].value),
     )
     for cluster_id, kind in cluster_kinds:
@@ -86,7 +82,7 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
         result = cluster_stage(cluster_id, kind, member_reports, config, gateway)
         cluster_results[(cluster_id, kind)] = result
         window_series[(cluster_id, kind)] = result.windows
-        messages.extend(result.messages)
+        add_messages(messages, result.messages)
         ops += result.ops
         suspected.extend(
             (cluster_id, kind, node_id, w) for node_id, w in result.suspected_faulty
@@ -106,40 +102,38 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
                 updated.append(det)
                 continue
             try:
-                stage = consensus_stage(estimates, config, det.tick)
+                stage = consensus_stage(estimates, config)
             except DisconnectedGraphError:
                 # clusters without a pressure estimate can sever the peer
                 # graph; the alert still goes out, just without agreement
                 updated.append(det)
                 continue
-            messages.extend(stage.messages)
+            add_messages(messages, stage.messages)
             ops += stage.ops
             consensus_runs.append(stage)
             updated.append(attach_consensus(det, stage.agreed))
         detections = updated
-    for det in detections:
-        messages.append(
-            Message(gateway, "gcc", det.tick, config.energy.sample_bits, MessageKind.ALERT)
-        )
+    alerts = len(detections)
+    bits = alerts * config.energy.sample_bits
+    add_messages(messages, {(gateway, "gcc", MessageKind.ALERT): (alerts, bits)})
 
     # estimation quality: zero-order-hold reconstruction vs ground truth
     reported_series: dict = {}
     rmse_per_stream: dict = {}
     for key in world.stream_keys():
         node_id, kind = key
-        held = hold_series(node_results[key].reports, config.horizon)
-        reported_series[key] = held
+        first_tick, held = hold_series(node_results[key].reports, config.horizon)
+        reported_series[key] = (first_tick, held)
         if not kind.is_binary:
-            rmse_per_stream[f"{node_id}:{kind.value}"] = _rmse(held, world.truth[key])
+            stream = f"{node_id}:{kind.value}"
+            rmse_per_stream[stream] = _rmse(stream, first_tick, held, world.truth[key].tolist())
 
     rmse_values = [rmse_per_stream[k] for k in sorted(rmse_per_stream)]
     rmse_mean = sum(rmse_values) / len(rmse_values) if rmse_values else float("nan")
     rmse_max = max(rmse_values) if rmse_values else float("nan")
 
-    node_ids = {n.node_id for n in topology.nodes}
-    cluster_ids = set(topology.cluster_ids())
-    levels = tally_messages(messages, node_ids, cluster_ids, gateway)
-    total_bits = sum(m.payload_bits for m in messages)
+    levels = tally_messages(messages, {n.node_id for n in topology.nodes})
+    total_bits = sum(bits for _, bits in messages.values())
     energy = config.energy
     radio_energy = float(total_bits * energy.ops_per_bit) * energy.per_op_cost
     compute_energy = float(ops) * energy.per_op_cost
@@ -153,7 +147,7 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
         cluster=levels["cluster"],
         consensus=levels["consensus"],
         alert=levels["alert"],
-        total_messages=len(messages),
+        total_messages=sum(n for n, _ in messages.values()),
         total_bits=total_bits,
         compute_ops=ops,
         radio_energy=radio_energy,

@@ -1,9 +1,10 @@
 """Per-level processing stages: node filtering, cluster fusion, peer consensus.
 
-Message accounting is explicit: every stage returns the messages it sent so
-the runner can charge radio energy and verify conservation. Between
-report-on-change reports, a node's value is reconstructed downstream by
-zero-order hold: a report means "valid until superseded".
+Message accounting is explicit: every stage returns a message ledger
+{(src, dst, MessageKind): (messages, bits)} of what it sent, so the runner
+can charge radio energy and verify conservation. Between report-on-change
+reports, a node's value is reconstructed downstream by zero-order hold: a
+report means "valid until superseded".
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core import SensorKind, Trace, trace_from_pairs
+from ..core import SensorKind, trace_from_pairs
 from .. import consensus as consensus_mod
 from .. import ekf, fusvaf
 from .config import ScenarioConfig
@@ -32,17 +33,14 @@ class MessageKind(str, Enum):
     CONSENSUS = "consensus"
 
 
-@dataclass(frozen=True)
-class Message:
-    src: str
-    dst: str
-    tick: int
-    payload_bits: int
-    kind: MessageKind
-
-    def __post_init__(self):
-        if self.payload_bits < 1:
-            raise ValueError(f"payload_bits must be >= 1, got {self.payload_bits}")
+def add_messages(ledger: dict, entries: dict) -> dict:
+    """Add entries {(src, dst, kind): (messages, bits)} to a message ledger
+    and return it; an entry without messages adds no key."""
+    for key, (messages, bits) in entries.items():
+        if messages:
+            m, b = ledger.get(key, (0, 0))
+            ledger[key] = (m + messages, b + bits)
+    return ledger
 
 
 @dataclass
@@ -50,12 +48,14 @@ class NodeStageResult:
     node_id: str
     kind: SensorKind
     reports: list  # [(tick, value)] actually transmitted
-    messages: list
+    messages: dict  # ledger
     ops: int
 
 
-def node_stage(trace: Trace, config: ScenarioConfig, dst: str) -> NodeStageResult:
-    """On-node pre-processing of one raw stream.
+def node_stage(
+    values: np.ndarray, node_id: str, kind: SensorKind, config: ScenarioConfig, dst: str
+) -> NodeStageResult:
+    """On-node pre-processing of one raw stream, a float array indexed by tick.
 
     With node_ekf on, analog streams are smoothed by a scalar random-walk
     filter and reported only when the estimate moves more than report_delta
@@ -64,48 +64,36 @@ def node_stage(trace: Trace, config: ScenarioConfig, dst: str) -> NodeStageResul
     """
     fusion = config.fusion
     ops = 0
-    if fusion.node_ekf and not trace.sensor_kind.is_binary:
-        estimates = ekf.random_walk_estimates(
-            trace, fusion.ekf_q, fusion.ekf_r, trace.readings[0].value, 1.0
-        )
-        series = [(m.timestamp, x) for m, x in zip(trace.readings, estimates)]
-        ops += config.energy.ekf_ops_per_update * len(estimates)
-    else:
-        series = [(m.timestamp, m.value) for m in trace.readings]
+    series = values.tolist()
+    if fusion.node_ekf and not kind.is_binary:
+        series = ekf.random_walk_estimates(series, fusion.ekf_q, fusion.ekf_r, series[0], 1.0)
+        ops += config.energy.ekf_ops_per_update * len(series)
 
     if fusion.node_ekf:
-        delta = BINARY_DELTA if trace.sensor_kind.is_binary else fusion.report_delta
+        delta = BINARY_DELTA if kind.is_binary else fusion.report_delta
         reports = []
         last_sent = None
-        for tick, value in series:
+        for tick, value in enumerate(series):
             if last_sent is None or abs(value - last_sent) > delta:
                 reports.append((tick, value))
                 last_sent = value
     else:
-        reports = series
+        reports = list(enumerate(series))
 
-    messages = [
-        Message(trace.node_id, dst, tick, config.energy.sample_bits, MessageKind.RAW)
-        for tick, _ in reports
-    ]
-    return NodeStageResult(trace.node_id, trace.sensor_kind, reports, messages, ops)
+    n = len(reports)
+    sent = {(node_id, dst, MessageKind.RAW): (n, n * config.energy.sample_bits)}
+    return NodeStageResult(node_id, kind, reports, add_messages({}, sent), ops)
 
 
-def hold_series(reports, horizon: int) -> list:
-    """Zero-order-hold reconstruction: [(tick, value)] dense from the first
-    report to horizon-1."""
+def hold_series(reports, horizon: int) -> tuple[int, list]:
+    """Zero-order-hold reconstruction: the first report's tick (horizon if
+    none) and the value held at every tick from there to horizon-1."""
     if not reports:
-        return []
-    out = []
-    it = iter(reports)
-    next_report = next(it)
-    value = None
-    for tick in range(reports[0][0], horizon):
-        while next_report is not None and next_report[0] == tick:
-            value = next_report[1]
-            next_report = next(it, None)
-        out.append((tick, value))
-    return out
+        return horizon, []
+    ticks = np.array([tick for tick, _ in reports] + [horizon])
+    # each report holds until the next one or the horizon; a repeated tick holds for none
+    held = np.clip(np.minimum(ticks[1:], horizon) - ticks[:-1], 0, None)
+    return reports[0][0], np.repeat([value for _, value in reports], held).tolist()
 
 
 @dataclass(frozen=True)
@@ -132,7 +120,7 @@ class ClusterStageResult:
     fusion_points: list  # per-tick FusionPoint (empty when FUSVAF is off)
     member_order: list
     suspected_faulty: list  # [(node_id, window_index)] first flagged
-    messages: list
+    messages: dict  # ledger
     ops: int
 
 
@@ -162,7 +150,6 @@ def cluster_stage(
     n_windows = horizon // window
     member_order = sorted(member_reports)
     fusion_cfg = config.fusion
-    messages = []
     ops = 0
 
     fusion_points: list = []
@@ -172,9 +159,9 @@ def cluster_stage(
     if use_fusvaf:
         held_traces = []
         for node_id in member_order:
-            held = hold_series(member_reports[node_id], horizon)
+            first, held = hold_series(member_reports[node_id], horizon)
             if held:
-                held_traces.append(trace_from_pairs(held, node_id, kind))
+                held_traces.append(trace_from_pairs(enumerate(held, first), node_id, kind))
         if held_traces:
             adaptation = fusvaf.GateAdaptation(
                 k_sigma=fusion_cfg.gate_k_sigma,
@@ -191,10 +178,8 @@ def cluster_stage(
                     adaptation=adaptation,
                     adaptive_alpha=fusion_cfg.fusvaf_adaptive_alpha,
                 )
-            except fusvaf.DegenerateDenominatorError as exc:
-                raise fusvaf.DegenerateDenominatorError(
-                    f"cluster {cluster_id} [{kind.value}]: {exc}"
-                ) from None
+            except (fusvaf.DegenerateDenominatorError, ekf.NumericFailureError) as exc:
+                raise type(exc)(f"cluster {cluster_id} [{kind.value}]: {exc}") from None
             ops += config.energy.fusvaf_ops_per_value * sum(
                 len(p.readings) for p in fusion_points
             )
@@ -257,25 +242,17 @@ def cluster_stage(
                 else:
                     zero_streak[node_id] = 0
 
-        if fusion_cfg.cluster_fusvaf:
-            if fused_mean is not None:
-                messages.append(
-                    Message(cluster_id, gateway_id, end, config.energy.sample_bits,
-                            MessageKind.FUSED)
-                )
-            if count > 0:
-                messages.append(
-                    Message(cluster_id, gateway_id, end, 4 * config.energy.sample_bits,
-                            MessageKind.AGGREGATED)
-                )
-
-    if not fusion_cfg.cluster_fusvaf:
-        for node_id in member_order:
-            for tick, _ in member_reports[node_id]:
-                messages.append(
-                    Message(cluster_id, gateway_id, tick, config.energy.sample_bits,
-                            MessageKind.RAW)
-                )
+    bits = config.energy.sample_bits
+    if fusion_cfg.cluster_fusvaf:
+        # per window: one fused value if any, one 4-value aggregate if any reports
+        fused = sum(1 for s in windows if s.fused is not None)
+        summaries = sum(1 for s in windows if s.count)
+        sent = {MessageKind.FUSED: (fused, fused * bits),
+                MessageKind.AGGREGATED: (summaries, summaries * 4 * bits)}
+    else:
+        relayed = sum(len(reports) for reports in member_reports.values())
+        sent = {MessageKind.RAW: (relayed, relayed * bits)}
+    messages = add_messages({}, {(cluster_id, gateway_id, k): v for k, v in sent.items()})
 
     return ClusterStageResult(
         cluster_id, kind, windows, fusion_points, member_order, suspected, messages, ops
@@ -288,14 +265,12 @@ class ConsensusStageResult:
     rounds: int
     converged: bool
     mse_history: tuple
-    messages: list
+    messages: dict  # ledger
     ops: int
     participants: list
 
 
-def consensus_stage(
-    estimates: dict, config: ScenarioConfig, trigger_tick: int
-) -> ConsensusStageResult:
+def consensus_stage(estimates: dict, config: ScenarioConfig) -> ConsensusStageResult:
     """Agree on a shared quantity across cluster heads.
 
     Each synchronous round costs one message per peer edge per direction.
@@ -319,16 +294,11 @@ def consensus_stage(
         tol=config.fusion.consensus_tol,
         max_iter=config.fusion.consensus_max_iter,
     )
-    messages = []
-    for _ in range(run.iterations):
-        for i, j in sorted(graph.edges):
-            a, b = participants[i], participants[j]
-            messages.append(
-                Message(a, b, trigger_tick, config.energy.sample_bits, MessageKind.CONSENSUS)
-            )
-            messages.append(
-                Message(b, a, trigger_tick, config.energy.sample_bits, MessageKind.CONSENSUS)
-            )
+    sent = (run.iterations, run.iterations * config.energy.sample_bits)
+    messages = add_messages({}, {
+        (participants[a], participants[b], MessageKind.CONSENSUS): sent
+        for i, j in graph.edges for a, b in ((i, j), (j, i))
+    })
     ops = config.energy.consensus_ops_per_value * run.iterations * len(participants)
     return ConsensusStageResult(
         agreed=float(np.mean(run.estimates)),

@@ -17,19 +17,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import Measurement, SensorKind, Trace
+from ..core import SensorKind, TraceError
+from ..ekf import NumericFailureError
 from .config import EventSpec, ScenarioConfig
 
 
 @dataclass(frozen=True)
 class WorldData:
-    """Per-stream ground truth and the noisy traces handed to the nodes."""
+    """Per-stream ground truth and noisy traces, float arrays indexed by tick."""
 
     truth: dict
     traces: dict
 
     def stream_keys(self) -> list[tuple[str, SensorKind]]:
         return sorted(self.truth, key=lambda k: (k[0], k[1].value))
+
+
+def check_stream(node_id: str, kind: SensorKind, values: np.ndarray) -> None:
+    """The per-array form of `Measurement`'s checks: every value finite,
+    and a binary stream exactly 0.0 or 1.0."""
+    stream = f"stream {node_id}:{kind.value}"
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NumericFailureError(
+            f"{stream}: non-finite value {values[bad[0]]} at tick {bad[0]}"
+        )
+    if kind.is_binary:
+        bad = np.flatnonzero((values != 0.0) & (values != 1.0))
+        if bad.size:
+            raise TraceError(f"{stream}: value {values[bad[0]]} at tick {bad[0]} is not 0.0 or 1.0")
 
 
 def _leak_depression(event: EventSpec, t: np.ndarray) -> np.ndarray:
@@ -46,6 +62,8 @@ def _intrusion_target(config: ScenarioConfig, event: EventSpec) -> str:
     return min(candidates, key=lambda n: (abs(n.position - event.location), n.node_id)).node_id
 
 
+# overflow shows up as a non-finite value, which check_stream names
+@np.errstate(over="ignore", invalid="ignore")
 def generate_world(config: ScenarioConfig) -> WorldData:
     t = np.arange(config.horizon, dtype=float)
     intrusion_targets = {
@@ -79,11 +97,7 @@ def generate_world(config: ScenarioConfig) -> WorldData:
             if spec.noise_std > 0:
                 rng = np.random.default_rng((config.seed, index))
                 values = signal + rng.normal(0.0, spec.noise_std, size=config.horizon)
+        check_stream(node_id, kind, values)
         truth[(node_id, kind)] = signal
-        traces[(node_id, kind)] = Trace(
-            tuple(
-                Measurement(node_id, kind, tick, float(v))
-                for tick, v in enumerate(values)
-            )
-        )
+        traces[(node_id, kind)] = values
     return WorldData(truth=truth, traces=traces)

@@ -114,6 +114,39 @@ class TestRun:
         assert code == 2
         assert f"[config-invalid] {path}:" in captured.err
 
+    @pytest.mark.parametrize("overrides, message", [
+        (["signals.pressure.drift=1.0e+306"],
+         "stream n0:pressure: non-finite value inf at tick 180"),
+        (["signals.pressure.noise_std=1.0e+308", "fusion.cluster_fusvaf=false"],
+         "stream n0:pressure: non-finite value"),
+        (["signals.pressure.baseline=1.7e+308"],
+         "cluster c0 [pressure]: tick 0: prediction inf is not finite"),
+        (["signals.temperature.baseline=1.7e+308"], "cluster c0 [temperature]: tick 0: gate"),
+    ])
+    def test_overflow_exits_3_and_names_where(self, tmp_path, capsys, overrides, message):
+        args = [a for o in overrides for a in ("--override", o)]
+        code = main(["--quiet", "run", "--config", str(SCENARIO),
+                     "--out", str(tmp_path / "o")] + args)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"pipefuse: error [runtime-failure] {message}" in err
+
+    @pytest.mark.parametrize("override, error", [
+        ("horizon=-3", "horizon: expected a positive integer, got -3"),
+        ("signals.pressure.noise_std=1e308",
+         "signals.pressure.noise_std: expected a finite number, got '1e308'"),
+        ("signals.pressure.noise_std=1.0e+308",
+         "signals.pressure.noise_std: implies a gate floor of inf, "
+         "above fusion.gate_w_max 100.0"),
+    ])
+    def test_invalid_field_reported_without_follow_on_errors(
+        self, tmp_path, capsys, override, error
+    ):
+        code = main(["--quiet", "run", "--config", str(SCENARIO),
+                     "--out", str(tmp_path / "o"), "--override", override])
+        assert code == 2
+        assert capsys.readouterr().err == f"pipefuse: error [config-invalid] {error}\n"
+
     @pytest.mark.parametrize("pipeline", ["fused", "raw"])
     def test_every_csv_cell_is_a_number_or_declared_text(self, tmp_path, pipeline):
         out = tmp_path / "out"

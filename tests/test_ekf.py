@@ -279,14 +279,14 @@ class TestClosedFormRandomWalk:
         trace = trace_from_pairs(list(enumerate(values)), "n0", SensorKind.TEMPERATURE)
         init = FilterState([values[0]], [[p0]])
         expected = [p.estimate for p in run_filter(random_walk_model(q, r), init, trace)]
-        assert random_walk_estimates(trace, q, r, values[0], p0) == expected
+        assert random_walk_estimates(values, q, r, values[0], p0) == expected
 
     def test_zero_noise_and_variance_is_singular(self):
         trace = trace_from_pairs([(0, 1.0), (1, 2.0)], "n0", SensorKind.TEMPERATURE)
         with pytest.raises(SingularBracketError):
             run_filter(random_walk_model(0.0, 0.0), FilterState([1.0], [[0.0]]), trace)
         with pytest.raises(SingularBracketError, match="tick 0"):
-            random_walk_estimates(trace, 0.0, 0.0, 1.0, 0.0)
+            random_walk_estimates([1.0, 2.0], 0.0, 0.0, 1.0, 0.0)
 
     def test_non_finite_measurement_raises(self):
         with pytest.raises(NumericFailureError):
@@ -297,6 +297,5 @@ class TestClosedFormRandomWalk:
     @pytest.mark.parametrize("q, r, p0", [(-0.1, 0.1, 1.0), (0.1, float("nan"), 1.0),
                                           (0.1, 0.1, -1.0), (float("inf"), 0.1, 1.0)])
     def test_bad_parameters_rejected(self, q, r, p0):
-        trace = trace_from_pairs([(0, 1.0)], "n0", SensorKind.TEMPERATURE)
         with pytest.raises(ValueError):
-            random_walk_estimates(trace, q, r, 1.0, p0)
+            random_walk_estimates([1.0], q, r, 1.0, p0)

@@ -312,6 +312,24 @@ class TestFusvafStream:
         )
         assert len(points) == 14
 
+    def test_overflowing_first_tick_mean_is_numeric_failure(self):
+        stream = [temp_trace("a", [1.7e308] * 3), temp_trace("b", [1.7e308] * 3)]
+        with pytest.raises(ekf.NumericFailureError, match="tick 0: prediction inf"):
+            fusvaf_stream(stream, FusionParams())
+
+    def test_gate_below_float_resolution_is_numeric_failure(self):
+        # 1.7e308 +- 100 rounds back to 1.7e308: the gate has no width
+        with pytest.raises(ekf.NumericFailureError, match="tick 0: gate"):
+            fusvaf_stream([temp_trace("a", [1.7e308] * 3)], FusionParams())
+
+    @pytest.mark.parametrize("kwargs", [
+        {"k_sigma": float("nan")}, {"w_min": float("nan")}, {"w_max": float("inf")},
+        {"initial_half_width": float("inf")}, {"initial_half_width": float("nan")},
+    ])
+    def test_adaptation_rejects_non_finite_widths(self, kwargs):
+        with pytest.raises(ValueError):
+            GateAdaptation(**kwargs)
+
     def test_requires_traces(self):
         with pytest.raises(ValueError):
             fusvaf_stream([], FusionParams())

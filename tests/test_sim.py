@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pipefuse.core import SensorKind, trace_from_pairs
+from pipefuse.core import SensorKind, TraceError
+from pipefuse.ekf import NumericFailureError
 from pipefuse.sim import (
     ConfigError,
     MessageKind,
@@ -15,6 +16,9 @@ from pipefuse.sim import (
     scenario_from_dict,
 )
 from pipefuse.sim.stages import hold_series
+from pipefuse.sim.world import check_stream
+
+RAW, FUSED, CONSENSUS = MessageKind.RAW, MessageKind.FUSED, MessageKind.CONSENSUS
 
 
 def base_config_dict(**overrides):
@@ -119,6 +123,45 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="pir/magnetic"):
             scenario_from_dict(data)
 
+    def test_invalid_horizon_reported_once(self):
+        # the events fit any valid horizon; they are not checked against a bad one
+        data = base_config_dict(
+            horizon=-3,
+            events=[{"kind": "leak", "start": 100, "end": 110, "location": 0.0,
+                     "magnitude": 30.0}],
+        )
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict(data)
+        assert exc.value.errors == ["horizon: expected a positive integer, got -3"]
+
+    def test_invalid_signal_spec_not_also_missing(self):
+        # YAML 1.1 reads `1e308` as a string
+        data = base_config_dict(
+            signals={"pressure": {"baseline": 500.0, "noise_std": "1e308"}}
+        )
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict(data)
+        assert exc.value.errors == [
+            "signals.pressure.noise_std: expected a finite number, got '1e308'"
+        ]
+
+    def test_absent_signal_spec_required(self):
+        with pytest.raises(ConfigError, match=r"signals.pressure: required"):
+            make_config(signals={})
+
+    def test_gate_floor_above_w_max_rejected(self):
+        # the derived floor 4 * noise_std + report_delta exceeds gate_w_max
+        noisy = {"signals": {"pressure": {"baseline": 500.0, "noise_std": 30.0}}}
+        with pytest.raises(ConfigError) as exc:
+            make_config(**noisy)
+        assert exc.value.errors == [
+            "signals.pressure.noise_std: implies a gate floor of 121.0, "
+            "above fusion.gate_w_max 100.0"
+        ]
+        make_config(fusion={"cluster_fusvaf": False}, **noisy)  # no gate in relay mode
+        with pytest.raises(ConfigError, match="fusion.gate_w_min: must not exceed gate_w_max"):
+            make_config(fusion={"gate_w_min": 200.0})
+
     def test_errors_collected_not_first_only(self):
         data = base_config_dict(energy={"ops_per_bit": 10}, horizon=-5)
         with pytest.raises(ConfigError) as exc:
@@ -156,11 +199,12 @@ class TestOverrides:
 class TestGenerateWorld:
     def test_no_events_zero_noise_yields_baselines(self):
         world = generate_world(make_config())
-        for (node_id, kind), trace in world.traces.items():
+        for (node_id, kind), values in world.traces.items():
+            assert values.shape == (200,)
             if kind == SensorKind.PRESSURE:
-                assert all(v == 500.0 for v in trace.values)
+                assert all(v == 500.0 for v in values)
             else:
-                assert all(v == 0.0 for v in trace.values)
+                assert all(v == 0.0 for v in values)
 
     def test_leak_reaches_full_magnitude_at_peak(self):
         config = make_config(
@@ -192,65 +236,108 @@ class TestGenerateWorld:
         )
         w1, w2 = generate_world(config), generate_world(config)
         for key in w1.traces:
-            assert w1.traces[key].values == w2.traces[key].values
+            assert w1.traces[key].tolist() == w2.traces[key].tolist()
 
     def test_different_seed_differs(self):
         noisy = {"signals": {"pressure": {"baseline": 500.0, "noise_std": 0.7}}}
         w1 = generate_world(make_config(**noisy))
         w2 = generate_world(make_config(seed=2, **noisy))
         key = ("n0", SensorKind.PRESSURE)
-        assert w1.traces[key].values != w2.traces[key].values
+        assert w1.traces[key].tolist() != w2.traces[key].tolist()
+
+    @pytest.mark.parametrize("signal, tick", [
+        ({"baseline": 500.0, "drift": 1.0e306}, 180),  # drift * t overflows
+        ({"baseline": 1.7e308, "drift": 1.0e306}, 10),
+        ({"baseline": 500.0, "noise_std": 1.0e308}, None),  # a noise draw overflows
+    ])
+    def test_overflowing_stream_names_stream_and_tick(self, signal, tick):
+        # relay mode: under FUSVAF such noise implies a gate floor above gate_w_max
+        config = make_config(signals={"pressure": signal}, fusion={"cluster_fusvaf": False})
+        with pytest.raises(NumericFailureError, match="stream n0:pressure: non-finite") as exc:
+            generate_world(config)
+        if tick is not None:
+            assert str(exc.value).endswith(f"at tick {tick}")
+
+
+class TestCheckStream:
+    def test_finite_analog_and_binary_pass(self):
+        check_stream("n0", SensorKind.PRESSURE, np.array([500.0, -1e308, 0.5]))
+        check_stream("n1", SensorKind.PIR, np.array([0.0, 1.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_first_non_finite_tick_named(self, bad):
+        values = np.array([1.0, 2.0, bad, bad])
+        with pytest.raises(NumericFailureError, match=r"stream n0:humidity: .* at tick 2$"):
+            check_stream("n0", SensorKind.HUMIDITY, values)
+
+    def test_non_finite_binary_is_numeric_failure(self):
+        with pytest.raises(NumericFailureError, match="tick 1"):
+            check_stream("n1", SensorKind.MAGNETIC, np.array([0.0, np.nan]))
+
+    @pytest.mark.parametrize("bad", [0.5, -1.0, 2.0])
+    def test_binary_value_other_than_0_or_1_rejected(self, bad):
+        with pytest.raises(TraceError, match=r"stream n1:pir: value .* at tick 3 is not 0.0 or 1"):
+            check_stream("n1", SensorKind.PIR, np.array([0.0, 1.0, 0.0, bad]))
+
+
+def pressure_stage(values, config):
+    return node_stage(np.asarray(values, dtype=float), "n0", SensorKind.PRESSURE, config, "c0")
+
+
+def sent(ledger):
+    """All messages in a ledger {(src, dst, kind): (messages, bits)}."""
+    return sum(n for n, _ in ledger.values())
 
 
 class TestNodeStage:
     def test_constant_noiseless_sends_one_message(self):
-        config = make_config()
-        trace = trace_from_pairs([(t, 500.0) for t in range(100)], "n0", SensorKind.PRESSURE)
-        result = node_stage(trace, config, "c0")
-        assert len(result.messages) == 1
-        assert result.messages[0].kind == MessageKind.RAW
+        result = pressure_stage([500.0] * 100, make_config())
+        assert result.messages == {("n0", "c0", RAW): (1, 32)}
 
     def test_raw_mode_forwards_every_tick(self):
-        config = make_config(fusion={"node_ekf": False})
-        trace = trace_from_pairs([(t, 500.0) for t in range(100)], "n0", SensorKind.PRESSURE)
-        result = node_stage(trace, config, "c0")
-        assert len(result.messages) == 100
+        result = pressure_stage([500.0] * 100, make_config(fusion={"node_ekf": False}))
+        assert result.messages == {("n0", "c0", RAW): (100, 3200)}
         assert result.ops == 0
 
     def test_filter_suppresses_messages_on_noisy_constant(self):
         rng = np.random.default_rng(3)
         noise_std = 0.5
         values = 500.0 + rng.normal(0, noise_std, size=1000)
-        trace = trace_from_pairs(list(enumerate(values)), "n0", SensorKind.PRESSURE)
-        smart = node_stage(trace, make_config(fusion={"report_delta": 3 * noise_std}), "c0")
-        raw = node_stage(trace, make_config(fusion={"node_ekf": False}), "c0")
-        assert len(smart.messages) < len(raw.messages)
+        smart = pressure_stage(values, make_config(fusion={"report_delta": 3 * noise_std}))
+        raw = pressure_stage(values, make_config(fusion={"node_ekf": False}))
+        assert sent(smart.messages) == len(smart.reports)
+        assert sent(smart.messages) < sent(raw.messages) == 1000
 
     def test_report_count_monotone_in_delta(self):
         rng = np.random.default_rng(4)
         values = 500.0 + rng.normal(0, 1.0, size=500)
-        trace = trace_from_pairs(list(enumerate(values)), "n0", SensorKind.PRESSURE)
         counts = [
-            len(node_stage(trace, make_config(fusion={"report_delta": d}), "c0").messages)
+            sent(pressure_stage(values, make_config(fusion={"report_delta": d})).messages)
             for d in (0.0, 0.5, 1.0, 2.0, 4.0)
         ]
         assert counts == sorted(counts, reverse=True)
 
     def test_binary_stream_reports_transitions(self):
-        values = [0.0] * 10 + [1.0] * 5 + [0.0] * 10
-        trace = trace_from_pairs(list(enumerate(values)), "n1", SensorKind.PIR)
-        result = node_stage(trace, make_config(), "c0")
+        values = np.array([0.0] * 10 + [1.0] * 5 + [0.0] * 10)
+        result = node_stage(values, "n1", SensorKind.PIR, make_config(), "c0")
         assert [(t, v) for t, v in result.reports] == [(0, 0.0), (10, 1.0), (15, 0.0)]
+        assert result.messages == {("n1", "c0", RAW): (3, 96)}
         assert result.ops == 0  # no filter on 0/1 channels
 
 
 class TestHoldSeries:
     def test_zero_order_hold(self):
         held = hold_series([(0, 1.0), (3, 2.0)], 6)
-        assert held == [(0, 1.0), (1, 1.0), (2, 1.0), (3, 2.0), (4, 2.0), (5, 2.0)]
+        assert held == (0, [1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+
+    def test_starts_at_first_report(self):
+        assert hold_series([(2, 1.0), (4, 3.0), (5, 4.0)], 7) == (2, [1.0, 1.0, 3.0, 4.0, 4.0])
+
+    def test_repeated_tick_keeps_the_last_value(self):
+        assert hold_series([(0, 1.0), (0, 2.0), (2, 3.0)], 4) == (0, [2.0, 2.0, 3.0, 3.0])
 
     def test_empty(self):
-        assert hold_series([], 5) == []
+        assert hold_series([], 5) == (5, [])
 
 
 class TestClusterStage:
@@ -283,8 +370,7 @@ class TestClusterStage:
         config = make_config(detection={"window": 10})
         reports = {"n0": [(t, 500.0) for t in range(200)]}
         result = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
-        fused_msgs = [m for m in result.messages if m.kind == MessageKind.FUSED]
-        assert len(fused_msgs) == 200 // 10
+        assert result.messages[("c0", "gw", FUSED)] == (200 // 10, 200 // 10 * 32)
 
     @given(data=st.data(), window=st.integers(1, 12), n_windows=st.integers(1, 8))
     @settings(max_examples=100, deadline=None)
@@ -322,8 +408,7 @@ class TestClusterStage:
         config = make_config(fusion={"node_ekf": False, "cluster_fusvaf": False})
         reports = {"n0": [(t, 500.0) for t in range(50)]}
         result = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
-        assert len(result.messages) == 50
-        assert all(m.kind == MessageKind.RAW for m in result.messages)
+        assert result.messages == {("c0", "gw", RAW): (50, 1600)}
         assert result.ops == 0
 
 
@@ -344,21 +429,24 @@ class TestConsensusStage:
 
     def test_triangle_agrees_in_one_round_six_messages(self):
         config = self.config_three_heads()
-        stage = consensus_stage({"c0": 1.0, "c1": 2.0, "c2": 3.0}, config, trigger_tick=5)
+        stage = consensus_stage({"c0": 1.0, "c1": 2.0, "c2": 3.0}, config)
         assert stage.agreed == pytest.approx(2.0, abs=1e-9)
         assert stage.rounds == 1
-        assert len(stage.messages) == 6
-        assert all(m.kind == MessageKind.CONSENSUS and m.tick == 5 for m in stage.messages)
+        # one message per peer edge per direction per round
+        assert stage.messages == {
+            (a, b, CONSENSUS): (1, 32)
+            for a in ("c0", "c1", "c2") for b in ("c0", "c1", "c2") if a != b
+        }
 
     def test_identical_estimates_need_no_messages(self):
         config = self.config_three_heads()
-        stage = consensus_stage({"c0": 7.0, "c1": 7.0, "c2": 7.0}, config, trigger_tick=0)
+        stage = consensus_stage({"c0": 7.0, "c1": 7.0, "c2": 7.0}, config)
         assert stage.rounds == 0
-        assert stage.messages == []
+        assert stage.messages == {}
 
     def test_requires_two_heads(self):
         with pytest.raises(ValueError):
-            consensus_stage({"c0": 1.0}, make_config(), trigger_tick=0)
+            consensus_stage({"c0": 1.0}, make_config())
 
     def test_severed_peer_graph_degrades_gracefully(self):
         # middle cluster has no pressure sensors, so the two estimate
@@ -481,13 +569,21 @@ class TestRunSimulation:
             | set(topology.cluster_ids())
             | {topology.gateway_id, "gcc"}
         )
-        # no message is lost or invented: every send targets a live entity,
-        # and splitting the log by receiver reassembles it exactly
-        for m in result.messages:
-            assert m.src in entity_ids and m.dst in entity_ids and m.src != m.dst
-        inboxes = {e: [m for m in result.messages if m.dst == e] for e in entity_ids}
-        assert sum(len(v) for v in inboxes.values()) == len(result.messages)
+        # no message is lost or invented: every ledger entry links two distinct
+        # live entities and carries at least one message of at least one bit,
+        # and splitting the ledger by receiver reassembles it exactly
+        ledger = result.messages
+        for (src, dst, kind), (count, bits) in ledger.items():
+            assert src in entity_ids and dst in entity_ids and src != dst
+            assert isinstance(kind, MessageKind)
+            assert 1 <= count <= bits
+        inboxes = {e: [n for (_, dst, _), (n, _) in ledger.items() if dst == e]
+                   for e in entity_ids}
+        assert sum(sum(v) for v in inboxes.values()) == sent(ledger)
+        assert {kind for _, _, kind in ledger} >= {RAW, FUSED, CONSENSUS, MessageKind.ALERT}
         m = result.metrics
+        assert m.total_messages == sent(ledger)
+        assert m.total_bits == sum(bits for _, bits in ledger.values())
         level_sum = (m.node.messages + m.cluster.messages
                      + m.consensus.messages + m.alert.messages)
         assert level_sum == m.total_messages
