@@ -127,8 +127,14 @@ def consensus_step(state: ConsensusState, W: np.ndarray) -> ConsensusState:
 
 def mse_dispersion(state: ConsensusState) -> float:
     """Mean squared deviation of the estimates from their average."""
-    mean = float(np.mean(state.estimates))
-    return float(np.mean((state.estimates - mean) ** 2))
+    return _dispersion(state.estimates)
+
+
+def _dispersion(x: np.ndarray) -> float:
+    # sum()/n is the pairwise sum and division that np.mean does, minus its overhead
+    n = x.shape[0]
+    d = x - x.sum() / n
+    return float((d * d).sum() / n)
 
 
 @dataclass(frozen=True)
@@ -160,15 +166,17 @@ def run_consensus(
     if initial.n != graph.n:
         raise ValueError(f"state has {initial.n} estimates but graph has {graph.n} agents")
     W = metropolis_weights(graph)
-    state = initial
-    history = [mse_dispersion(state)]
+    # consensus_step on a plain array: W matches the state by construction
+    x = initial.estimates
+    history = [_dispersion(x)]
     iterations = 0
     while history[-1] >= tol and iterations < max_iter:
-        state = consensus_step(state, W)
-        history.append(mse_dispersion(state))
+        x = W @ x
+        history.append(_dispersion(x))
         iterations += 1
+    x.flags.writeable = False
     return ConsensusRun(
-        estimates=state.estimates,
+        estimates=x,
         iterations=iterations,
         mse_history=tuple(history),
         converged=history[-1] < tol,

@@ -88,25 +88,61 @@ class FilterState:
     def __post_init__(self):
         x = np.atleast_1d(np.asarray(self.x_hat, dtype=float))
         p = np.atleast_2d(np.asarray(self.P, dtype=float))
-        n = x.shape[0]
-        if x.ndim != 1 or p.shape != (n, n):
-            raise ValueError(f"shape mismatch: x_hat {x.shape}, P {p.shape}")
+        _check_shape(x, p)
         if self.tick < 0:
             raise ValueError(f"tick must be non-negative, got {self.tick}")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
-            raise NumericFailureError("filter state contains non-finite values")
+        _check_finite(x, p)
         if not np.allclose(p, p.T, atol=1e-9, rtol=1e-9):
             raise ValueError("P must be symmetric")
-        if np.any(np.diag(p) < 0):
-            raise ValueError("P diagonal must be non-negative")
-        if np.min(np.linalg.eigvalsh(p)) < -EPS_SYM * max(1.0, float(np.max(np.abs(p)))):
-            raise ValueError("P must be positive semi-definite (within tolerance)")
+        _check_covariance(p)
         object.__setattr__(self, "x_hat", _freeze(x))
         object.__setattr__(self, "P", _freeze(p))
 
     @property
     def dim(self) -> int:
         return self.x_hat.shape[0]
+
+
+def _check_shape(x: np.ndarray, p: np.ndarray) -> None:
+    n = x.shape[0]
+    if x.ndim != 1 or p.shape != (n, n):
+        raise ValueError(f"shape mismatch: x_hat {x.shape}, P {p.shape}")
+
+
+def _check_finite(x: np.ndarray, p: np.ndarray) -> None:
+    if not (np.isfinite(x).all() and np.isfinite(p).all()):
+        raise NumericFailureError("filter state contains non-finite values")
+
+
+def _check_covariance(p: np.ndarray) -> None:
+    """Non-negative diagonal, then PSD within tolerance. For a 1x1 P the
+    diagonal check already implies the eigenvalue test, so it is skipped."""
+    if (p.diagonal() < 0).any():
+        raise ValueError("P diagonal must be non-negative")
+    if p.shape[0] > 1:
+        smallest = np.linalg.eigvalsh(p)[0]  # eigenvalues come in ascending order
+        # the tolerance is negative, so it needs computing only for a negative eigenvalue
+        if smallest < 0 and smallest < -EPS_SYM * max(1.0, float(np.abs(p).max())):
+            raise ValueError("P must be positive semi-definite (within tolerance)")
+
+
+def _filter_state(x: np.ndarray, p: np.ndarray, tick: int) -> FilterState:
+    """FilterState over arrays that predict/update just created; it takes
+    them over and makes them read-only instead of copying them.
+
+    Runs, in FilterState's order, every check that the filter arithmetic
+    can fail: shape, finiteness, non-negative diagonal and PSD. It leaves
+    out the two that hold by construction: P comes out of _symmetrize, so
+    it is exactly symmetric, and the tick is a non-negative tick plus 0 or 1.
+    """
+    _check_shape(x, p)
+    _check_finite(x, p)
+    _check_covariance(p)
+    x.flags.writeable = False
+    p.flags.writeable = False
+    state = object.__new__(FilterState)
+    vars(state).update(x_hat=x, P=p, tick=tick)
+    return state
 
 
 def numeric_jacobian(fn, x, eps=None) -> np.ndarray:
@@ -124,16 +160,13 @@ def numeric_jacobian(fn, x, eps=None) -> np.ndarray:
         steps = np.broadcast_to(np.asarray(eps, dtype=float), (n,)).copy()
         if np.any(steps <= 0):
             raise ValueError("eps must be positive")
-    cols = []
+    hi, lo = [], []
     with np.errstate(invalid="ignore"):  # divergent probes are caught below
-        for j in range(n):
-            dx = np.zeros(n)
-            dx[j] = steps[j]
-            hi = np.atleast_1d(np.asarray(fn(x + dx), dtype=float))
-            lo = np.atleast_1d(np.asarray(fn(x - dx), dtype=float))
-            cols.append((hi - lo) / (2.0 * steps[j]))
-    jac = np.column_stack(cols)
-    if not np.all(np.isfinite(jac)):
+        for dx in np.diag(steps):
+            hi.append(np.atleast_1d(np.asarray(fn(x + dx), dtype=float)))
+            lo.append(np.atleast_1d(np.asarray(fn(x - dx), dtype=float)))
+        jac = (np.column_stack(hi) - np.column_stack(lo)) / (2.0 * steps)
+    if not np.isfinite(jac).all():
         raise NumericFailureError("numeric Jacobian produced non-finite values")
     return jac
 
@@ -145,7 +178,7 @@ def _symmetrize(p: np.ndarray) -> np.ndarray:
 def _jacobian_of(fn, analytic, x) -> np.ndarray:
     if analytic is not None:
         jac = np.atleast_2d(np.asarray(analytic(x), dtype=float))
-        if not np.all(np.isfinite(jac)):
+        if not np.isfinite(jac).all():
             raise NumericFailureError("analytic Jacobian produced non-finite values")
         return jac
     return numeric_jacobian(fn, x)
@@ -153,12 +186,13 @@ def _jacobian_of(fn, analytic, x) -> np.ndarray:
 
 def predict(state: FilterState, model: ProcessModel) -> FilterState:
     """Propagate the estimate one step: x' = f(x), P' = F P F^T + Q."""
-    x1 = np.atleast_1d(np.asarray(model.f(state.x_hat), dtype=float))
-    if not np.all(np.isfinite(x1)):
+    # a copy, so the state never freezes or aliases an array that f handed back
+    x1 = np.atleast_1d(np.array(model.f(state.x_hat), dtype=float))
+    if not np.isfinite(x1).all():
         raise NumericFailureError("state transition produced non-finite values")
     F = _jacobian_of(model.f, model.F_jac, state.x_hat)
     P1 = _symmetrize(F @ state.P @ F.T + model.Q)
-    return FilterState(x_hat=x1, P=P1, tick=state.tick + 1)
+    return _filter_state(x1, P1, state.tick + 1)
 
 
 def update(prior: FilterState, y, model: ProcessModel) -> FilterState:
@@ -167,6 +201,11 @@ def update(prior: FilterState, y, model: ProcessModel) -> FilterState:
     Innovation uses the nonlinear h; the gain solves
     K = P H^T (H P H^T + R)^(-1) with H evaluated at the prior.
     """
+    return _update(prior, y, model)[0]
+
+
+def _update(prior: FilterState, y, model: ProcessModel) -> tuple[FilterState, np.ndarray]:
+    """update, also returning the innovation y - h(x_prior)."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     z_pred = np.atleast_1d(np.asarray(model.h(prior.x_hat), dtype=float))
     if y.shape != z_pred.shape:
@@ -181,14 +220,14 @@ def update(prior: FilterState, y, model: ProcessModel) -> FilterState:
         raise SingularBracketError(
             "innovation covariance H P H^T + R is singular; check R"
         ) from None
-    if not np.all(np.isfinite(K)):
+    if not np.isfinite(K).all():
         raise SingularBracketError(
             "innovation covariance H P H^T + R is ill-conditioned; check R"
         )
     innovation = y - z_pred
     x1 = prior.x_hat + K @ innovation
     P1 = _symmetrize((np.eye(prior.dim) - K @ H) @ prior.P)
-    return FilterState(x_hat=x1, P=P1, tick=prior.tick)
+    return _filter_state(x1, P1, prior.tick), innovation
 
 
 @dataclass(frozen=True)
@@ -219,12 +258,9 @@ def run_filter(model: ProcessModel, init: FilterState, measurements: Trace) -> l
     state = init
     for m in measurements.readings:
         try:
-            prior = predict(state, model)
-            z_pred = np.atleast_1d(np.asarray(model.h(prior.x_hat), dtype=float))
-            state = update(prior, [m.value], model)
+            state, innovation = _update(predict(state, model), [m.value], model)
         except (NumericFailureError, ValueError) as exc:
             raise type(exc)(f"tick {m.timestamp}: {exc}") from exc
-        innovation = np.array([m.value]) - z_pred
         points.append(FilterPoint(m.timestamp, m.value, state, innovation))
     return points
 

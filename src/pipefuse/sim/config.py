@@ -19,6 +19,11 @@ from ..consensus import CommGraph
 from ..core import SensorKind
 
 
+# Longest accepted horizon in ticks. It bounds the memory a scenario can ask
+# for: the world holds one float per tick for every stream.
+MAX_HORIZON = 10_000_000
+
+
 class ConfigError(ValueError):
     """Scenario configuration is invalid; `errors` lists every offence."""
 
@@ -213,7 +218,9 @@ def _build_section(cls, data, prefix, errors, converters=None):
             errors.append(f"{prefix}.{key}: expected {expected}, got {value!r}")
             valid = False
             continue
-        kwargs[key] = float(value) if types[key] == "float" else value
+        if value is not None and types[key] in ("float", "Optional[float]"):
+            value = float(value)
+        kwargs[key] = value
     return cls(**kwargs) if valid else None
 
 
@@ -259,6 +266,10 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
     horizon_ok = isinstance(horizon, int) and not isinstance(horizon, bool) and horizon >= 1
     if not horizon_ok:
         errors.append(f"horizon: expected a positive integer, got {horizon!r}")
+    elif horizon > MAX_HORIZON:
+        errors.append(f"horizon: {horizon} ticks exceeds the maximum of {MAX_HORIZON:,}")
+        horizon_ok = False
+    if not horizon_ok:
         horizon = None  # reported once here; the checks against it are skipped
 
     topology = _parse_topology(data.get("topology"), errors)

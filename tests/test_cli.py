@@ -106,6 +106,8 @@ class TestRun:
         (["--override", "detection.window=601"], "detection.window"),
         (["--override", "name=[1]"], "name"),
         (["--override", "events=[{}]"], "events[0].kind"),
+        (["--override", "horizon=1" + "0" * 400], "horizon"),
+        (["--override", f"horizon={2**62}"], "horizon"),
     ])
     def test_bad_numeric_value_exits_2_and_names_path(self, tmp_path, capsys, args, path):
         code = main(["--quiet", "run", "--config", str(SCENARIO),

@@ -11,6 +11,7 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 from pipefuse.cli import main
+from pipefuse.sim.config import MAX_HORIZON
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO = ROOT / "scenarios" / "baseline_10node.yaml"
@@ -47,8 +48,8 @@ PATHS = sorted(key_paths(small_baseline()), key=str)
 
 def mutate(data: dict, path: tuple, value) -> None:
     """Drop or replace the entry at path; a path an earlier mutation removed
-    is left alone. The horizon never gets a large positive integer, so that
-    every run stays small."""
+    is left alone. The horizon gets no positive integer that validation
+    accepts, so that every run stays small; one above MAX_HORIZON is set."""
     target = data
     for key in path[:-1]:
         try:
@@ -60,7 +61,8 @@ def mutate(data: dict, path: tuple, value) -> None:
         present = key in target
     else:
         present = isinstance(target, list) and isinstance(key, int) and key < len(target)
-    if not present or (path == ("horizon",) and type(value) is int and value > 0):
+    if not present or (path == ("horizon",) and type(value) is int
+                       and 0 < value <= MAX_HORIZON):
         return
     if value == DROP:
         del target[key]
@@ -88,6 +90,8 @@ mutations = st.lists(
 @example([(("signals", "pressure", "baseline"), 1.7e308)])
 @example([(("signals", "temperature", "baseline"), 1.7e308)])
 @example([(("horizon",), -3)])
+@example([(("horizon",), 10**400)])
+@example([(("horizon",), 2**62)])
 @example([(("signals", "pressure", "noise_std"), "1e308")])
 @settings(max_examples=80, deadline=None)
 def test_mutated_scenario_exits_cleanly(changes):

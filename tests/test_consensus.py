@@ -188,6 +188,31 @@ class TestProperties:
         assert run.converged
         assert np.all(np.abs(run.estimates - np.mean(values)) < 1e-5)
 
+    @given(graph=connected_graphs(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_run_equals_public_step_by_step_path(self, graph, data):
+        values = data.draw(
+            st.lists(st.floats(-1e3, 1e3), min_size=graph.n, max_size=graph.n)
+        )
+        max_iter = data.draw(st.integers(1, 200))
+
+        def np_mean_dispersion(state):
+            mean = float(np.mean(state.estimates))
+            return float(np.mean((state.estimates - mean) ** 2))
+
+        W = metropolis_weights(graph)
+        state = ConsensusState(values)
+        history = [np_mean_dispersion(state)]
+        while history[-1] >= 1e-12 and state.iteration < max_iter:
+            state = consensus_step(state, W)
+            assert mse_dispersion(state) == np_mean_dispersion(state)
+            history.append(np_mean_dispersion(state))
+        run = run_consensus(ConsensusState(values), graph, tol=1e-12, max_iter=max_iter)
+        assert run.mse_history == tuple(history)
+        assert run.iterations == state.iteration
+        assert run.estimates.tobytes() == state.estimates.tobytes()
+        assert not run.estimates.flags.writeable
+
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(9)
         graph = CommGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])

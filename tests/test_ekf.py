@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from pipefuse.ekf import (
     random_walk_step,
     run_filter,
     update,
+    _filter_state,
 )
 
 
@@ -263,6 +266,114 @@ class TestValidation:
     def test_process_model_rejects_bad_dim(self):
         with pytest.raises(ValueError):
             ProcessModel(0, lambda x: x, lambda x: x, np.eye(1), np.eye(1))
+
+
+def raise_alike(fast, public):
+    """`fast()` raises the exception type and message that `public()` does."""
+    with pytest.raises(Exception) as expected:
+        public()
+    with pytest.raises(type(expected.value), match=re.escape(str(expected.value))) as got:
+        fast()
+    assert type(got.value) is type(expected.value)
+
+
+# Q passes ProcessModel's checks but is not PSD, so neither is P' = F 0 F^T + Q
+NON_PSD_Q_MODEL = ProcessModel(
+    2, lambda x: x, lambda x: x[:1], np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[1.0]]),
+    F_jac=lambda x: np.eye(2), H_jac=lambda x: np.array([[1.0, 0.0]]),
+)
+
+
+class TestStepConstructor:
+    """predict and update build their result through _filter_state, which
+    must fail exactly where the public FilterState(...) would."""
+
+    @pytest.mark.parametrize("x, p", [
+        ([[0.0]], [[1.0]]),                      # x_hat not a vector
+        ([0.0, 1.0], [[1.0]]),                   # P of the wrong size
+        ([np.nan], [[1.0]]),
+        ([0.0], [[np.inf]]),
+        ([0.0], [[-1.0]]),
+        ([0.0, 0.0], [[1.0, 0.0], [0.0, -1e-3]]),
+        ([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]]),  # symmetric, not PSD
+    ])
+    def test_same_error_as_public_constructor(self, x, p):
+        raise_alike(lambda: _filter_state(np.array(x), np.array(p), 1),
+                    lambda: FilterState(x, p, 1))
+
+    @pytest.mark.parametrize("f, x1", [
+        (lambda x: np.array([x[0], x[0]]), [0.5, 0.5]),
+        (lambda x: np.reshape(x, (1, 1)), [[0.5]]),
+    ])
+    def test_wrong_shape_from_model_f(self, f, x1):
+        model = scalar_model(0.1, 0.1, f=f, F_jac=lambda x: np.array([[1.0]]))
+        state = FilterState([0.5], [[1.0]])
+        raise_alike(lambda: predict(state, model), lambda: FilterState(x1, [[1.1]], 1))
+
+    def test_overflowing_covariance_is_numeric_failure(self):
+        model = scalar_model(0.0, 1.0, F_jac=lambda x: np.array([[1e10]]))
+        state = FilterState([1.0], [[1e300]])
+        with np.errstate(over="ignore"):
+            raise_alike(lambda: predict(state, model), lambda: FilterState([1.0], [[np.inf]], 1))
+
+    def test_non_psd_covariance_from_predict(self):
+        state = FilterState([0.0, 0.0], np.zeros((2, 2)))
+        raise_alike(lambda: predict(state, NON_PSD_Q_MODEL),
+                    lambda: FilterState([0.0, 0.0], [[0.0, 1.0], [1.0, 0.0]], 1))
+
+    @pytest.mark.parametrize("model, p0, error, message", [
+        (NON_PSD_Q_MODEL, np.zeros((2, 2)), ValueError, "P must be positive semi-definite"),
+        (scalar_model(0.0, 0.0), [[0.0]], SingularBracketError, "is singular; check R"),
+        (scalar_model(0.0, 1.0, F_jac=lambda x: np.array([[1e10]])), [[1e300]],
+         NumericFailureError, "filter state contains non-finite values"),
+    ])
+    def test_run_filter_prefixes_tick(self, model, p0, error, message):
+        init = FilterState(np.zeros(model.state_dim), p0)
+        trace = trace_from_pairs([(5, 1.0)], "n0", SensorKind.TEMPERATURE)
+        with np.errstate(over="ignore"), pytest.raises(error) as exc:
+            run_filter(model, init, trace)
+        assert type(exc.value) is error
+        assert str(exc.value).startswith("tick 5: ") and message in str(exc.value)
+
+    def test_state_neither_freezes_nor_aliases_what_f_returns(self):
+        buffer = np.zeros(1)
+
+        def f(x):
+            buffer[:] = 2.0 * x
+            return buffer
+
+        state = predict(FilterState([1.0], [[1.0]]), scalar_model(0.1, 0.1, f=f))
+        assert buffer.flags.writeable
+        assert not np.shares_memory(state.x_hat, buffer)
+        buffer[0] = -7.0
+        assert state.x_hat[0] == 2.0
+        assert not state.x_hat.flags.writeable and not state.P.flags.writeable
+
+    def test_run_filter_equals_public_step_by_step_path(self):
+        rng = np.random.default_rng(3)
+
+        def f(x):
+            return np.array([x[0] + 0.1 * np.sin(x[1]), 0.95 * x[1] + 0.05 * x[0] ** 2])
+
+        def h(x):
+            return np.array([np.hypot(x[0], x[1] + 2.0)])
+
+        model = ProcessModel(2, f, h, np.diag([1e-3, 2e-3]), np.array([[0.05]]))
+        init = FilterState([0.3, -0.2], np.diag([0.5, 0.5]))
+        trace = trace_from_pairs(
+            [(t, 2.0 + rng.normal(0.0, 0.2)) for t in range(1, 60)], "n0", SensorKind.PRESSURE
+        )
+        state = init
+        for point in run_filter(model, init, trace):
+            prior = predict(state, model)
+            state = update(prior, [point.measurement], model)
+            # the public constructor accepts every state the fast path built
+            state = FilterState(state.x_hat, state.P, state.tick)
+            assert point.state.x_hat.tobytes() == state.x_hat.tobytes()
+            assert point.state.P.tobytes() == state.P.tobytes()
+            assert point.state.tick == state.tick
+            innovation = np.array([point.measurement]) - h(prior.x_hat)
+            assert point.innovation.tobytes() == innovation.tobytes()
 
 
 class TestClosedFormRandomWalk:

@@ -1,7 +1,12 @@
 """Byte-for-byte regression against outputs captured from the reference
-implementation: the figure CSVs of scripts/reproduce_figures.py, and the
-whole `pipefuse run` output tree of the bundled scenario, fused and all-raw,
-pinned by one sha256 manifest per case."""
+implementation: the figure CSVs of scripts/reproduce_figures.py, the n-D
+library paths (a 4-state EKF with numeric Jacobians and a 48-agent
+consensus), and the whole `pipefuse run` output tree of the bundled
+scenario, fused and all-raw, pinned by one sha256 manifest per case.
+
+`PYTHONPATH=src python tests/test_golden.py` rewrites tests/golden/library;
+do that only when a change to those outputs is intended.
+"""
 
 import hashlib
 import os
@@ -9,9 +14,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from pipefuse import consensus, ekf
 from pipefuse.cli import main
+from pipefuse.core import SensorKind, trace_from_pairs, write_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -27,6 +35,12 @@ def relative_files(root: Path) -> list:
     return sorted(str(p.relative_to(root)) for p in root.rglob("*.csv"))
 
 
+def assert_same_csv_bytes(produced: Path, golden: Path) -> None:
+    assert relative_files(produced) == relative_files(golden)
+    for rel in relative_files(golden):
+        assert (produced / rel).read_bytes() == (golden / rel).read_bytes(), rel
+
+
 def test_reproduce_figures_matches_golden(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -36,10 +50,61 @@ def test_reproduce_figures_matches_golden(tmp_path):
         [sys.executable, str(ROOT / "scripts" / "reproduce_figures.py"), "--out", str(tmp_path)],
         check=True, env=env, capture_output=True,
     )
-    golden = GOLDEN / "figures"
-    assert relative_files(tmp_path) == relative_files(golden)
-    for rel in relative_files(golden):
-        assert (tmp_path / rel).read_bytes() == (golden / rel).read_bytes(), rel
+    assert_same_csv_bytes(tmp_path, GOLDEN / "figures")
+
+
+def turning_target(x):
+    """Constant-speed target whose turn rate falls with its speed."""
+    vx, vy = x[2], x[3]
+    turn = 0.05 / (1.0 + vx * vx + vy * vy)
+    c, s = np.cos(turn), np.sin(turn)
+    return np.array([x[0] + vx, x[1] + vy, c * vx - s * vy, s * vx + c * vy])
+
+
+def beacon_range(x):
+    return np.array([np.hypot(x[0] - 25.0, x[1] + 30.0)])
+
+
+def ring_with_chords(n):
+    return [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(0, n // 2, 6)]
+
+
+def write_library_goldens(out: Path) -> None:
+    """A 4-state EKF with numeric Jacobians over 240 range readings (every
+    posterior x_hat, all of P and the innovation), and a 48-agent
+    ring-with-chords consensus (MSE history, final estimates, rounds)."""
+    rng = np.random.default_rng(2015)
+    q, r = np.array([1e-3, 1e-3, 1e-4, 1e-4]), 0.04
+    x = np.array([-10.0, 5.0, 0.6, 0.8])
+    readings = []
+    for tick in range(1, 241):
+        x = turning_target(x) + rng.normal(0.0, np.sqrt(q))
+        readings.append((tick, float(beacon_range(x)[0] + rng.normal(0.0, np.sqrt(r)))))
+    model = ekf.ProcessModel(4, turning_target, beacon_range, np.diag(q), np.array([[r]]))
+    init = ekf.FilterState([-9.5, 5.5, 0.5, 0.9], np.diag([0.5, 0.5, 0.01, 0.01]))
+    points = ekf.run_filter(model, init, trace_from_pairs(readings, "ranger", SensorKind.PRESSURE))
+    write_csv(
+        out / "ekf_4state.csv",
+        ["tick", "measurement"] + [f"x{i}" for i in range(4)]
+        + [f"P{i}{j}" for i in range(4) for j in range(4)] + ["innovation"],
+        ([p.tick, p.measurement, *p.state.x_hat, *p.state.P.ravel(), *p.innovation]
+         for p in points),
+    )
+
+    agents = 48
+    run = consensus.run_consensus(
+        consensus.ConsensusState(rng.normal(100.0, 10.0, agents)),
+        consensus.CommGraph.from_edges(agents, ring_with_chords(agents)),
+    )
+    consensus.write_mse_csv(run.mse_history, out / "consensus_48_mse.csv")
+    write_csv(out / "consensus_48_estimates.csv", ["agent", "estimate"], enumerate(run.estimates))
+    write_csv(out / "consensus_48_run.csv", ["iterations", "converged"],
+              [[run.iterations, run.converged]])
+
+
+def test_library_paths_match_golden(tmp_path):
+    write_library_goldens(tmp_path)
+    assert_same_csv_bytes(tmp_path, GOLDEN / "library")
 
 
 def read_manifest(path: Path) -> dict:
@@ -66,3 +131,8 @@ def test_run_outputs_match_golden(tmp_path, pipeline, seed):
     for rel in produced:
         digest = hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest()
         assert digest == expected[rel], f"{rel} differs from the golden tree"
+
+
+if __name__ == "__main__":
+    (GOLDEN / "library").mkdir(exist_ok=True)
+    write_library_goldens(GOLDEN / "library")

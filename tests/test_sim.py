@@ -15,6 +15,7 @@ from pipefuse.sim import (
     run_simulation,
     scenario_from_dict,
 )
+from pipefuse.sim.config import MAX_HORIZON
 from pipefuse.sim.stages import hold_series
 from pipefuse.sim.world import check_stream
 
@@ -133,6 +134,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as exc:
             scenario_from_dict(data)
         assert exc.value.errors == ["horizon: expected a positive integer, got -3"]
+
+    def test_horizon_capped(self):
+        assert make_config(horizon=MAX_HORIZON).horizon == MAX_HORIZON
+        for horizon in (MAX_HORIZON + 10, 2**62, 10**400):
+            with pytest.raises(ConfigError) as exc:
+                make_config(horizon=horizon)
+            assert exc.value.errors == [
+                f"horizon: {horizon} ticks exceeds the maximum of {MAX_HORIZON:,}"
+            ]
+
+    def test_integers_for_optional_real_fields_become_floats(self):
+        config = make_config(fusion={"gate_w_min": 2})
+        assert type(config.fusion.gate_w_min) is float
+        assert config.fusion.gate_w_min == 2.0
+        assert make_config().fusion.gate_w_min is None
 
     def test_invalid_signal_spec_not_also_missing(self):
         # YAML 1.1 reads `1e308` as a string
