@@ -115,15 +115,12 @@ def _check_finite(x: np.ndarray, p: np.ndarray) -> None:
 
 
 def _check_covariance(p: np.ndarray) -> None:
-    """Non-negative diagonal, then PSD within tolerance. For a 1x1 P the
-    diagonal check already implies the eigenvalue test, so it is skipped."""
+    """Non-negative diagonal, then PSD within tolerance."""
     if (p.diagonal() < 0).any():
         raise ValueError("P diagonal must be non-negative")
-    if p.shape[0] > 1:
-        smallest = np.linalg.eigvalsh(p)[0]  # eigenvalues come in ascending order
-        # the tolerance is negative, so it needs computing only for a negative eigenvalue
-        if smallest < 0 and smallest < -EPS_SYM * max(1.0, float(np.abs(p).max())):
-            raise ValueError("P must be positive semi-definite (within tolerance)")
+    # eigvalsh returns the eigenvalues in ascending order
+    if np.linalg.eigvalsh(p)[0] < -EPS_SYM * max(1.0, float(np.abs(p).max())):
+        raise ValueError("P must be positive semi-definite (within tolerance)")
 
 
 def _filter_state(x: np.ndarray, p: np.ndarray, tick: int) -> FilterState:
@@ -201,11 +198,6 @@ def update(prior: FilterState, y, model: ProcessModel) -> FilterState:
     Innovation uses the nonlinear h; the gain solves
     K = P H^T (H P H^T + R)^(-1) with H evaluated at the prior.
     """
-    return _update(prior, y, model)[0]
-
-
-def _update(prior: FilterState, y, model: ProcessModel) -> tuple[FilterState, np.ndarray]:
-    """update, also returning the innovation y - h(x_prior)."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     z_pred = np.atleast_1d(np.asarray(model.h(prior.x_hat), dtype=float))
     if y.shape != z_pred.shape:
@@ -227,7 +219,7 @@ def _update(prior: FilterState, y, model: ProcessModel) -> tuple[FilterState, np
     innovation = y - z_pred
     x1 = prior.x_hat + K @ innovation
     P1 = _symmetrize((np.eye(prior.dim) - K @ H) @ prior.P)
-    return _filter_state(x1, P1, prior.tick), innovation
+    return _filter_state(x1, P1, prior.tick)
 
 
 @dataclass(frozen=True)
@@ -258,9 +250,12 @@ def run_filter(model: ProcessModel, init: FilterState, measurements: Trace) -> l
     state = init
     for m in measurements.readings:
         try:
-            state, innovation = _update(predict(state, model), [m.value], model)
+            prior = predict(state, model)
+            z_pred = np.atleast_1d(np.asarray(model.h(prior.x_hat), dtype=float))
+            state = update(prior, [m.value], model)
         except (NumericFailureError, ValueError) as exc:
             raise type(exc)(f"tick {m.timestamp}: {exc}") from exc
+        innovation = np.array([m.value]) - z_pred
         points.append(FilterPoint(m.timestamp, m.value, state, innovation))
     return points
 
