@@ -82,11 +82,9 @@ def _write_run_outputs(result, out: Path) -> list:
     for (cluster_id, kind), stage in sorted(
         result.cluster_results.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
     ):
-        if stage.fusion_points:
-            fusvaf.write_fusion_csv(
-                stage.fusion_points,
-                stage.member_order,
-                record(fused_dir / f"{cluster_id}_{kind.value}.csv"),
+        if stage.fusion is not None:
+            fusvaf.write_fusion_columns(
+                stage.fusion, record(fused_dir / f"{cluster_id}_{kind.value}.csv")
             )
     return files
 
@@ -183,8 +181,8 @@ def cmd_fusvaf(args) -> int:
     try:
         traces = []
         for i, path in enumerate(args.trace):
-            node_id = f"{Path(path).stem}"
-            if any(t.node_id == node_id for t in traces):
+            node_id = Path(path).stem
+            while any(t.node_id == node_id for t in traces):
                 node_id = f"{node_id}_{i}"
             traces.append(load_trace(path, node_id, kind))
         predictor = (

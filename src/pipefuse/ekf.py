@@ -32,12 +32,17 @@ class SingularBracketError(NumericFailureError):
     """
 
 
-def _as_matrix(a, name: str) -> np.ndarray:
+def _as_covariance(a, name: str) -> np.ndarray:
+    """A model noise covariance: square, finite, symmetric, non-negative
+    diagonal and PSD within FilterState's tolerance."""
     m = np.atleast_2d(np.asarray(a, dtype=float))
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} must be finite")
     if not np.allclose(m, m.T, atol=1e-12, rtol=0):
         raise ValueError(f"{name} must be symmetric")
+    _check_covariance(m, name)
     return m
 
 
@@ -61,12 +66,10 @@ class ProcessModel:
     def __post_init__(self):
         if self.state_dim < 1:
             raise ValueError(f"state_dim must be positive, got {self.state_dim}")
-        q = _as_matrix(self.Q, "Q")
-        r = _as_matrix(self.R, "R")
+        q = _as_covariance(self.Q, "Q")
+        r = _as_covariance(self.R, "R")
         if q.shape != (self.state_dim, self.state_dim):
             raise ValueError(f"Q must be {self.state_dim}x{self.state_dim}, got {q.shape}")
-        if np.any(np.diag(q) < 0) or np.any(np.diag(r) < 0):
-            raise ValueError("Q and R must have non-negative diagonals")
         object.__setattr__(self, "Q", _freeze(q))
         object.__setattr__(self, "R", _freeze(r))
 
@@ -114,13 +117,13 @@ def _check_finite(x: np.ndarray, p: np.ndarray) -> None:
         raise NumericFailureError("filter state contains non-finite values")
 
 
-def _check_covariance(p: np.ndarray) -> None:
+def _check_covariance(p: np.ndarray, name: str = "P") -> None:
     """Non-negative diagonal, then PSD within tolerance."""
     if (p.diagonal() < 0).any():
-        raise ValueError("P diagonal must be non-negative")
+        raise ValueError(f"{name} diagonal must be non-negative")
     # eigvalsh returns the eigenvalues in ascending order
     if np.linalg.eigvalsh(p)[0] < -EPS_SYM * max(1.0, float(np.abs(p).max())):
-        raise ValueError("P must be positive semi-definite (within tolerance)")
+        raise ValueError(f"{name} must be positive semi-definite (within tolerance)")
 
 
 def _filter_state(x: np.ndarray, p: np.ndarray, tick: int) -> FilterState:
@@ -202,6 +205,9 @@ def update(prior: FilterState, y, model: ProcessModel) -> FilterState:
     z_pred = np.atleast_1d(np.asarray(model.h(prior.x_hat), dtype=float))
     if y.shape != z_pred.shape:
         raise ValueError(f"measurement dim {y.shape[0]} != h output dim {z_pred.shape[0]}")
+    if model.R.shape != (y.shape[0], y.shape[0]):
+        m = y.shape[0]
+        raise ValueError(f"R must be {m}x{m} for a {m}-vector measurement, got {model.R.shape}")
     H = _jacobian_of(model.h, model.H_jac, prior.x_hat)
     S = H @ prior.P @ H.T + model.R
     PHt = prior.P @ H.T

@@ -14,7 +14,7 @@ import math
 import statistics
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import Trace, merge_traces, write_csv
 from . import ekf
@@ -90,19 +90,23 @@ def _bell_branch(dev: float, reach: float, a: float) -> float:
     return num / den
 
 
+def _confidence(x_hat: float, v_l: float, v_r: float, a_l: float, a_r: float, z: float) -> float:
+    if z <= v_l or z > v_r:
+        return 0.0
+    if z <= x_hat:
+        sigma = _bell_branch(x_hat - z, x_hat - v_l, a_l)
+    else:
+        sigma = _bell_branch(x_hat - z, x_hat - v_r, a_r)
+    return min(1.0, max(0.0, sigma))
+
+
 def confidence(gate: ValidationGate, z: float) -> float:
     """Confidence in [0, 1] of reading z under the gate.
 
     1 at z = x_hat, falling bell-shaped to exactly 0 at both gate
     boundaries, 0 outside.
     """
-    if z <= gate.v_l or z > gate.v_r:
-        return 0.0
-    if z <= gate.x_hat:
-        sigma = _bell_branch(gate.x_hat - z, gate.x_hat - gate.v_l, gate.a_l)
-    else:
-        sigma = _bell_branch(gate.x_hat - z, gate.x_hat - gate.v_r, gate.a_r)
-    return min(1.0, max(0.0, sigma))
+    return _confidence(gate.x_hat, gate.v_l, gate.v_r, gate.a_l, gate.a_r, z)
 
 
 def _fuse_weighted(pairs, x_hat: float, alpha: float, omega: float) -> float:
@@ -159,6 +163,10 @@ class GateAdaptation:
     def warmup_half_width(self) -> float:
         return self.initial_half_width if self.initial_half_width is not None else self.w_max
 
+    def half_width(self, spread: float) -> float:
+        """The half-width after warm-up for a median absolute residual `spread`."""
+        return min(max(self.k_sigma * spread, self.w_min), self.w_max)
+
 
 def adapt_gate(
     gate: ValidationGate,
@@ -177,8 +185,7 @@ def adapt_gate(
     if not math.isfinite(new_prediction):
         raise ValueError(f"new_prediction must be finite, got {new_prediction}")
     spread = statistics.median(abs(r) for r in recent_residuals)
-    half_width = min(max(adaptation.k_sigma * spread, adaptation.w_min), adaptation.w_max)
-    return ValidationGate.symmetric(new_prediction, half_width)
+    return ValidationGate.symmetric(new_prediction, adaptation.half_width(spread))
 
 
 class SmoothingPredictor:
@@ -253,6 +260,80 @@ class FusionPoint:
         return None
 
 
+class FusionColumns(NamedTuple):
+    """FUSVAF output as columns: entry i of each is the i-th fused tick.
+
+    The gate of tick i is ValidationGate.symmetric(predicted[i],
+    half_width[i]). value and sigma hold one column per slot (input
+    series), None where that slot has no reading at the tick.
+    """
+
+    tick: list
+    fused: list
+    predicted: list
+    half_width: list
+    value: list
+    sigma: list
+
+
+def _fusvaf_kernel(
+    groups: Sequence[tuple],
+    n_slots: int,
+    params: FusionParams,
+    predictor,
+    adaptation: GateAdaptation,
+    adaptive_alpha: bool,
+) -> FusionColumns:
+    """The gate-validate-fuse loop of fusvaf_stream on plain floats.
+
+    groups holds one (tick, slots, values) per tick, in tick order: the
+    slots (in 0..n_slots-1, increasing) that have a reading at the tick and
+    their values. Every group is non-empty. Errors carry a `tick N:` prefix.
+    """
+    n = len(groups)
+    ticks, fused_col, predicted_col, half_widths = [], [], [], []
+    value_cols = [[None] * n for _ in range(n_slots)]
+    sigma_cols = [[None] * n for _ in range(n_slots)]
+    residual_window: deque = deque(maxlen=adaptation.window)
+    alpha = params.alpha
+    for i, (tick, slots, values) in enumerate(groups):
+        predicted = predictor.predict()
+        if predicted is None:
+            predicted = sum(values) / len(values)
+        if not math.isfinite(predicted):  # e.g. the first-tick mean overflowed
+            raise ekf.NumericFailureError(f"tick {tick}: prediction {predicted} is not finite")
+        if i < adaptation.window:
+            half_width = adaptation.warmup_half_width
+        else:  # as adapt_gate, over residuals that are already absolute
+            spread = statistics.median([r for per_tick in residual_window for r in per_tick])
+            half_width = adaptation.half_width(spread)
+        v_l, v_r, a = predicted - half_width, predicted + half_width, half_width / 2.0
+        if not (a > 0.0 and -math.inf < v_l < predicted < v_r < math.inf):
+            # the half-width vanishes next to a huge prediction; the gate's own
+            # checks word the error
+            try:
+                ValidationGate.symmetric(predicted, half_width)
+            except ValueError as exc:
+                raise ekf.NumericFailureError(f"tick {tick}: {exc}") from None
+        sigmas = [_confidence(predicted, v_l, v_r, a, a, z) for z in values]
+        try:
+            fused = _fuse_weighted(zip(values, sigmas), predicted, alpha, params.omega)
+        except DegenerateDenominatorError as exc:
+            raise DegenerateDenominatorError(f"tick {tick}: {exc}") from None
+        predictor.observe(fused)
+        residual_window.append([abs(z - fused) for z in values])
+        if adaptive_alpha:
+            alpha = sum(sigmas)
+        ticks.append(tick)
+        fused_col.append(fused)
+        predicted_col.append(predicted)
+        half_widths.append(half_width)
+        for slot, z, sigma in zip(slots, values, sigmas):
+            value_cols[slot][i] = z
+            sigma_cols[slot][i] = sigma
+    return FusionColumns(ticks, fused_col, predicted_col, half_widths, value_cols, sigma_cols)
+
+
 def fusvaf_stream(
     traces: Sequence[Trace],
     params: FusionParams = FusionParams(),
@@ -272,57 +353,44 @@ def fusvaf_stream(
     On the very first tick, before the predictor has seen anything, the
     prediction falls back to the mean of that tick's measurements. A
     prediction that is not finite, or too large for the gate's half-width
-    to register, raises ekf.NumericFailureError.
+    to register, raises ekf.NumericFailureError. Traces must have distinct
+    node_ids.
     """
     if not traces:
         raise ValueError("at least one trace is required")
+    node_ids = [t.node_id for t in traces]
+    slot_of = {node_id: slot for slot, node_id in enumerate(node_ids)}
+    if len(slot_of) < len(node_ids):
+        repeated = sorted({n for n in node_ids if node_ids.count(n) > 1})
+        raise ValueError(f"traces must have distinct node_ids, got repeated {repeated}")
     if predictor is None:
         predictor = EkfPredictor()
-    merged = merge_traces(traces)
-    order = {t.node_id: i for i, t in enumerate(traces)}
-
-    residual_window: deque = deque(maxlen=adaptation.window)
-    alpha = params.alpha
-    points = []
-    for ticks_seen, (tick, group) in enumerate(merged):
-        group = sorted(group, key=lambda m: order[m.node_id])
-        predicted = predictor.predict()
-        if predicted is None:
-            predicted = sum(m.value for m in group) / len(group)
-        if not math.isfinite(predicted):  # e.g. the first-tick mean overflowed
-            raise ekf.NumericFailureError(f"tick {tick}: prediction {predicted} is not finite")
-        warmup = ticks_seen < adaptation.window
-        try:
-            if warmup:
-                gate = ValidationGate.symmetric(predicted, adaptation.warmup_half_width)
-            else:
-                residuals = [r for per_tick in residual_window for r in per_tick]
-                gate = adapt_gate(gate, residuals, predicted, adaptation)
-        except ValueError as exc:  # the half-width vanishes next to a huge prediction
-            raise ekf.NumericFailureError(f"tick {tick}: {exc}") from None
-        pairs = [(m.value, confidence(gate, m.value)) for m in group]
-        try:
-            fused = _fuse_weighted(pairs, predicted, alpha, params.omega)
-        except DegenerateDenominatorError as exc:
-            raise DegenerateDenominatorError(f"tick {tick}: {exc}") from None
-        predictor.observe(fused)
-        residual_window.append([abs(m.value - fused) for m in group])
-        if adaptive_alpha:
-            alpha = sum(sigma for _, sigma in pairs)
-        points.append(
-            FusionPoint(
-                tick=tick,
-                fused=fused,
-                predicted=predicted,
-                readings=tuple(
-                    SensorReading(m.node_id, m.value, sigma)
-                    for m, (_, sigma) in zip(group, pairs)
-                ),
-                warmup=warmup,
-                gate=gate,
-            )
+    groups = [
+        (tick, [slot_of[m.node_id] for m in group], [m.value for m in group])
+        for tick, group in merge_traces(traces)
+    ]
+    columns = _fusvaf_kernel(groups, len(traces), params, predictor, adaptation, adaptive_alpha)
+    return [
+        FusionPoint(
+            tick=tick,
+            fused=columns.fused[i],
+            predicted=columns.predicted[i],
+            readings=tuple(
+                SensorReading(node_ids[slot], z, columns.sigma[slot][i])
+                for slot, z in zip(slots, values)
+            ),
+            warmup=i < adaptation.window,
+            gate=ValidationGate.symmetric(columns.predicted[i], columns.half_width[i]),
         )
-    return points
+        for i, (tick, slots, values) in enumerate(groups)
+    ]
+
+
+def _fusion_header(n_nodes: int) -> list:
+    header = ["tick", "fused", "pred"]
+    for i in range(1, n_nodes + 1):
+        header += [f"z_{i}", f"sigma_{i}"]
+    return header
 
 
 def write_fusion_csv(points: Sequence[FusionPoint], node_ids: Sequence[str], path) -> None:
@@ -331,9 +399,6 @@ def write_fusion_csv(points: Sequence[FusionPoint], node_ids: Sequence[str], pat
     Column index i follows the order of node_ids; ticks where a node did
     not report leave its z/sigma cells empty.
     """
-    header = ["tick", "fused", "pred"]
-    for i in range(1, len(node_ids) + 1):
-        header += [f"z_{i}", f"sigma_{i}"]
     rows = []
     for p in points:
         by_node = {r.node_id: r for r in p.readings}
@@ -342,4 +407,14 @@ def write_fusion_csv(points: Sequence[FusionPoint], node_ids: Sequence[str], pat
             r = by_node.get(node_id)
             row += [None, None] if r is None else [r.value, r.sigma]
         rows.append(row)
-    write_csv(path, header, rows)
+    write_csv(path, _fusion_header(len(node_ids)), rows)
+
+
+def write_fusion_columns(columns: FusionColumns, path) -> None:
+    """write_fusion_csv for columns: z_i and sigma_i are slot i-1."""
+    per_slot = [column for pair in zip(columns.value, columns.sigma) for column in pair]
+    write_csv(
+        path,
+        _fusion_header(len(columns.value)),
+        zip(columns.tick, columns.fused, columns.predicted, *per_slot),
+    )

@@ -12,11 +12,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
-from ..core import SensorKind, trace_from_pairs
+from ..core import SensorKind
 from .. import consensus as consensus_mod
 from .. import ekf, fusvaf
 from .config import ScenarioConfig
@@ -96,6 +97,27 @@ def hold_series(reports, horizon: int) -> tuple[int, list]:
     return reports[0][0], np.repeat([value for _, value in reports], held).tolist()
 
 
+def _held_groups(held: list, horizon: int) -> list:
+    """FUSVAF's per-tick groups (tick, slots, values) over held series
+    [(first tick, values)], slot i being held[i].
+
+    Each series is dense from its first tick to the horizon, so the slots
+    present change only at the ticks where a series starts.
+    """
+    starts = sorted({first for first, values in held if values})
+    groups = []
+    for start, stop in zip(starts, starts[1:] + [horizon]):
+        present = [
+            (slot, first, values)
+            for slot, (first, values) in enumerate(held)
+            if values and first <= start
+        ]
+        slots = [slot for slot, _, _ in present]
+        rows = zip(*(values[start - first:stop - first] for _, first, values in present))
+        groups.extend(zip(range(start, stop), repeat(slots), rows))
+    return groups
+
+
 @dataclass(frozen=True)
 class WindowSummary:
     """One reporting window of one (cluster, kind) stream."""
@@ -117,7 +139,7 @@ class ClusterStageResult:
     cluster_id: str
     kind: SensorKind
     windows: list
-    fusion_points: list  # per-tick FusionPoint (empty when FUSVAF is off)
+    fusion: Optional[fusvaf.FusionColumns]  # slot i is member_order[i]; None without FUSVAF
     member_order: list
     suspected_faulty: list  # [(node_id, window_index)] first flagged
     messages: dict  # ledger
@@ -152,17 +174,11 @@ def cluster_stage(
     fusion_cfg = config.fusion
     ops = 0
 
-    fusion_points: list = []
-    fused_by_tick: dict = {}
-    sigma_by_tick: dict = {}  # tick -> {node_id: sigma}
-    use_fusvaf = fusion_cfg.cluster_fusvaf and not kind.is_binary
-    if use_fusvaf:
-        held_traces = []
-        for node_id in member_order:
-            first, held = hold_series(member_reports[node_id], horizon)
-            if held:
-                held_traces.append(trace_from_pairs(enumerate(held, first), node_id, kind))
-        if held_traces:
+    fusion = None
+    if fusion_cfg.cluster_fusvaf and not kind.is_binary:
+        held = [hold_series(member_reports[node_id], horizon) for node_id in member_order]
+        groups = _held_groups(held, horizon)
+        if groups:
             adaptation = fusvaf.GateAdaptation(
                 k_sigma=fusion_cfg.gate_k_sigma,
                 w_min=config.gate_floor(kind),
@@ -171,21 +187,17 @@ def cluster_stage(
             )
             params = fusvaf.FusionParams(fusion_cfg.fusvaf_alpha, fusion_cfg.fusvaf_omega)
             try:
-                fusion_points = fusvaf.fusvaf_stream(
-                    held_traces,
+                fusion = fusvaf._fusvaf_kernel(
+                    groups,
+                    len(member_order),
                     params,
-                    predictor=fusvaf.EkfPredictor(fusion_cfg.ekf_q, fusion_cfg.ekf_r),
-                    adaptation=adaptation,
-                    adaptive_alpha=fusion_cfg.fusvaf_adaptive_alpha,
+                    fusvaf.EkfPredictor(fusion_cfg.ekf_q, fusion_cfg.ekf_r),
+                    adaptation,
+                    fusion_cfg.fusvaf_adaptive_alpha,
                 )
             except (fusvaf.DegenerateDenominatorError, ekf.NumericFailureError) as exc:
                 raise type(exc)(f"cluster {cluster_id} [{kind.value}]: {exc}") from None
-            ops += config.energy.fusvaf_ops_per_value * sum(
-                len(p.readings) for p in fusion_points
-            )
-            for p in fusion_points:
-                fused_by_tick[p.tick] = p.fused
-                sigma_by_tick[p.tick] = {r.node_id: r.sigma for r in p.readings}
+            ops += config.energy.fusvaf_ops_per_value * sum(len(values) for _, values in held)
 
     member_ticks = []
     for node_id in member_order:
@@ -210,10 +222,9 @@ def cluster_stage(
             # in relay mode the mains-powered gateway summarizes; no charge
             ops += config.energy.aggregation_ops_per_value * count
         fused_mean = None
-        if use_fusvaf:
-            window_fused = [
-                fused_by_tick[t] for t in range(start, end + 1) if t in fused_by_tick
-            ]
+        if fusion is not None:
+            lo, hi = bisect_left(fusion.tick, start), bisect_right(fusion.tick, end)
+            window_fused = fusion.fused[lo:hi]
             if window_fused:
                 fused_mean = sum(window_fused) / len(window_fused)
         elif not fusion_cfg.cluster_fusvaf and not kind.is_binary:
@@ -222,13 +233,9 @@ def cluster_stage(
             WindowSummary(cluster_id, kind, w, start, end, fused_mean, count, avg, mx, mn)
         )
 
-        if use_fusvaf:
-            for node_id in member_order:
-                sigmas = [
-                    sigma_by_tick[t][node_id]
-                    for t in range(start, end + 1)
-                    if t in sigma_by_tick and node_id in sigma_by_tick[t]
-                ]
+        if fusion is not None:
+            for node_id, column in zip(member_order, fusion.sigma):
+                sigmas = [s for s in column[lo:hi] if s is not None]
                 if not sigmas:
                     continue  # member silent this window; streak unchanged
                 if all(s == 0.0 for s in sigmas):
@@ -255,7 +262,7 @@ def cluster_stage(
     messages = add_messages({}, {(cluster_id, gateway_id, k): v for k, v in sent.items()})
 
     return ClusterStageResult(
-        cluster_id, kind, windows, fusion_points, member_order, suspected, messages, ops
+        cluster_id, kind, windows, fusion, member_order, suspected, messages, ops
     )
 
 

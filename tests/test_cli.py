@@ -233,6 +233,19 @@ class TestFusvafCommand:
             bounds = zs + [float(row["pred"])]
             assert min(bounds) - 1e-9 <= float(row["fused"]) <= max(bounds) + 1e-9
 
+    def test_repeated_file_stems_get_distinct_columns(self, tmp_path):
+        # the third trace's stem repeats the second's, and stem + "_2" is the first's
+        paths = []
+        for i, (sub, stem) in enumerate((("x", "a_2"), ("y", "a"), ("z", "a"))):
+            (tmp_path / sub).mkdir()
+            paths += ["--trace", str(tmp_path / sub / f"{stem}.csv")]
+            (tmp_path / sub / f"{stem}.csv").write_text(
+                f"timestamp,value\n0,{i}.0\n1,{i}.0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--quiet", "fusvaf", *paths, "--out", str(out)]) == 0
+        rows = read_csv(out / "fusvaf.csv")
+        assert [[row[f"z_{i}"] for i in (1, 2, 3)] for row in rows] == [["0.0", "1.0", "2.0"]] * 2
+
 
 class TestConsensusCommand:
     def test_k3_fixture_one_iteration(self, tmp_path, capsys):

@@ -267,6 +267,41 @@ class TestValidation:
         with pytest.raises(ValueError):
             ProcessModel(0, lambda x: x, lambda x: x, np.eye(1), np.eye(1))
 
+    @pytest.mark.parametrize("q, r, message", [
+        (np.ones((2, 3)), np.eye(1), "Q must be a square matrix, got shape (2, 3)"),
+        (np.eye(2), np.ones((1, 2)), "R must be a square matrix, got shape (1, 2)"),
+        (np.eye(2), np.ones((1, 1, 1)), "R must be a square matrix, got shape (1, 1, 1)"),
+        (np.eye(3), np.eye(1), "Q must be 2x2, got (3, 3)"),
+        ([[0.0, 1.0], [1.0, 0.0]], np.eye(1), "Q must be positive semi-definite"),
+        (np.eye(2), [[1.0, 2.0], [2.0, 1.0]], "R must be positive semi-definite"),
+        (np.diag([1.0, -1.0]), np.eye(1), "Q diagonal must be non-negative"),
+        (np.eye(2), [[-0.1]], "R diagonal must be non-negative"),
+        (np.eye(2), [[np.nan]], "R must be finite"),
+        (np.eye(2), [[1.0, 0.5], [0.0, 1.0]], "R must be symmetric"),
+    ])
+    def test_process_model_rejects_bad_noise_covariance(self, q, r, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ProcessModel(2, lambda x: x, lambda x: x[:1], q, r)
+
+    def test_process_model_noise_covariance_tolerance_as_filter_state(self):
+        # eigenvalue -1e-12: within FilterState's tolerance, so accepted by both
+        near_psd = [[1.0, 1.0 + 1e-12], [1.0 + 1e-12, 1.0]]
+        FilterState([0.0, 0.0], near_psd)
+        model = ProcessModel(2, lambda x: x, lambda x: x, near_psd, near_psd)
+        assert model.Q.shape == model.R.shape == (2, 2)
+
+    def test_update_rejects_r_of_the_wrong_size(self):
+        # R is a valid covariance but 2x2 for a 1-vector measurement
+        model = ProcessModel(2, lambda x: x, lambda x: x[:1], np.eye(2), np.eye(2),
+                             F_jac=lambda x: np.eye(2), H_jac=lambda x: np.array([[1.0, 0.0]]))
+        init = FilterState([0.0, 0.0], np.eye(2))
+        with pytest.raises(ValueError, match=re.escape(
+                "R must be 1x1 for a 1-vector measurement, got (2, 2)")):
+            update(predict(init, model), [1.0], model)
+        trace = trace_from_pairs([(1, 1.0)], "n0", SensorKind.TEMPERATURE)
+        with pytest.raises(ValueError, match=r"^tick 1: R must be 1x1"):
+            run_filter(model, init, trace)
+
 
 def raise_alike(fast, public):
     """`fast()` raises the exception type and message that `public()` does."""
@@ -277,8 +312,18 @@ def raise_alike(fast, public):
     assert type(got.value) is type(expected.value)
 
 
-# Q passes ProcessModel's checks but is not PSD, so neither is P' = F 0 F^T + Q
-NON_PSD_Q_MODEL = ProcessModel(
+def unchecked_model(*args, **kwargs) -> ProcessModel:
+    """A ProcessModel that skips its own checks, to drive a filter step into
+    a state that the step's checks must still catch."""
+    model = object.__new__(ProcessModel)
+    vars(model).update(F_jac=None, H_jac=None)
+    names = ("state_dim", "f", "h", "Q", "R", "F_jac", "H_jac")
+    vars(model).update(zip(names, args), **kwargs)
+    return model
+
+
+# ProcessModel rejects this Q, which is not PSD; neither is P' = F 0 F^T + Q
+NON_PSD_Q_MODEL = unchecked_model(
     2, lambda x: x, lambda x: x[:1], np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[1.0]]),
     F_jac=lambda x: np.eye(2), H_jac=lambda x: np.array([[1.0, 0.0]]),
 )

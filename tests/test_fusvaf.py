@@ -1,9 +1,13 @@
+import math
+import re
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pipefuse import ekf
-from pipefuse.core import SensorKind, trace_from_pairs
+from pipefuse.core import SensorKind, merge_traces, trace_from_pairs
 from pipefuse.fusvaf import (
     DegenerateDenominatorError,
     EkfPredictor,
@@ -11,6 +15,7 @@ from pipefuse.fusvaf import (
     GateAdaptation,
     SmoothingPredictor,
     ValidationGate,
+    _fuse_weighted,
     adapt_gate,
     confidence,
     fuse,
@@ -333,3 +338,172 @@ class TestFusvafStream:
     def test_requires_traces(self):
         with pytest.raises(ValueError):
             fusvaf_stream([], FusionParams())
+
+    def test_duplicate_node_ids_rejected(self):
+        # the CSV writer keys readings by node_id, so a repeated id would
+        # write one trace's values under both columns
+        traces = [temp_trace("a", [1.0] * 3), temp_trace("b", [2.0] * 3),
+                  temp_trace("a", [5.0] * 3)]
+        with pytest.raises(ValueError, match=r"distinct node_ids, got repeated \['a'\]"):
+            fusvaf_stream(traces, FusionParams())
+
+
+def reference_fusvaf(traces, params, predictor, adaptation, adaptive_alpha):
+    """The per-tick gate-validate-fuse loop, built only from the public
+    ValidationGate.symmetric, adapt_gate and confidence and from
+    _fuse_weighted: the oracle of fusvaf_stream's float kernel. Returns one
+    (tick, fused, predicted, readings, warmup, gate) per tick."""
+    residual_window = deque(maxlen=adaptation.window)
+    alpha = params.alpha
+    gate = None
+    out = []
+    for ticks_seen, (tick, group) in enumerate(merge_traces(traces)):
+        predicted = predictor.predict()
+        if predicted is None:
+            predicted = sum(m.value for m in group) / len(group)
+        if not math.isfinite(predicted):
+            raise ekf.NumericFailureError(f"tick {tick}: prediction {predicted} is not finite")
+        warmup = ticks_seen < adaptation.window
+        try:
+            if warmup:
+                gate = ValidationGate.symmetric(predicted, adaptation.warmup_half_width)
+            else:
+                residuals = [r for per_tick in residual_window for r in per_tick]
+                gate = adapt_gate(gate, residuals, predicted, adaptation)
+        except ValueError as exc:
+            raise ekf.NumericFailureError(f"tick {tick}: {exc}") from None
+        pairs = [(m.value, confidence(gate, m.value)) for m in group]
+        try:
+            fused = _fuse_weighted(pairs, predicted, alpha, params.omega)
+        except DegenerateDenominatorError as exc:
+            raise DegenerateDenominatorError(f"tick {tick}: {exc}") from None
+        predictor.observe(fused)
+        residual_window.append([abs(m.value - fused) for m in group])
+        if adaptive_alpha:
+            alpha = sum(sigma for _, sigma in pairs)
+        readings = tuple((m.node_id, m.value, sigma) for m, (_, sigma) in zip(group, pairs))
+        out.append((tick, fused, predicted, readings, warmup, gate))
+    return out
+
+
+def as_tuples(points):
+    return [
+        (p.tick, p.fused, p.predicted, tuple((r.node_id, r.value, r.sigma) for r in p.readings),
+         p.warmup, p.gate)
+        for p in points
+    ]
+
+
+def raise_alike(fast, reference):
+    """`fast()` raises the exception type and message that `reference()` does."""
+    with pytest.raises(Exception) as expected:
+        reference()
+    with pytest.raises(type(expected.value), match=re.escape(str(expected.value))) as got:
+        fast()
+    assert type(got.value) is type(expected.value)
+
+
+class ScriptedPredictor:
+    """Predicts the given values in turn, whatever it observes."""
+
+    def __init__(self, predictions):
+        self._predictions = list(predictions)
+
+    def predict(self):
+        return self._predictions.pop(0)
+
+    def observe(self, value):
+        pass
+
+
+@st.composite
+def fusion_cases(draw):
+    """Gapped traces of 1-5 members around one level, with outliers, plus
+    FUSVAF settings and a factory for a fresh predictor of either kind."""
+    horizon = draw(st.integers(1, 40))
+    level = draw(st.floats(-100, 100))
+    traces = []
+    for i in range(draw(st.integers(1, 5))):
+        ticks = sorted(draw(st.sets(st.integers(0, horizon - 1), min_size=1)))
+        offsets = draw(st.lists(st.one_of(st.floats(-2, 2), st.floats(-300, 300)),
+                                min_size=len(ticks), max_size=len(ticks)))
+        traces.append(trace_from_pairs(
+            [(t, level + o) for t, o in zip(ticks, offsets)], f"s{i}", SensorKind.TEMPERATURE
+        ))
+    w_min = draw(st.floats(0.01, 2))
+    adaptation = GateAdaptation(
+        k_sigma=draw(st.floats(0.5, 5)),
+        w_min=w_min,
+        w_max=w_min + draw(st.floats(0, 50)),
+        window=draw(st.integers(1, 12)),
+        initial_half_width=draw(st.none() | st.floats(0.1, 50)),
+    )
+    params = FusionParams(draw(st.floats(0, 3)), draw(st.floats(0.1, 5)))
+    if draw(st.booleans()):
+        q, r = draw(st.floats(1e-4, 2)), draw(st.floats(1e-4, 2))
+        predictor = lambda: EkfPredictor(q, r)
+    else:
+        beta = draw(st.floats(0.05, 1))
+        predictor = lambda: SmoothingPredictor(beta)
+    return traces, params, predictor, adaptation, draw(st.booleans())
+
+
+class TestKernelOracle:
+    """fusvaf_stream runs a float kernel; the reference loop above is the
+    implementation it replaced."""
+
+    @given(case=fusion_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference_loop(self, case):
+        traces, params, predictor, adaptation, adaptive_alpha = case
+        try:
+            expected = reference_fusvaf(traces, params, predictor(), adaptation, adaptive_alpha)
+        except (DegenerateDenominatorError, ekf.NumericFailureError):
+            raise_alike(
+                lambda: fusvaf_stream(traces, params, predictor(), adaptation, adaptive_alpha),
+                lambda: reference_fusvaf(traces, params, predictor(), adaptation, adaptive_alpha),
+            )
+            return
+        points = fusvaf_stream(traces, params, predictor(), adaptation, adaptive_alpha)
+        assert as_tuples(points) == expected
+
+    @pytest.mark.parametrize("values, predictions", [
+        ([[1.7e308] * 3, [1.7e308] * 3], []),         # the first-tick mean overflows
+        ([[1.0] * 5], [1.0, 1.0, float("inf")]),      # the predictor diverges
+        ([[1.0] * 5], [1.0, float("nan")]),
+    ])
+    def test_non_finite_prediction(self, values, predictions):
+        traces = [temp_trace(f"s{i}", v) for i, v in enumerate(values)]
+        args = (FusionParams(), GateAdaptation(window=2), True)
+        make = (lambda: ScriptedPredictor(predictions)) if predictions else EkfPredictor
+        raise_alike(lambda: fusvaf_stream(traces, args[0], make(), *args[1:]),
+                    lambda: reference_fusvaf(traces, args[0], make(), *args[1:]))
+
+    @pytest.mark.parametrize("predictions, adaptation", [
+        # +-100 rounds back to the prediction during warm-up
+        ([1.7e308] * 3, GateAdaptation(window=5)),
+        # after warm-up the adapted width vanishes next to the prediction
+        ([0.0, 0.0, 1e300], GateAdaptation(w_min=1.0, w_max=1.0, window=2)),
+        # the gate's right edge overflows
+        ([1.7e308], GateAdaptation(w_max=1e308)),
+        # the width is representable but half of it is not: zero flank shape
+        ([0.0], GateAdaptation(w_min=5e-324, w_max=5e-324, initial_half_width=5e-324)),
+    ])
+    def test_gate_that_cannot_be_built(self, predictions, adaptation):
+        traces = [temp_trace("a", [0.0] * 4)]
+        run = lambda fn: fn(traces, FusionParams(), ScriptedPredictor(predictions),
+                            adaptation, True)
+        raise_alike(lambda: run(fusvaf_stream), lambda: run(reference_fusvaf))
+        with pytest.raises(ekf.NumericFailureError, match=r"^tick \d+: "):
+            run(fusvaf_stream)
+
+    @pytest.mark.parametrize("values, alpha, adaptive", [
+        ([[0.0] * 12 + [500.0, 500.0]], 1.0, True),   # adaptive alpha drops to 0
+        ([[0.0] * 3 + [500.0], [0.0] * 3 + [-500.0]], 0.0, False),
+    ])
+    def test_degenerate_denominator(self, values, alpha, adaptive):
+        traces = [temp_trace(f"s{i}", v) for i, v in enumerate(values)]
+        adaptation = GateAdaptation(window=2, initial_half_width=1.0, w_max=1.0)
+        run = lambda fn: fn(traces, FusionParams(alpha, 1.0), EkfPredictor(), adaptation,
+                            adaptive)
+        raise_alike(lambda: run(fusvaf_stream), lambda: run(reference_fusvaf))

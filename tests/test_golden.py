@@ -1,8 +1,10 @@
 """Byte-for-byte regression against outputs captured from the reference
-implementation: the figure CSVs of scripts/reproduce_figures.py, the n-D
-library paths (a 4-state EKF with numeric Jacobians and a 48-agent
-consensus), and the whole `pipefuse run` output tree of the bundled
-scenario, fused and all-raw, pinned by one sha256 manifest per case.
+implementation: the figure CSVs of scripts/reproduce_figures.py, the
+library paths the simulator does not run (a 4-state EKF with numeric
+Jacobians, a 48-agent consensus, and FUSVAF over gapped and late-joining
+traces with either predictor), and the whole `pipefuse run` output tree of
+the bundled scenario (fused, fused with adaptive alpha, and all-raw),
+pinned by one sha256 manifest per case.
 
 `PYTHONPATH=src python tests/test_golden.py` rewrites tests/golden/library;
 do that only when a change to those outputs is intended.
@@ -17,18 +19,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pipefuse import consensus, ekf
+from pipefuse import consensus, ekf, fusvaf
 from pipefuse.cli import main
 from pipefuse.core import SensorKind, trace_from_pairs, write_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 SCENARIO = ROOT / "scenarios" / "baseline_10node.yaml"
-RAW_OVERRIDES = [
-    "--override", "fusion.node_ekf=false",
-    "--override", "fusion.cluster_fusvaf=false",
-    "--override", "fusion.consensus_policy=off",
-]
+PIPELINE_OVERRIDES = {
+    "fused": [],
+    "fused_adaptive": ["--override", "fusion.fusvaf_adaptive_alpha=true"],
+    "raw": [
+        "--override", "fusion.node_ekf=false",
+        "--override", "fusion.cluster_fusvaf=false",
+        "--override", "fusion.consensus_policy=off",
+    ],
+}
 
 
 def relative_files(root: Path) -> list:
@@ -69,10 +75,43 @@ def ring_with_chords(n):
     return [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(0, n // 2, 6)]
 
 
+def fusion_traces(rng) -> list:
+    """Four temperature traces of one slow ramp: s0 dense, s1 with gaps,
+    s2 starting late, s3 dense with an offset."""
+    ticks = np.arange(160)
+    level = 20.0 + 0.05 * ticks
+    readings = {
+        "s0": ticks,
+        "s1": ticks[(ticks % 7 != 3) & ((ticks < 50) | (ticks >= 65))],
+        "s2": ticks[37:],
+        "s3": ticks,
+    }
+    offsets = {"s0": 0.0, "s1": 0.0, "s2": 0.0, "s3": 0.15}
+    return [
+        trace_from_pairs(
+            ((int(t), float(level[t] + offsets[node] + rng.normal(0.0, 0.1))) for t in ts),
+            node, SensorKind.TEMPERATURE,
+        )
+        for node, ts in readings.items()
+    ]
+
+
+def stuck_trace(rng):
+    """A sensor that follows the ramp to tick 60, then reads 23.0 for good."""
+    return trace_from_pairs(
+        ((t, 20.0 + 0.05 * t + float(rng.normal(0.0, 0.1)) if t < 60 else 23.0)
+         for t in range(160)),
+        "stuck", SensorKind.TEMPERATURE,
+    )
+
+
 def write_library_goldens(out: Path) -> None:
     """A 4-state EKF with numeric Jacobians over 240 range readings (every
-    posterior x_hat, all of P and the innovation), and a 48-agent
-    ring-with-chords consensus (MSE history, final estimates, rounds)."""
+    posterior x_hat, all of P and the innovation), a 48-agent
+    ring-with-chords consensus (MSE history, final estimates, rounds), and
+    FUSVAF over gapped and late-joining traces: under SmoothingPredictor
+    with adaptive alpha, and under EkfPredictor with constant alpha and a
+    stuck sensor whose confidence drops to exactly 0."""
     rng = np.random.default_rng(2015)
     q, r = np.array([1e-3, 1e-3, 1e-4, 1e-4]), 0.04
     x = np.array([-10.0, 5.0, 0.6, 0.8])
@@ -101,6 +140,24 @@ def write_library_goldens(out: Path) -> None:
     write_csv(out / "consensus_48_run.csv", ["iterations", "converged"],
               [[run.iterations, run.converged]])
 
+    traces = fusion_traces(rng)
+    adaptation = fusvaf.GateAdaptation(w_min=0.2, w_max=5.0, window=8, initial_half_width=2.0)
+    points = fusvaf.fusvaf_stream(
+        traces, fusvaf.FusionParams(alpha=1.0, omega=2.0),
+        predictor=fusvaf.SmoothingPredictor(beta=0.3), adaptation=adaptation,
+        adaptive_alpha=True,
+    )
+    fusvaf.write_fusion_csv(points, [t.node_id for t in traces],
+                            out / "fusvaf_smoothing_adaptive.csv")
+    traces.append(stuck_trace(rng))
+    points = fusvaf.fusvaf_stream(
+        traces, fusvaf.FusionParams(alpha=0.5, omega=1.0),
+        predictor=fusvaf.EkfPredictor(q=0.01, r=0.1), adaptation=adaptation,
+        adaptive_alpha=False,
+    )
+    assert any(p.sigma_of("stuck") == 0.0 for p in points), "the stuck sensor is never gated out"
+    fusvaf.write_fusion_csv(points, [t.node_id for t in traces], out / "fusvaf_ekf_stuck.csv")
+
 
 def test_library_paths_match_golden(tmp_path):
     write_library_goldens(tmp_path)
@@ -116,13 +173,12 @@ def read_manifest(path: Path) -> dict:
     return entries
 
 
-@pytest.mark.parametrize("pipeline", ["fused", "raw"])
-@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("seed,pipeline", [
+    (0, "fused"), (0, "raw"), (42, "fused"), (42, "raw"), (42, "fused_adaptive"),
+])
 def test_run_outputs_match_golden(tmp_path, pipeline, seed):
     args = ["--quiet", "run", "--config", str(SCENARIO), "--seed", str(seed),
-            "--out", str(tmp_path)]
-    if pipeline == "raw":
-        args += RAW_OVERRIDES
+            "--out", str(tmp_path)] + PIPELINE_OVERRIDES[pipeline]
     assert main(args) == 0
     expected = read_manifest(GOLDEN / "sim" / f"{pipeline}_seed{seed}" / "tree.sha256")
     produced = sorted(p.relative_to(tmp_path).as_posix()

@@ -2,8 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pipefuse.core import SensorKind, TraceError
+from pipefuse.core import SensorKind, TraceError, trace_from_pairs
 from pipefuse.ekf import NumericFailureError
+from pipefuse.fusvaf import (
+    DegenerateDenominatorError,
+    EkfPredictor,
+    FusionParams,
+    FusionPoint,
+    GateAdaptation,
+    SensorReading,
+    ValidationGate,
+    fusvaf_stream,
+    write_fusion_columns,
+    write_fusion_csv,
+)
 from pipefuse.sim import (
     ConfigError,
     MessageKind,
@@ -415,6 +427,104 @@ class TestClusterStage:
             else:
                 assert (s.avg, s.max, s.min) == (None, None, None)
 
+    @given(data=st.data(), gate_window=st.integers(1, 12), adaptive=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_fusion_equals_fusvaf_stream_on_held_traces(self, data, gate_window, adaptive):
+        # the library path the stage ran before it read the kernel's columns:
+        # fusvaf_stream over Traces of the held series, then per-tick dicts
+        horizon, window = 60, 10
+        config = make_config(
+            horizon=horizon, detection={"window": window, "fault_persistence": 2},
+            fusion={"node_ekf": False, "gate_window": gate_window,
+                    "fusvaf_adaptive_alpha": adaptive},
+        )
+        value = st.one_of(st.floats(495, 505), st.floats(300, 700))
+        reports = {
+            node_id: [(t, data.draw(value))
+                      for t in sorted(data.draw(st.sets(st.integers(0, horizon - 1))))]
+            for node_id in data.draw(st.sets(st.sampled_from("abcd"), min_size=1))
+        }
+        member_order = sorted(reports)
+        held = [(node_id, *hold_series(reports[node_id], horizon)) for node_id in member_order]
+        traces = [trace_from_pairs(enumerate(values, first), node_id, SensorKind.PRESSURE)
+                  for node_id, first, values in held if values]
+        fusion = config.fusion
+        run = lambda: cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
+        try:
+            points = fusvaf_stream(
+                traces, FusionParams(fusion.fusvaf_alpha, fusion.fusvaf_omega),
+                predictor=EkfPredictor(fusion.ekf_q, fusion.ekf_r),
+                adaptation=GateAdaptation(
+                    k_sigma=fusion.gate_k_sigma, w_min=config.gate_floor(SensorKind.PRESSURE),
+                    w_max=fusion.gate_w_max, window=fusion.gate_window),
+                adaptive_alpha=adaptive,
+            ) if traces else []
+        except (DegenerateDenominatorError, NumericFailureError) as exc:
+            with pytest.raises(type(exc)) as got:
+                run()
+            assert str(got.value) == f"cluster c0 [pressure]: {exc}"
+            return
+        result = run()
+        if not points:
+            assert result.fusion is None
+            assert all(s.fused is None for s in result.windows)
+            return
+        columns = result.fusion
+        assert columns.tick == [p.tick for p in points]
+        assert columns.fused == [p.fused for p in points]
+        assert columns.predicted == [p.predicted for p in points]
+        assert [ValidationGate.symmetric(pred, hw) for pred, hw in
+                zip(columns.predicted, columns.half_width)] == [p.gate for p in points]
+        for slot, node_id in enumerate(member_order):
+            assert columns.value[slot] == [
+                next((r.value for r in p.readings if r.node_id == node_id), None) for p in points]
+            assert columns.sigma[slot] == [p.sigma_of(node_id) for p in points]
+        fused_by_tick = {p.tick: p.fused for p in points}
+        sigma_by_tick = {p.tick: {r.node_id: r.sigma for r in p.readings} for p in points}
+        zero_streak, flagged = dict.fromkeys(member_order, 0), []
+        for s in result.windows:
+            ticks = range(s.start_tick, s.end_tick + 1)
+            fused = [fused_by_tick[t] for t in ticks if t in fused_by_tick]
+            assert s.fused == (sum(fused) / len(fused) if fused else None)
+            for node_id in member_order:
+                sigmas = [sigma_by_tick[t][node_id] for t in ticks
+                          if node_id in sigma_by_tick.get(t, {})]
+                if sigmas and all(x == 0.0 for x in sigmas):
+                    zero_streak[node_id] += 1
+                    if zero_streak[node_id] == 2:
+                        flagged.append((node_id, s.index))
+                elif sigmas:
+                    zero_streak[node_id] = 0
+        assert result.suspected_faulty == flagged
+        readings = sum(len(p.readings) for p in points)
+        aggregated = sum(s.count for s in result.windows)
+        assert result.ops == (config.energy.fusvaf_ops_per_value * readings
+                              + config.energy.aggregation_ops_per_value * aggregated)
+
+    def test_fused_csv_from_columns_equals_library_writer(self, tmp_path):
+        # members joining late and one silent member leave empty cells
+        config = make_config(horizon=40, detection={"window": 10},
+                             fusion={"node_ekf": False})
+        reports = {"a": [(t, 500.0 + 0.1 * (t % 3)) for t in range(40)],
+                   "b": [(7, 501.0), (20, 499.5)], "c": [], "d": [(31, 650.0)]}
+        result = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
+        write_fusion_columns(result.fusion, tmp_path / "columns.csv")
+        columns = result.fusion
+        points = [
+            FusionPoint(tick, fused, pred, tuple(
+                SensorReading(node_id, value[i], sigma[i])
+                for node_id, value, sigma in zip(result.member_order, columns.value,
+                                                 columns.sigma)
+                if value[i] is not None), warmup=False, gate=None)
+            for i, (tick, fused, pred) in enumerate(
+                zip(columns.tick, columns.fused, columns.predicted))
+        ]
+        write_fusion_csv(points, result.member_order, tmp_path / "points.csv")
+        text = (tmp_path / "columns.csv").read_bytes()
+        assert text == (tmp_path / "points.csv").read_bytes()
+        assert text.startswith(b"tick,fused,pred,z_1,sigma_1,z_2,sigma_2,z_3,sigma_3,z_4")
+        assert text.splitlines()[1].endswith(b",,,,,,")  # tick 0: only a reports
+
     def test_unordered_reports_rejected(self):
         reports = {"n0": [(5, 1.0), (2, 2.0)]}
         with pytest.raises(ValueError, match="tick order"):
@@ -611,10 +721,13 @@ class TestRunSimulation:
             signals={"pressure": {"baseline": 500.0, "noise_std": 0.5}},
         ))
         for stage in result.cluster_results.values():
-            for p in stage.fusion_points:
-                zs = [r.value for r in p.readings]
-                lo, hi = min(zs + [p.predicted]), max(zs + [p.predicted])
-                assert lo - 1e-9 <= p.fused <= hi + 1e-9
+            if stage.fusion is None:
+                continue
+            columns = stage.fusion
+            for i, (fused, predicted) in enumerate(zip(columns.fused, columns.predicted)):
+                zs = [value[i] for value in columns.value if value[i] is not None]
+                lo, hi = min(zs + [predicted]), max(zs + [predicted])
+                assert lo - 1e-9 <= fused <= hi + 1e-9
 
     def test_identical_config_identical_metrics(self):
         config = make_config(
