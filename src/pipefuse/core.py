@@ -11,10 +11,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
 import math
+import re
 
 import numpy as np
 
@@ -159,26 +161,71 @@ def load_trace(path, node_id: str, sensor_kind: SensorKind) -> Trace:
 
 
 _FLOATS = (float, np.floating)
+_BLOCK_ROWS = 256  # rows formatted per block; measured on the raw_long workload
+_NUMERIC = {float, int, bool, type(None)}  # repr() is the cell, "None" aside
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _format_cell(v) -> str:
+    """One cell of any type, as write_csv's docstring says, quoted if needed."""
+    if isinstance(v, str):
+        text = str.__str__(v)  # csv.writer writes a str subclass's characters
+    elif isinstance(v, _FLOATS):
+        text = repr(float(v))
+    elif v is None:
+        text = ""
+    else:
+        text = str(v)
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _format_column(column) -> list:
+    types = set(map(type, column))
+    if types <= _NUMERIC:
+        cells = list(map(repr, column))
+        if type(None) in types:
+            cells = list(map({"None": ""}.get, cells, cells))
+        return cells
+    return list(map(_format_cell, column))
+
+
+def _lines(columns) -> str:
+    """Formatted columns as `\\r\\n`-terminated lines."""
+    if len(columns) == 1:  # csv.writer quotes a one-cell row that is empty
+        columns = [[cell or '""' for cell in columns[0]]]
+    return "".join([",".join(row) + "\r\n" for row in zip(*columns)])
 
 
 def write_csv(path, header, rows) -> None:
     """Write one CSV file; every CSV that pipefuse writes goes through here.
 
-    The file is UTF-8, written by csv.writer (minimal quoting, `\\r\\n` line
-    endings). Each cell is formatted here: None becomes an empty cell, any
-    float (numpy floats included) becomes repr() of the Python float, i.e.
-    the shortest string that reads back to the same value, and any other
-    value is passed to csv.writer as it is. The same run therefore writes
-    the same bytes under any numpy version.
+    The file is UTF-8 and holds the same bytes as csv.writer with minimal
+    quoting and `\\r\\n` line endings. Each cell is formatted here: None
+    becomes an empty cell, any float (numpy floats included) becomes repr()
+    of the Python float, i.e. the shortest string that reads back to the
+    same value, and any other value is written as csv.writer writes it. The
+    same run therefore writes the same bytes under any numpy version. Every
+    row must have exactly one cell per header column; otherwise ValueError
+    names the (1-based) data row.
     """
+    header = list(map(_format_cell, header))
+    width = len(header)
+    if not width:
+        raise ValueError("a CSV header needs at least one column")
+    rows = map(tuple, rows)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(
-            [repr(float(v)) if isinstance(v, _FLOATS) else "" if v is None else v
-             for v in row]
-            for row in rows
-        )
+        fh.write(_lines([[cell] for cell in header]))
+        done = 0
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            if set(map(len, block)) != {width}:
+                i = next(i for i, row in enumerate(block) if len(row) != width)
+                raise ValueError(
+                    f"row {done + i + 1}: expected {width} cells, got {len(block[i])}"
+                )
+            fh.write(_lines([_format_column(column) for column in zip(*block)]))
+            done += len(block)
 
 
 def save_trace(trace: Trace, path) -> None:

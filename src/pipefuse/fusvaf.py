@@ -320,7 +320,10 @@ def _fusvaf_kernel(
             fused = _fuse_weighted(zip(values, sigmas), predicted, alpha, params.omega)
         except DegenerateDenominatorError as exc:
             raise DegenerateDenominatorError(f"tick {tick}: {exc}") from None
-        predictor.observe(fused)
+        try:
+            predictor.observe(fused)
+        except ekf.NumericFailureError as exc:
+            raise ekf.NumericFailureError(f"tick {tick}: {exc}") from None
         residual_window.append([abs(z - fused) for z in values])
         if adaptive_alpha:
             alpha = sum(sigmas)

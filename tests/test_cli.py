@@ -246,6 +246,16 @@ class TestFusvafCommand:
         rows = read_csv(out / "fusvaf.csv")
         assert [[row[f"z_{i}"] for i in (1, 2, 3)] for row in rows] == [["0.0", "1.0", "2.0"]] * 2
 
+    def test_overflowing_fused_value_exits_3_and_names_tick(self, tmp_path, capsys):
+        (tmp_path / "a.csv").write_text("timestamp,value\n0,1e308\n1,1e308\n", encoding="utf-8")
+        (tmp_path / "b.csv").write_text("timestamp,value\n1,1e308\n", encoding="utf-8")
+        code = main(["--quiet", "fusvaf", "--trace", str(tmp_path / "a.csv"),
+                     "--trace", str(tmp_path / "b.csv"), "--w-max", "1e300",
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "runtime-failure" in err and "tick 0: filter state contains non-finite" in err
+
 
 class TestConsensusCommand:
     def test_k3_fixture_one_iteration(self, tmp_path, capsys):

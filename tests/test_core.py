@@ -1,8 +1,11 @@
+import csv
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
+from pipefuse import core
 from pipefuse.core import (
     Measurement,
     MixedSensorKindError,
@@ -169,3 +172,87 @@ class TestMergeTraces:
         )
         ticks = [t for t, _ in merged]
         assert ticks == sorted(set(ticks))
+
+
+def reference_write_csv(path, header, rows):
+    """The writer before block formatting: csv.writer over per-cell rules."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, (float, np.floating)) else "" if v is None else v
+             for v in row]
+            for row in rows
+        )
+
+
+BLOCK = core._BLOCK_ROWS
+SPECIAL_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e16, 1e-5]
+CSV_FLOATS = st.sampled_from(SPECIAL_FLOATS) | st.floats()
+CSV_TEXT = st.text(alphabet=list('a,"\r\n é\''), max_size=6)
+CSV_NUMPY = st.one_of(
+    CSV_FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
+CSV_INTS = st.integers() | st.integers(2**63, 2**80) | st.integers(-(2**80), -(2**63))
+CSV_CELLS = st.one_of(
+    st.none(), CSV_FLOATS, CSV_NUMPY, CSV_INTS, st.booleans(), CSV_TEXT,
+    st.sampled_from(list(SensorKind)),
+)
+# each column draws its cells from one of these: one type, floats with gaps,
+# or any cell at all
+CSV_COLUMNS = [
+    CSV_FLOATS, st.none() | CSV_FLOATS, CSV_INTS, st.booleans(), CSV_NUMPY, CSV_TEXT,
+    st.none(), CSV_CELLS,
+]
+ROW_SHAPES = {
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda row: (cell for cell in row),
+    "dict_values": lambda row: dict(enumerate(row)).values(),
+}
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and rows: each column repeats cells of a small drawn pool."""
+    width = draw(st.integers(1, 5))
+    header = draw(st.lists(CSV_TEXT, min_size=width, max_size=width))
+    n_rows = draw(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]))
+    pools = [draw(st.lists(draw(st.sampled_from(CSV_COLUMNS)), min_size=1, max_size=6))
+             for _ in range(width)]
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [[rng.choice(pool) for pool in pools] for _ in range(n_rows)]
+    return header, rows
+
+
+class TestWriteCsv:
+    # no shrink phase: shrinking tables of up to 513 rows takes minutes, and
+    # the first differing line already shows the fault
+    @settings(max_examples=150, deadline=None, phases=[Phase.explicit, Phase.generate])
+    @given(table=csv_tables(), shape=st.sampled_from(sorted(ROW_SHAPES)),
+           lazy=st.booleans())
+    @example(table=(["a"], [[None], [""], [1.5]]), shape="list", lazy=False)
+    @example(table=([""], []), shape="list", lazy=False)
+    def test_same_bytes_as_csv_writer(self, table, shape, lazy, tmp_path_factory):
+        header, rows = table
+        out = tmp_path_factory.mktemp("csv")
+        reference_write_csv(out / "reference.csv", header, rows)
+        given_rows = (ROW_SHAPES[shape](row) for row in rows)
+        core.write_csv(out / "blocks.csv", header, given_rows if lazy else list(given_rows))
+        # compared line by line: pytest's diff of two long byte strings takes minutes
+        expected = (out / "reference.csv").read_bytes().splitlines(keepends=True)
+        assert (out / "blocks.csv").read_bytes().splitlines(keepends=True) == expected
+
+    @pytest.mark.parametrize("bad", [1, BLOCK + 2])
+    @pytest.mark.parametrize("cells", [[1.0], [1.0, 2.0, 3.0]])
+    def test_ragged_row_rejected(self, tmp_path, bad, cells):
+        rows = [[float(i), 0.0] for i in range(2 * BLOCK)]
+        rows.insert(bad - 1, cells)
+        with pytest.raises(ValueError, match=rf"^row {bad}: expected 2 cells, got {len(cells)}$"):
+            core.write_csv(tmp_path / "ragged.csv", ["a", "b"], rows)
+
+    def test_empty_header_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="at least one column"):
+            core.write_csv(tmp_path / "empty.csv", [], [])

@@ -322,6 +322,14 @@ class TestFusvafStream:
         with pytest.raises(ekf.NumericFailureError, match="tick 0: prediction inf"):
             fusvaf_stream(stream, FusionParams())
 
+    def test_overflowing_fused_value_names_tick(self):
+        # 1e308 weighted twice overflows the fused value, which the
+        # predictor then refuses
+        stream = [temp_trace("a", [1e308] * 2), temp_trace("b", [1e308], start=1)]
+        with pytest.raises(ekf.NumericFailureError,
+                           match="^tick 0: filter state contains non-finite values$"):
+            fusvaf_stream(stream, FusionParams(), adaptation=GateAdaptation(w_max=1e300))
+
     def test_gate_below_float_resolution_is_numeric_failure(self):
         # 1.7e308 +- 100 rounds back to 1.7e308: the gate has no width
         with pytest.raises(ekf.NumericFailureError, match="tick 0: gate"):
@@ -377,7 +385,10 @@ def reference_fusvaf(traces, params, predictor, adaptation, adaptive_alpha):
             fused = _fuse_weighted(pairs, predicted, alpha, params.omega)
         except DegenerateDenominatorError as exc:
             raise DegenerateDenominatorError(f"tick {tick}: {exc}") from None
-        predictor.observe(fused)
+        try:
+            predictor.observe(fused)
+        except ekf.NumericFailureError as exc:
+            raise ekf.NumericFailureError(f"tick {tick}: {exc}") from None
         residual_window.append([abs(m.value - fused) for m in group])
         if adaptive_alpha:
             alpha = sum(sigma for _, sigma in pairs)

@@ -3,8 +3,9 @@ implementation: the figure CSVs of scripts/reproduce_figures.py, the
 library paths the simulator does not run (a 4-state EKF with numeric
 Jacobians, a 48-agent consensus, and FUSVAF over gapped and late-joining
 traces with either predictor), and the whole `pipefuse run` output tree of
-the bundled scenario (fused, fused with adaptive alpha, and all-raw),
-pinned by one sha256 manifest per case.
+the bundled scenario (fused, fused with adaptive alpha, and all-raw, the
+last also over a 4,800-tick horizon), pinned by one sha256 manifest per
+case.
 
 `PYTHONPATH=src python tests/test_golden.py` rewrites tests/golden/library;
 do that only when a change to those outputs is intended.
@@ -26,14 +27,17 @@ from pipefuse.core import SensorKind, trace_from_pairs, write_csv
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 SCENARIO = ROOT / "scenarios" / "baseline_10node.yaml"
+RAW = [
+    "--override", "fusion.node_ekf=false",
+    "--override", "fusion.cluster_fusvaf=false",
+    "--override", "fusion.consensus_policy=off",
+]
 PIPELINE_OVERRIDES = {
     "fused": [],
     "fused_adaptive": ["--override", "fusion.fusvaf_adaptive_alpha=true"],
-    "raw": [
-        "--override", "fusion.node_ekf=false",
-        "--override", "fusion.cluster_fusvaf=false",
-        "--override", "fusion.consensus_policy=off",
-    ],
+    "raw": RAW,
+    # 4,801-row stream files span many of write_csv's row blocks
+    "raw_long": RAW + ["--override", "horizon=4800"],
 }
 
 
@@ -175,6 +179,7 @@ def read_manifest(path: Path) -> dict:
 
 @pytest.mark.parametrize("seed,pipeline", [
     (0, "fused"), (0, "raw"), (42, "fused"), (42, "raw"), (42, "fused_adaptive"),
+    (42, "raw_long"),
 ])
 def test_run_outputs_match_golden(tmp_path, pipeline, seed):
     args = ["--quiet", "run", "--config", str(SCENARIO), "--seed", str(seed),
