@@ -43,13 +43,13 @@ def main():
             load_trace(FIXTURES / f"{name}_node_a.csv", "node_a", kind),
             load_trace(FIXTURES / f"{name}_node_b.csv", "node_b", kind),
         ]
-        fused = fusvaf.fusvaf_stream(
+        fused = fusvaf.fusvaf_columns(
             traces,
             fusvaf.FusionParams(alpha=1.0, omega=1.0),
             adaptation=fusvaf.GateAdaptation(w_min=floor, initial_half_width=5.0),
         )
-        fusvaf.write_fusion_csv(fused, ["node_a", "node_b"], out / f"fused_{name}.csv")
-        print(f"fused_{name}.csv: {len(fused)} rows")
+        fusvaf.write_fusion_columns(fused, out / f"fused_{name}.csv")
+        print(f"fused_{name}.csv: {len(fused.tick)} rows")
 
     run = consensus.run_consensus(
         consensus.ConsensusState([1.0, 2.0, 3.0]),

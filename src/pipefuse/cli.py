@@ -2,7 +2,7 @@
 
 Subcommands: run a scenario, sweep a parameter, replay CSV traces through
 the individual fusion methods, validate a config. Exit codes: 0 success,
-2 config error, 3 numeric/runtime error.
+2 config error, 3 numeric/runtime error, mapped in `main` alone.
 """
 
 from __future__ import annotations
@@ -89,21 +89,18 @@ def _write_run_outputs(result, out: Path) -> list:
     return files
 
 
+def _simulate(args, overrides, out: Path):
+    """Load the scenario with overrides, run it and write its outputs to
+    out; returns the result and the path of its summary."""
+    config = load_scenario(args.config, overrides=overrides, seed=args.seed)
+    out.mkdir(parents=True, exist_ok=True)
+    result = run_simulation(config)
+    return result, write_summary(result, out, _write_run_outputs(result, out))
+
+
 def cmd_run(args) -> int:
-    try:
-        config = load_scenario(args.config, overrides=args.override, seed=args.seed)
-    except ConfigError as exc:
-        for e in exc.errors:
-            _fail("config-invalid", e)
-        return EXIT_CONFIG
-    out = _out_dir(args)
-    try:
-        result = run_simulation(config)
-    except RUNTIME_ERRORS as exc:
-        _fail("runtime-failure", str(exc))
-        return EXIT_RUNTIME
-    files = _write_run_outputs(result, out)
-    summary = write_summary(result, out, files)
+    out = Path(args.out)
+    _, summary = _simulate(args, args.override, out)
     _say(args, summary.read_text(encoding="utf-8").rstrip())
     _say(args, f"outputs written to {out}")
     return 0
@@ -113,27 +110,13 @@ def cmd_sweep(args) -> int:
     key, _, values_raw = args.param.partition("=")
     values = [v for v in values_raw.split(",") if v]
     if not key or not values:
-        _fail("config-invalid", f"--param {args.param!r}: expected key=v1,v2,...")
-        return EXIT_CONFIG
+        raise ConfigError([f"--param {args.param!r}: expected key=v1,v2,..."])
     out = _out_dir(args)
     rows = []
     for value in values:
-        overrides = list(args.override) + [f"{key}={value}"]
-        try:
-            config = load_scenario(args.config, overrides=overrides, seed=args.seed)
-        except ConfigError as exc:
-            for e in exc.errors:
-                _fail("config-invalid", e)
-            return EXIT_CONFIG
+        args.error_prefix = f"{key}={value}: "
         sub = out / f"{key.replace('/', '_')}={value.replace('/', '_')}"
-        sub.mkdir(parents=True, exist_ok=True)
-        try:
-            result = run_simulation(config)
-        except RUNTIME_ERRORS as exc:
-            _fail("runtime-failure", f"{key}={value}: {exc}")
-            return EXIT_RUNTIME
-        files = _write_run_outputs(result, sub)
-        write_summary(result, sub, files)
+        result, _ = _simulate(args, list(args.override) + [f"{key}={value}"], sub)
         row = {"param": key, "value": value}
         row.update(metrics_row(result.metrics))
         rows.append(row)
@@ -146,12 +129,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        config = load_scenario(args.config)
-    except ConfigError as exc:
-        for e in exc.errors:
-            _fail("config-invalid", e)
-        return EXIT_CONFIG
+    config = load_scenario(args.config)
     print(
         f"{args.config}: ok ({len(config.topology.nodes)} nodes, "
         f"{len(config.topology.cluster_heads)} clusters, horizon {config.horizon})"
@@ -160,17 +138,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_ekf(args) -> int:
-    try:
-        trace = load_trace(args.trace, args.node_id, SensorKind(args.kind))
-        model = ekf.random_walk_model(args.q, args.r)
-        x0 = trace.readings[0].value if args.x0 is None else args.x0
-        init = ekf.FilterState([x0], [[args.p0]])
-        points = ekf.run_filter(model, init, trace)
-    except RUNTIME_ERRORS as exc:
-        _fail("runtime-failure", str(exc))
-        return EXIT_RUNTIME
-    out = _out_dir(args)
-    path = out / "ekf.csv"
+    ekf.check_random_walk(args.q, args.r, args.p0)  # names the flag and its value
+    trace = load_trace(args.trace, args.node_id, SensorKind(args.kind))
+    model = ekf.random_walk_model(args.q, args.r)
+    x0 = trace.readings[0].value if args.x0 is None else args.x0
+    points = ekf.run_filter(model, ekf.FilterState([x0], [[args.p0]]), trace)
+    path = _out_dir(args) / "ekf.csv"
     ekf.write_filter_csv(points, path)
     _say(args, f"{len(points)} estimates written to {path}")
     return 0
@@ -178,40 +151,32 @@ def cmd_ekf(args) -> int:
 
 def cmd_fusvaf(args) -> int:
     kind = SensorKind(args.kind)
-    try:
-        traces = []
-        for i, path in enumerate(args.trace):
-            node_id = Path(path).stem
-            while any(t.node_id == node_id for t in traces):
-                node_id = f"{node_id}_{i}"
-            traces.append(load_trace(path, node_id, kind))
-        predictor = (
-            fusvaf.SmoothingPredictor() if args.predictor == "smoothing"
-            else fusvaf.EkfPredictor(args.q, args.r)
-        )
-        adaptation = fusvaf.GateAdaptation(
-            k_sigma=args.k_sigma,
-            w_min=args.w_min,
-            w_max=args.w_max,
-            window=args.window,
-            initial_half_width=args.initial_width,
-        )
-        points = fusvaf.fusvaf_stream(
-            traces,
-            fusvaf.FusionParams(args.alpha, args.omega),
-            predictor=predictor,
-            adaptation=adaptation,
-        )
-    except RUNTIME_ERRORS as exc:
-        _fail("runtime-failure", str(exc))
-        return EXIT_RUNTIME
-    except ValueError as exc:
-        _fail("config-invalid", str(exc))
-        return EXIT_CONFIG
-    out = _out_dir(args)
-    path = out / "fusvaf.csv"
-    fusvaf.write_fusion_csv(points, [t.node_id for t in traces], path)
-    _say(args, f"{len(points)} fused ticks written to {path}")
+    traces = []
+    for i, path in enumerate(args.trace):
+        node_id = Path(path).stem
+        while any(t.node_id == node_id for t in traces):
+            node_id = f"{node_id}_{i}"
+        traces.append(load_trace(path, node_id, kind))
+    predictor = (
+        fusvaf.SmoothingPredictor() if args.predictor == "smoothing"
+        else fusvaf.EkfPredictor(args.q, args.r)
+    )
+    adaptation = fusvaf.GateAdaptation(
+        k_sigma=args.k_sigma,
+        w_min=args.w_min,
+        w_max=args.w_max,
+        window=args.window,
+        initial_half_width=args.initial_width,
+    )
+    columns = fusvaf.fusvaf_columns(
+        traces,
+        fusvaf.FusionParams(args.alpha, args.omega),
+        predictor=predictor,
+        adaptation=adaptation,
+    )
+    path = _out_dir(args) / "fusvaf.csv"
+    fusvaf.write_fusion_columns(columns, path)
+    _say(args, f"{len(columns.tick)} fused ticks written to {path}")
     return 0
 
 
@@ -236,28 +201,17 @@ def cmd_consensus(args) -> int:
     try:
         values = [float(v) for v in args.values.split(",") if v]
     except ValueError:
-        _fail("config-invalid", f"--values {args.values!r}: expected comma-separated numbers")
-        return EXIT_CONFIG
+        raise ConfigError([f"--values {args.values!r}: expected comma-separated numbers"]) from None
     if not values:
-        _fail("config-invalid", "--values: at least one value required")
-        return EXIT_CONFIG
-    try:
-        if args.edges is not None:
-            graph = consensus_mod.CommGraph.from_edges(len(values), _load_edges(args.edges))
-        else:
-            graph = consensus_mod.CommGraph.complete(len(values))
-        run = consensus_mod.run_consensus(
-            consensus_mod.ConsensusState(values), graph,
-            tol=args.tol, max_iter=args.max_iter,
-        )
-    except RUNTIME_ERRORS as exc:
-        _fail("runtime-failure", str(exc))
-        return EXIT_RUNTIME
-    except ValueError as exc:
-        _fail("config-invalid", str(exc))
-        return EXIT_CONFIG
-    out = _out_dir(args)
-    path = out / "consensus_mse.csv"
+        raise ConfigError(["--values: at least one value required"])
+    if args.edges is not None:
+        graph = consensus_mod.CommGraph.from_edges(len(values), _load_edges(args.edges))
+    else:
+        graph = consensus_mod.CommGraph.complete(len(values))
+    run = consensus_mod.run_consensus(
+        consensus_mod.ConsensusState(values), graph, tol=args.tol, max_iter=args.max_iter
+    )
+    path = _out_dir(args) / "consensus_mse.csv"
     consensus_mod.write_mse_csv(run.mse_history, path)
     status = "converged" if run.converged else "NOT converged (degraded confidence)"
     _say(args, f"{status} after {run.iterations} iterations; "
@@ -272,6 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sensor-fusion toolkit and pipeline-monitoring simulator",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
+    parser.set_defaults(error_prefix="")  # sweep names the run that failed
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one scenario end to end")
@@ -339,8 +294,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place where its errors become exit codes.
+    For the library commands a ValueError is a bad argument (exit 2)."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        for e in exc.errors:
+            _fail("config-invalid", e)
+        return EXIT_CONFIG
+    except RUNTIME_ERRORS as exc:
+        _fail("runtime-failure", f"{args.error_prefix}{exc}")
+        return EXIT_RUNTIME
+    except ValueError as exc:
+        if args.command not in ("ekf", "fusvaf", "consensus"):
+            raise
+        _fail("config-invalid", str(exc))
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -159,7 +159,7 @@ def run_consensus(
     that exhausts max_iter is returned with converged=False rather than
     raising: the caller decides whether a loose agreement is usable.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")

@@ -76,10 +76,10 @@ class FusionParams:
     omega: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and non-negative, got {self.alpha}")
+        if not 0 < self.omega < math.inf:
+            raise ValueError(f"omega must be finite and positive, got {self.omega}")
 
 
 def _bell_branch(dev: float, reach: float, a: float) -> float:
@@ -253,12 +253,6 @@ class FusionPoint:
     warmup: bool
     gate: ValidationGate
 
-    def sigma_of(self, node_id: str) -> Optional[float]:
-        for r in self.readings:
-            if r.node_id == node_id:
-                return r.sigma
-        return None
-
 
 class FusionColumns(NamedTuple):
     """FUSVAF output as columns: entry i of each is the i-th fused tick.
@@ -284,7 +278,7 @@ def _fusvaf_kernel(
     adaptation: GateAdaptation,
     adaptive_alpha: bool,
 ) -> FusionColumns:
-    """The gate-validate-fuse loop of fusvaf_stream on plain floats.
+    """The gate-validate-fuse loop of fusvaf_columns on plain floats.
 
     groups holds one (tick, slots, values) per tick, in tick order: the
     slots (in 0..n_slots-1, increasing) that have a reading at the tick and
@@ -337,21 +331,21 @@ def _fusvaf_kernel(
     return FusionColumns(ticks, fused_col, predicted_col, half_widths, value_cols, sigma_cols)
 
 
-def fusvaf_stream(
+def fusvaf_columns(
     traces: Sequence[Trace],
     params: FusionParams = FusionParams(),
     predictor=None,
     adaptation: GateAdaptation = GateAdaptation(),
     adaptive_alpha: bool = True,
-) -> list[FusionPoint]:
-    """Run gate-validate-fuse over time-aligned traces.
+) -> FusionColumns:
+    """Run gate-validate-fuse over time-aligned traces; slot i of the
+    returned columns is traces[i].
 
     Per tick: predict, assign confidences, fuse, then feed the fused value
     back to the predictor and the residual window that sizes the next gate.
     With adaptive_alpha the prediction weight for a tick is the previous
     tick's total confidence (params.alpha seeds the first tick); otherwise
-    params.alpha is used throughout. Outputs during gate warm-up are
-    flagged.
+    params.alpha is used throughout.
 
     On the very first tick, before the predictor has seen anything, the
     prediction falls back to the mean of that tick's measurements. A
@@ -372,52 +366,42 @@ def fusvaf_stream(
         (tick, [slot_of[m.node_id] for m in group], [m.value for m in group])
         for tick, group in merge_traces(traces)
     ]
-    columns = _fusvaf_kernel(groups, len(traces), params, predictor, adaptation, adaptive_alpha)
+    return _fusvaf_kernel(groups, len(traces), params, predictor, adaptation, adaptive_alpha)
+
+
+def fusvaf_stream(
+    traces: Sequence[Trace],
+    params: FusionParams = FusionParams(),
+    predictor=None,
+    adaptation: GateAdaptation = GateAdaptation(),
+    adaptive_alpha: bool = True,
+) -> list[FusionPoint]:
+    """fusvaf_columns as one FusionPoint per fused tick, its readings in
+    trace order; outputs during gate warm-up are flagged."""
+    columns = fusvaf_columns(traces, params, predictor, adaptation, adaptive_alpha)
+    node_ids = [t.node_id for t in traces]
     return [
         FusionPoint(
             tick=tick,
             fused=columns.fused[i],
             predicted=columns.predicted[i],
             readings=tuple(
-                SensorReading(node_ids[slot], z, columns.sigma[slot][i])
-                for slot, z in zip(slots, values)
+                SensorReading(node_id, values[i], sigmas[i])
+                for node_id, values, sigmas in zip(node_ids, columns.value, columns.sigma)
+                if values[i] is not None
             ),
             warmup=i < adaptation.window,
             gate=ValidationGate.symmetric(columns.predicted[i], columns.half_width[i]),
         )
-        for i, (tick, slots, values) in enumerate(groups)
+        for i, tick in enumerate(columns.tick)
     ]
 
 
-def _fusion_header(n_nodes: int) -> list:
-    header = ["tick", "fused", "pred"]
-    for i in range(1, n_nodes + 1):
-        header += [f"z_{i}", f"sigma_{i}"]
-    return header
-
-
-def write_fusion_csv(points: Sequence[FusionPoint], node_ids: Sequence[str], path) -> None:
-    """Emit `tick,fused,pred,z_1,sigma_1,...,z_n,sigma_n` rows.
-
-    Column index i follows the order of node_ids; ticks where a node did
-    not report leave its z/sigma cells empty.
-    """
-    rows = []
-    for p in points:
-        by_node = {r.node_id: r for r in p.readings}
-        row = [p.tick, p.fused, p.predicted]
-        for node_id in node_ids:
-            r = by_node.get(node_id)
-            row += [None, None] if r is None else [r.value, r.sigma]
-        rows.append(row)
-    write_csv(path, _fusion_header(len(node_ids)), rows)
-
-
 def write_fusion_columns(columns: FusionColumns, path) -> None:
-    """write_fusion_csv for columns: z_i and sigma_i are slot i-1."""
+    """Emit `tick,fused,pred,z_1,sigma_1,...,z_n,sigma_n` rows; z_i and
+    sigma_i are slot i-1, empty at ticks where that slot has no reading."""
+    header = ["tick", "fused", "pred"]
+    for i in range(1, len(columns.value) + 1):
+        header += [f"z_{i}", f"sigma_{i}"]
     per_slot = [column for pair in zip(columns.value, columns.sigma) for column in pair]
-    write_csv(
-        path,
-        _fusion_header(len(columns.value)),
-        zip(columns.tick, columns.fused, columns.predicted, *per_slot),
-    )
+    write_csv(path, header, zip(columns.tick, columns.fused, columns.predicted, *per_slot))

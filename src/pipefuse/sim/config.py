@@ -9,7 +9,7 @@ once and reports them with dotted field paths.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -32,11 +32,25 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
+# a field's bound (its metadata "bound"), as the error words it -> the test a value passes
+_BOUNDS = {
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "in [1000, 3000]": lambda v: 1000 <= v <= 3000,
+    "'off' or 'on_detection'": lambda v: v in ("off", "on_detection"),
+}
+
+
+def _bounded(bound: str, default=MISSING):
+    return field(default=default, metadata={"bound": bound})
+
+
 @dataclass(frozen=True)
 class NodeSpec:
     node_id: str
     cluster_id: str
-    position: float
+    position: float = _bounded(">= 0")
     sensors: tuple[SensorKind, ...]
 
 
@@ -63,9 +77,6 @@ class Topology:
     gateway_id: str = "gw"
     uav_patrol: tuple[UavVisit, ...] = ()
 
-    def cluster_ids(self) -> list[str]:
-        return [c.cluster_id for c in self.cluster_heads]
-
     def members_of(self, cluster_id: str) -> list[NodeSpec]:
         return [n for n in self.nodes if n.cluster_id == cluster_id]
 
@@ -75,13 +86,17 @@ class Topology:
                 return n
         raise KeyError(node_id)
 
-    def peer_edges(self) -> list[tuple[str, str]]:
-        """Undirected cluster-head links, deduplicated and sorted."""
-        edges = set()
-        for c in self.cluster_heads:
-            for p in c.peers:
-                edges.add(tuple(sorted((c.cluster_id, p))))
-        return sorted(edges)
+    def peer_graph(self, cluster_ids) -> CommGraph:
+        """Peer links among distinct cluster_ids, agent i being the i-th id;
+        links to other clusters and self links are left out."""
+        index = {c: i for i, c in enumerate(cluster_ids)}
+        edges = {
+            tuple(sorted((index[c.cluster_id], index[p])))
+            for c in self.cluster_heads
+            for p in c.peers
+            if c.cluster_id in index and p in index and p != c.cluster_id
+        }
+        return CommGraph.from_edges(len(index), sorted(edges))
 
 
 @dataclass(frozen=True)
@@ -90,15 +105,15 @@ class SignalSpec:
 
     baseline: float
     drift: float = 0.0
-    noise_std: float = 0.0
+    noise_std: float = _bounded(">= 0", 0.0)
 
 
 @dataclass(frozen=True)
 class EventSpec:
     kind: str  # "leak" | "intrusion"
-    start: int
+    start: int = _bounded(">= 0")
     end: int
-    location: float
+    location: float = _bounded(">= 0")
     magnitude: float = 0.0
     radius: float = 50.0
 
@@ -108,45 +123,45 @@ class FusionConfig:
     """Placement and tuning of the fusion methods along the pipeline."""
 
     node_ekf: bool = True
-    ekf_q: float = 0.1
-    ekf_r: float = 0.1
-    report_delta: float = 1.0
+    ekf_q: float = _bounded("> 0", 0.1)
+    ekf_r: float = _bounded("> 0", 0.1)
+    report_delta: float = _bounded(">= 0", 1.0)
     cluster_fusvaf: bool = True
-    fusvaf_alpha: float = 1.0
-    fusvaf_omega: float = 1.0
+    fusvaf_alpha: float = _bounded(">= 0", 1.0)
+    fusvaf_omega: float = _bounded("> 0", 1.0)
     # constant prediction weight: a cluster-wide excursion (leak front) must
     # not zero out the fusion denominator while the gate is still catching up
     fusvaf_adaptive_alpha: bool = False
-    gate_k_sigma: float = 3.0
-    gate_w_min: Optional[float] = None  # None: derived per kind from noise_std
-    gate_w_max: float = 100.0
+    gate_k_sigma: float = _bounded("> 0", 3.0)
+    gate_w_min: Optional[float] = _bounded("> 0", None)  # None: derived per kind from noise_std
+    gate_w_max: float = _bounded("> 0", 100.0)
     # gate memory of half a reporting window keeps cluster fusion responsive
     # within one window when the whole cluster moves (leak onset)
-    gate_window: int = 5
-    consensus_policy: str = "on_detection"  # "off" | "on_detection"
-    consensus_tol: float = 1e-9
-    consensus_max_iter: int = 1000
+    gate_window: int = _bounded(">= 1", 5)
+    consensus_policy: str = _bounded("'off' or 'on_detection'", "on_detection")
+    consensus_tol: float = _bounded("> 0", 1e-9)
+    consensus_max_iter: int = _bounded(">= 1", 1000)
 
 
 @dataclass(frozen=True)
 class DetectionConfig:
-    window: int = 10
-    leak_threshold: float = 20.0
-    leak_persistence: int = 2
-    fault_persistence: int = 3
+    window: int = _bounded(">= 1", 10)
+    leak_threshold: float = _bounded("> 0", 20.0)
+    leak_persistence: int = _bounded(">= 1", 2)
+    fault_persistence: int = _bounded(">= 1", 3)
 
 
 @dataclass(frozen=True)
 class EnergyConfig:
     """Radio cost in microcontroller-op equivalents plus per-op compute charges."""
 
-    ops_per_bit: int = 1000
-    per_op_cost: float = 1.0
-    sample_bits: int = 32
-    ekf_ops_per_update: int = 50
-    fusvaf_ops_per_value: int = 20
-    aggregation_ops_per_value: int = 1
-    consensus_ops_per_value: int = 5
+    ops_per_bit: int = _bounded("in [1000, 3000]", 1000)
+    per_op_cost: float = _bounded("> 0", 1.0)
+    sample_bits: int = _bounded(">= 1", 32)
+    ekf_ops_per_update: int = _bounded(">= 0", 50)
+    fusvaf_ops_per_value: int = _bounded(">= 0", 20)
+    aggregation_ops_per_value: int = _bounded(">= 0", 1)
+    consensus_ops_per_value: int = _bounded(">= 0", 5)
 
 
 @dataclass(frozen=True)
@@ -194,13 +209,14 @@ _SCALAR_TYPES = {
 def _build_section(cls, data, prefix, errors, converters=None):
     """Build dataclass `cls` from a mapping. Keys must be fields of `cls`,
     fields without a default must be present, and after the converters,
-    values of scalar fields must have the field's type; floats must be
-    finite, and integers given for them become floats."""
+    values of scalar fields must have the field's type and lie within its
+    bound; floats must be finite, and integers given for them become floats."""
     converters = converters or {}
     if not isinstance(data, dict):
         errors.append(f"{prefix}: expected a mapping, got {type(data).__name__}")
         return None
     types = {f.name: f.type for f in fields(cls)}
+    bounds = {f.name: f.metadata.get("bound") for f in fields(cls)}
     kwargs = {}
     valid = True
     for f in fields(cls):
@@ -220,6 +236,10 @@ def _build_section(cls, data, prefix, errors, converters=None):
             continue
         if value is not None and types[key] in ("float", "Optional[float]"):
             value = float(value)
+        bound = bounds[key]
+        if bound and value is not None and not _BOUNDS[bound](value):
+            errors.append(f"{prefix}.{key}: must be {bound}, got {value!r}")
+            valid = False
         kwargs[key] = value
     return cls(**kwargs) if valid else None
 
@@ -287,17 +307,13 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
     detection = _build_section(DetectionConfig, data.get("detection", {}), "detection", errors)
     energy = _build_section(EnergyConfig, data.get("energy", {}), "energy", errors)
 
-    if fusion is not None:
-        _check_fusion(fusion, errors)
-    if detection is not None:
-        _check_detection(detection, errors)
-        if horizon_ok and detection.window >= 1 and horizon % detection.window:
-            errors.append(
-                f"detection.window: {detection.window} must divide the horizon "
-                f"{horizon}, so that every tick falls in a reporting window"
-            )
-    if energy is not None:
-        _check_energy(energy, errors)
+    if fusion is not None and (fusion.gate_w_min or 0.0) > fusion.gate_w_max:
+        errors.append("fusion.gate_w_min: must not exceed gate_w_max")
+    if detection is not None and horizon_ok and horizon % detection.window:
+        errors.append(
+            f"detection.window: {detection.window} must divide the horizon "
+            f"{horizon}, so that every tick falls in a reporting window"
+        )
     if topology is not None:
         _check_topology(topology, errors)
         _check_cross(topology, declared_signals, events, errors)
@@ -381,15 +397,12 @@ def _parse_signals(data, errors) -> dict:
             errors.append(f"signals.{key}: binary kinds take no signal spec")
             continue
         spec = _build_section(SignalSpec, raw, f"signals.{key}", errors)
-        if spec is None:
-            continue
-        if spec.noise_std < 0:
-            errors.append(f"signals.{key}.noise_std: must be non-negative")
-        signals[kind] = spec
+        if spec is not None:
+            signals[kind] = spec
     return signals
 
 
-def _parse_events(data, horizon, errors) -> list[EventSpec]:
+def _parse_events(data, horizon, errors) -> list[Optional[EventSpec]]:
     events = []
     if not isinstance(data, list):
         errors.append("events: expected a list")
@@ -397,12 +410,11 @@ def _parse_events(data, horizon, errors) -> list[EventSpec]:
     for i, raw in enumerate(data):
         prefix = f"events[{i}]"
         event = _build_section(EventSpec, raw, prefix, errors)
+        events.append(event)  # None, already reported, keeps later events' indices
         if event is None:
             continue
         if event.kind not in ("leak", "intrusion"):
             errors.append(f"{prefix}.kind: must be 'leak' or 'intrusion', got {event.kind!r}")
-        if event.start < 0:
-            errors.append(f"{prefix}.start: must be non-negative")
         if event.end < event.start:
             errors.append(f"{prefix}.end: must be >= start")
         if horizon is not None and event.end >= horizon:
@@ -411,9 +423,6 @@ def _parse_events(data, horizon, errors) -> list[EventSpec]:
             errors.append(f"{prefix}.magnitude: leak needs a positive magnitude")
         if event.kind == "leak" and event.radius <= 0:
             errors.append(f"{prefix}.radius: must be positive")
-        if event.location < 0:
-            errors.append(f"{prefix}.location: must be non-negative")
-        events.append(event)
     return events
 
 
@@ -427,8 +436,6 @@ def _check_topology(topology: Topology, errors) -> None:
         if n.node_id in seen_nodes:
             errors.append(f"topology.nodes: duplicate node_id {n.node_id!r}")
         seen_nodes.add(n.node_id)
-        if n.position < 0:
-            errors.append(f"topology.nodes[{n.node_id}].position: must be non-negative")
         if not n.sensors:
             errors.append(f"topology.nodes[{n.node_id}].sensors: at least one sensor required")
     cluster_ids = set()
@@ -449,25 +456,13 @@ def _check_topology(topology: Topology, errors) -> None:
                 errors.append(f"topology.cluster_heads[{c.cluster_id}].peers: unknown cluster {p!r}")
             if p == c.cluster_id:
                 errors.append(f"topology.cluster_heads[{c.cluster_id}].peers: self link")
-    if len(cluster_ids) > 1 and not _peer_graph(topology).is_connected():
+    if len(cluster_ids) > 1 and not topology.peer_graph(cluster_ids).is_connected():
         errors.append("topology.cluster_heads: peer graph must be connected")
     for v in topology.uav_patrol:
         if v.cluster_id not in cluster_ids:
             errors.append(f"topology.uav.patrol: unknown cluster {v.cluster_id!r}")
         if v.end < v.start:
             errors.append("topology.uav.patrol: end must be >= start")
-
-
-def _peer_graph(topology: Topology) -> CommGraph:
-    """Peer links between distinct, known cluster heads (others are
-    reported separately)."""
-    index = {c: i for i, c in enumerate(dict.fromkeys(topology.cluster_ids()))}
-    edges = [
-        (index[a], index[b])
-        for a, b in topology.peer_edges()
-        if a != b and a in index and b in index
-    ]
-    return CommGraph.from_edges(len(index), edges)
 
 
 def _check_cross(topology, declared_signals, events, errors) -> None:
@@ -479,6 +474,8 @@ def _check_cross(topology, declared_signals, events, errors) -> None:
             errors.append(f"signals.{kind.value}: required (kind appears in topology)")
     has_binary = any(k.is_binary for n in topology.nodes for k in n.sensors)
     for i, e in enumerate(events):
+        if e is None:
+            continue
         if e.kind == "intrusion" and not has_binary:
             errors.append(f"events[{i}]: intrusion needs a node with pir/magnetic sensors")
         if e.kind == "leak" and not any(
@@ -500,62 +497,6 @@ def _check_gate_floors(config: ScenarioConfig) -> None:
     ]
     if errors:
         raise ConfigError(errors)
-
-
-def _check_fusion(fusion: FusionConfig, errors) -> None:
-    if fusion.ekf_q <= 0 or fusion.ekf_r <= 0:
-        errors.append("fusion.ekf_q/ekf_r: must be positive")
-    if fusion.report_delta < 0:
-        errors.append("fusion.report_delta: must be non-negative")
-    if fusion.fusvaf_alpha < 0:
-        errors.append("fusion.fusvaf_alpha: must be non-negative")
-    if fusion.fusvaf_omega <= 0:
-        errors.append("fusion.fusvaf_omega: must be positive")
-    if fusion.gate_k_sigma <= 0:
-        errors.append("fusion.gate_k_sigma: must be positive")
-    if fusion.gate_w_min is not None and fusion.gate_w_min <= 0:
-        errors.append("fusion.gate_w_min: must be positive")
-    if fusion.gate_w_max <= 0:
-        errors.append("fusion.gate_w_max: must be positive")
-    if fusion.gate_w_min is not None and fusion.gate_w_min > fusion.gate_w_max:
-        errors.append("fusion.gate_w_min: must not exceed gate_w_max")
-    if fusion.gate_window < 1:
-        errors.append("fusion.gate_window: must be >= 1")
-    if fusion.consensus_policy not in ("off", "on_detection"):
-        errors.append(
-            f"fusion.consensus_policy: must be 'off' or 'on_detection', got "
-            f"{fusion.consensus_policy!r}"
-        )
-    if fusion.consensus_tol <= 0:
-        errors.append("fusion.consensus_tol: must be positive")
-    if fusion.consensus_max_iter < 1:
-        errors.append("fusion.consensus_max_iter: must be >= 1")
-
-
-def _check_detection(detection: DetectionConfig, errors) -> None:
-    if detection.window < 1:
-        errors.append("detection.window: must be >= 1")
-    if detection.leak_threshold <= 0:
-        errors.append("detection.leak_threshold: must be positive")
-    if detection.leak_persistence < 1:
-        errors.append("detection.leak_persistence: must be >= 1")
-    if detection.fault_persistence < 1:
-        errors.append("detection.fault_persistence: must be >= 1")
-
-
-def _check_energy(energy: EnergyConfig, errors) -> None:
-    if not 1000 <= energy.ops_per_bit <= 3000:
-        errors.append(
-            f"energy.ops_per_bit: must lie in [1000, 3000], got {energy.ops_per_bit}"
-        )
-    if energy.per_op_cost <= 0:
-        errors.append("energy.per_op_cost: must be positive")
-    if energy.sample_bits < 1:
-        errors.append("energy.sample_bits: must be >= 1")
-    for fname in ("ekf_ops_per_update", "fusvaf_ops_per_value",
-                  "aggregation_ops_per_value", "consensus_ops_per_value"):
-        if getattr(energy, fname) < 0:
-            errors.append(f"energy.{fname}: must be non-negative")
 
 
 def apply_overrides(data: dict, overrides) -> dict:

@@ -9,7 +9,7 @@ when the UAV patrol schedule covers its cluster at the detection tick.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from ..core import SensorKind
@@ -82,7 +82,3 @@ def detect_events(window_series: dict, config: ScenarioConfig) -> list[Detection
                 level = s.max
     detections.sort(key=lambda d: (d.tick, d.kind, d.cluster_id, d.sensor_kind.value))
     return detections
-
-
-def attach_consensus(detection: Detection, agreed: float) -> Detection:
-    return replace(detection, consensus_value=agreed)

@@ -5,13 +5,13 @@ accounting. Deterministic for a fixed (config, seed)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..consensus import DisconnectedGraphError
 from ..core import SensorKind
 from ..ekf import NumericFailureError
 from .config import ScenarioConfig
-from .detect import attach_consensus, detect_events
+from .detect import detect_events
 from .metrics import RunMetrics, match_events, tally_messages
 from .stages import (
     MessageKind,
@@ -28,9 +28,7 @@ from .world import WorldData, generate_world
 class SimulationResult:
     config: ScenarioConfig
     world: WorldData
-    node_results: dict
     cluster_results: dict
-    window_series: dict
     reported_series: dict
     detections: list
     consensus_runs: list
@@ -111,7 +109,7 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
             add_messages(messages, stage.messages)
             ops += stage.ops
             consensus_runs.append(stage)
-            updated.append(attach_consensus(det, stage.agreed))
+            updated.append(replace(det, consensus_value=stage.agreed))
         detections = updated
     alerts = len(detections)
     bits = alerts * config.energy.sample_bits
@@ -164,9 +162,7 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
     return SimulationResult(
         config=config,
         world=world,
-        node_results=node_results,
         cluster_results=cluster_results,
-        window_series=window_series,
         reported_series=reported_series,
         detections=detections,
         consensus_runs=consensus_runs,

@@ -287,13 +287,7 @@ def consensus_stage(estimates: dict, config: ScenarioConfig) -> ConsensusStageRe
     participants = sorted(estimates)
     if len(participants) < 2:
         raise ValueError("consensus needs at least two cluster heads")
-    index = {c: i for i, c in enumerate(participants)}
-    edges = [
-        (index[a], index[b])
-        for a, b in config.topology.peer_edges()
-        if a in index and b in index
-    ]
-    graph = consensus_mod.CommGraph.from_edges(len(participants), edges)
+    graph = config.topology.peer_graph(participants)
     initial = consensus_mod.ConsensusState([estimates[c] for c in participants])
     run = consensus_mod.run_consensus(
         initial,

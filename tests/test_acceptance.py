@@ -176,7 +176,7 @@ def test_criterion_4_fault_rejection():
             [temp_trace(a, "a"), temp_trace(b_spiked, "b")],
             FusionParams(1.0, 1.0), adaptation=adaptation,
         )
-        assert spiked[spike_tick].sigma_of("b") == 0.0
+        assert [r.sigma for r in spiked[spike_tick].readings if r.node_id == "b"] == [0.0]
         rel = max(
             abs(s.fused - c.fused) / abs(c.fused) for s, c in zip(spiked, clean)
         )

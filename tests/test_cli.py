@@ -282,6 +282,46 @@ class TestConsensusCommand:
         assert code == 2
 
 
+LIBRARY_COMMANDS = {
+    "ekf": (["--trace", str(FIXTURES / "ekf_20_samples.csv")], ["--q", "--r", "--x0", "--p0"]),
+    "fusvaf": (["--trace", str(FIXTURES / "temperature_node_a.csv"),
+                "--trace", str(FIXTURES / "temperature_node_b.csv")],
+               ["--alpha", "--omega", "--q", "--r", "--k-sigma", "--w-min", "--w-max",
+                "--window", "--initial-width"]),
+    "consensus": (["--values", "1,2,3"], ["--tol", "--max-iter"]),
+}
+
+
+class TestLibraryCommandFlags:
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, (_, flags) in LIBRARY_COMMANDS.items() for flag in flags
+    ])
+    def test_odd_numeric_flag_exits_cleanly(self, tmp_path, capsys, command, flag, value):
+        args, _ = LIBRARY_COMMANDS[command]
+        try:
+            code = main(["--quiet", command, *args, flag, value, "--out", str(tmp_path / "o")])
+        except SystemExit as exc:  # argparse rejects nan and inf for an integer flag
+            code = exc.code
+        assert code in (0, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value, error", [
+        ("ekf", "--p0", "-1", "p0 must be finite and non-negative, got -1.0"),
+        ("ekf", "--q", "inf", "q must be finite and non-negative, got inf"),
+        ("consensus", "--tol", "nan", "tol must be positive, got nan"),
+        ("fusvaf", "--alpha", "nan", "alpha must be finite and non-negative, got nan"),
+        ("fusvaf", "--omega", "inf", "omega must be finite and positive, got inf"),
+    ])
+    def test_bad_argument_exits_2_and_names_value(
+        self, tmp_path, capsys, command, flag, value, error
+    ):
+        args, _ = LIBRARY_COMMANDS[command]
+        code = main(["--quiet", command, *args, flag, value, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"pipefuse: error [config-invalid] {error}\n"
+
+
 class TestSweep:
     def test_ops_per_bit_sweep(self, tmp_path):
         out = tmp_path / "sweep"
@@ -296,3 +336,19 @@ class TestSweep:
         assert [row["scenario"] for row in rows] == ["a,b", "a,b"]
         ratio = float(rows[1]["radio_energy"]) / float(rows[0]["radio_energy"])
         assert ratio == pytest.approx(3.0)
+
+    def test_runtime_failure_names_the_value(self, tmp_path, capsys):
+        code = main(["--quiet", "sweep", "--config", str(SCENARIO),
+                     "--param", "signals.pressure.drift=0.0,1.0e+306",
+                     "--out", str(tmp_path / "sweep")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "pipefuse: error [runtime-failure] signals.pressure.drift=1.0e+306: "
+            "stream n0:pressure: non-finite value inf at tick 180\n"
+        )
+
+    def test_malformed_param_exits_2(self, tmp_path, capsys):
+        code = main(["--quiet", "sweep", "--config", str(SCENARIO),
+                     "--param", "energy.ops_per_bit", "--out", str(tmp_path / "sweep")])
+        assert code == 2
+        assert "--param 'energy.ops_per_bit': expected key=v1,v2,..." in capsys.readouterr().err

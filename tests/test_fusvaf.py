@@ -273,7 +273,7 @@ class TestFusvafStream:
         points = fusvaf_stream(traces, FusionParams(1.0, 1.0),
                                adaptation=GateAdaptation(initial_half_width=5.0))
         point = points[spike_tick]
-        assert point.sigma_of("bad") == 0.0
+        assert [r.sigma for r in point.readings if r.node_id == "bad"] == [0.0]
         gate_width = 100.0  # w_max ceiling; spike is far beyond any gate
         assert abs(point.fused - clean[spike_tick]) < gate_width
 

@@ -146,21 +146,20 @@ def write_library_goldens(out: Path) -> None:
 
     traces = fusion_traces(rng)
     adaptation = fusvaf.GateAdaptation(w_min=0.2, w_max=5.0, window=8, initial_half_width=2.0)
-    points = fusvaf.fusvaf_stream(
+    columns = fusvaf.fusvaf_columns(
         traces, fusvaf.FusionParams(alpha=1.0, omega=2.0),
         predictor=fusvaf.SmoothingPredictor(beta=0.3), adaptation=adaptation,
         adaptive_alpha=True,
     )
-    fusvaf.write_fusion_csv(points, [t.node_id for t in traces],
-                            out / "fusvaf_smoothing_adaptive.csv")
+    fusvaf.write_fusion_columns(columns, out / "fusvaf_smoothing_adaptive.csv")
     traces.append(stuck_trace(rng))
-    points = fusvaf.fusvaf_stream(
+    columns = fusvaf.fusvaf_columns(
         traces, fusvaf.FusionParams(alpha=0.5, omega=1.0),
         predictor=fusvaf.EkfPredictor(q=0.01, r=0.1), adaptation=adaptation,
         adaptive_alpha=False,
     )
-    assert any(p.sigma_of("stuck") == 0.0 for p in points), "the stuck sensor is never gated out"
-    fusvaf.write_fusion_csv(points, [t.node_id for t in traces], out / "fusvaf_ekf_stuck.csv")
+    assert 0.0 in columns.sigma[-1], "the stuck sensor is never gated out"
+    fusvaf.write_fusion_columns(columns, out / "fusvaf_ekf_stuck.csv")
 
 
 def test_library_paths_match_golden(tmp_path):

@@ -8,13 +8,10 @@ from pipefuse.fusvaf import (
     DegenerateDenominatorError,
     EkfPredictor,
     FusionParams,
-    FusionPoint,
     GateAdaptation,
-    SensorReading,
     ValidationGate,
     fusvaf_stream,
     write_fusion_columns,
-    write_fusion_csv,
 )
 from pipefuse.sim import (
     ConfigError,
@@ -171,6 +168,20 @@ class TestConfigValidation:
             scenario_from_dict(data)
         assert exc.value.errors == [
             "signals.pressure.noise_std: expected a finite number, got '1e308'"
+        ]
+
+    @pytest.mark.parametrize("start", [-1, "abc"])
+    def test_event_after_an_invalid_one_keeps_its_index(self, start):
+        data = base_config_dict(events=[
+            {"kind": "leak", "start": start, "end": 20, "location": 0.0, "magnitude": 30.0},
+            {"kind": "intrusion", "start": 30, "end": 40, "location": 0.0},
+        ])
+        for node in data["topology"]["nodes"]:
+            node["sensors"] = ["pressure"]
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict(data)
+        assert exc.value.errors[1:] == [
+            "events[1]: intrusion needs a node with pir/magnetic sensors"
         ]
 
     def test_absent_signal_spec_required(self):
@@ -478,7 +489,8 @@ class TestClusterStage:
         for slot, node_id in enumerate(member_order):
             assert columns.value[slot] == [
                 next((r.value for r in p.readings if r.node_id == node_id), None) for p in points]
-            assert columns.sigma[slot] == [p.sigma_of(node_id) for p in points]
+            assert columns.sigma[slot] == [
+                next((r.sigma for r in p.readings if r.node_id == node_id), None) for p in points]
         fused_by_tick = {p.tick: p.fused for p in points}
         sigma_by_tick = {p.tick: {r.node_id: r.sigma for r in p.readings} for p in points}
         zero_streak, flagged = dict.fromkeys(member_order, 0), []
@@ -501,7 +513,7 @@ class TestClusterStage:
         assert result.ops == (config.energy.fusvaf_ops_per_value * readings
                               + config.energy.aggregation_ops_per_value * aggregated)
 
-    def test_fused_csv_from_columns_equals_library_writer(self, tmp_path):
+    def test_fused_csv_from_columns_leaves_absent_slots_empty(self, tmp_path):
         # members joining late and one silent member leave empty cells
         config = make_config(horizon=40, detection={"window": 10},
                              fusion={"node_ekf": False})
@@ -509,19 +521,7 @@ class TestClusterStage:
                    "b": [(7, 501.0), (20, 499.5)], "c": [], "d": [(31, 650.0)]}
         result = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
         write_fusion_columns(result.fusion, tmp_path / "columns.csv")
-        columns = result.fusion
-        points = [
-            FusionPoint(tick, fused, pred, tuple(
-                SensorReading(node_id, value[i], sigma[i])
-                for node_id, value, sigma in zip(result.member_order, columns.value,
-                                                 columns.sigma)
-                if value[i] is not None), warmup=False, gate=None)
-            for i, (tick, fused, pred) in enumerate(
-                zip(columns.tick, columns.fused, columns.predicted))
-        ]
-        write_fusion_csv(points, result.member_order, tmp_path / "points.csv")
         text = (tmp_path / "columns.csv").read_bytes()
-        assert text == (tmp_path / "points.csv").read_bytes()
         assert text.startswith(b"tick,fused,pred,z_1,sigma_1,z_2,sigma_2,z_3,sigma_3,z_4")
         assert text.splitlines()[1].endswith(b",,,,,,")  # tick 0: only a reports
 
@@ -692,7 +692,7 @@ class TestRunSimulation:
         topology = run_config.topology
         entity_ids = (
             {n.node_id for n in topology.nodes}
-            | set(topology.cluster_ids())
+            | {c.cluster_id for c in topology.cluster_heads}
             | {topology.gateway_id, "gcc"}
         )
         # no message is lost or invented: every ledger entry links two distinct
