@@ -3,28 +3,23 @@
 Subcommands: run a scenario, sweep a parameter, replay CSV traces through
 the individual fusion methods, validate a config. Exit codes: 0 success,
 2 config error, 3 numeric/runtime error, mapped in `main` alone.
+
+Only `run`, `sweep` and `validate` import the simulator (and with it yaml),
+at call time and by name from its modules, so the library commands start
+without it and a function rebound in a module is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
 from . import consensus as consensus_mod
 from . import ekf, fusvaf
-from .core import MixedSensorKindError, SensorKind, TraceError, load_trace, write_csv
-from .sim import load_scenario, run_simulation
-from .sim.config import ConfigError
-from .sim.metrics import (
-    metrics_row,
-    write_consensus_runs_csv,
-    write_detections_csv,
-    write_metrics_csv,
-    write_stream_csv,
-    write_summary,
-)
+from .core import ConfigError, MixedSensorKindError, SensorKind, TraceError, load_trace, write_csv
 
 RUNTIME_ERRORS = (
     TraceError,
@@ -54,6 +49,13 @@ def _out_dir(args) -> Path:
 
 
 def _write_run_outputs(result, out: Path) -> list:
+    from .sim.metrics import (
+        write_consensus_runs_csv,
+        write_detections_csv,
+        write_metrics_csv,
+        write_stream_csv,
+    )
+
     files = []
 
     def record(path):
@@ -89,9 +91,54 @@ def _write_run_outputs(result, out: Path) -> list:
     return files
 
 
+def write_summary(result, out_dir: Path, files: list) -> Path:
+    """Human-readable run summary; lists every artifact written."""
+    m = result.metrics
+    lines = [
+        f"scenario: {m.scenario}",
+        f"seed: {m.seed}",
+        f"horizon: {m.horizon} ticks",
+        "",
+        f"messages: node={m.node.messages} cluster={m.cluster.messages} "
+        f"consensus={m.consensus.messages} alert={m.alert.messages} "
+        f"total={m.total_messages}",
+        f"bits: total={m.total_bits}",
+        f"energy: radio={m.radio_energy} compute={m.compute_energy} "
+        f"total={m.total_energy}",
+        f"estimation rmse: mean={m.rmse_mean:.6g} max={m.rmse_max:.6g}",
+        f"events: {len(m.event_outcomes)} injected, "
+        f"{sum(1 for o in m.event_outcomes if o.latency is not None)} detected, "
+        f"{m.false_positives} false positives",
+    ]
+    for o in m.event_outcomes:
+        status = (
+            f"detected at tick {o.detected_tick} (latency {o.latency})"
+            if o.latency is not None
+            else "not detected"
+        )
+        validated = " [validated]" if o.validated else ""
+        lines.append(f"  event {o.index} ({o.kind} @ {o.start}): {status}{validated}")
+    if m.suspected_faulty:
+        lines.append("suspected faulty nodes:")
+        for cluster_id, kind, node_id, window in m.suspected_faulty:
+            lines.append(
+                f"  {node_id} ({kind.value}) in {cluster_id}, window {window}"
+            )
+    lines.append("")
+    lines.append("artifacts:")
+    for f in files:
+        lines.append(f"  {f}")
+    lines.append("")
+    path = out_dir / "summary.txt"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    return path
+
+
 def _simulate(args, overrides, out: Path):
     """Load the scenario with overrides, run it and write its outputs to
     out; returns the result and the path of its summary."""
+    from .sim import load_scenario, run_simulation
+
     config = load_scenario(args.config, overrides=overrides, seed=args.seed)
     out.mkdir(parents=True, exist_ok=True)
     result = run_simulation(config)
@@ -111,6 +158,8 @@ def cmd_sweep(args) -> int:
     values = [v for v in values_raw.split(",") if v]
     if not key or not values:
         raise ConfigError([f"--param {args.param!r}: expected key=v1,v2,..."])
+    from .sim.metrics import metrics_row
+
     out = _out_dir(args)
     rows = []
     for value in values:
@@ -129,6 +178,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .sim import load_scenario
+
     config = load_scenario(args.config)
     print(
         f"{args.config}: ok ({len(config.topology.nodes)} nodes, "
@@ -139,6 +190,8 @@ def cmd_validate(args) -> int:
 
 def cmd_ekf(args) -> int:
     ekf.check_random_walk(args.q, args.r, args.p0)  # names the flag and its value
+    if args.x0 is not None and not math.isfinite(args.x0):
+        raise ValueError(f"x0 must be finite, got {args.x0}")
     trace = load_trace(args.trace, args.node_id, SensorKind(args.kind))
     model = ekf.random_walk_model(args.q, args.r)
     x0 = trace.readings[0].value if args.x0 is None else args.x0

@@ -87,6 +87,9 @@ class ConsensusState:
         est = np.atleast_1d(np.asarray(self.estimates, dtype=float))
         if est.ndim != 1:
             raise ValueError(f"estimates must be a vector, got shape {est.shape}")
+        bad = np.flatnonzero(~np.isfinite(est))
+        if bad.size:
+            raise ValueError(f"estimates must be finite, got {est[bad[0]]} at index {bad[0]}")
         if self.iteration < 0:
             raise ValueError(f"iteration must be non-negative, got {self.iteration}")
         est = np.array(est)

@@ -46,6 +46,15 @@ class MixedSensorKindError(ValueError):
     """Traces of different sensor kinds cannot be merged."""
 
 
+class ConfigError(ValueError):
+    """A scenario configuration or a command-line argument is invalid;
+    `errors` lists every offence."""
+
+    def __init__(self, errors):
+        self.errors = list(errors)
+        super().__init__("; ".join(self.errors))
+
+
 @dataclass(frozen=True)
 class Measurement:
     """One timestamped scalar reading from a named sensor on a named node."""

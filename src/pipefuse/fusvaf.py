@@ -11,7 +11,6 @@ single faulty sensor cannot inflate it.
 from __future__ import annotations
 
 import math
-import statistics
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -168,6 +167,13 @@ class GateAdaptation:
         return min(max(self.k_sigma * spread, self.w_min), self.w_max)
 
 
+def _median(values) -> float:
+    """The median as `statistics.median` computes it, bit for bit."""
+    data = sorted(values)
+    mid = len(data) // 2
+    return data[mid] if len(data) % 2 else (data[mid - 1] + data[mid]) / 2
+
+
 def adapt_gate(
     gate: ValidationGate,
     recent_residuals: Sequence[float],
@@ -184,7 +190,7 @@ def adapt_gate(
         raise ValueError("residual window must be non-empty")
     if not math.isfinite(new_prediction):
         raise ValueError(f"new_prediction must be finite, got {new_prediction}")
-    spread = statistics.median(abs(r) for r in recent_residuals)
+    spread = _median(abs(r) for r in recent_residuals)
     return ValidationGate.symmetric(new_prediction, adaptation.half_width(spread))
 
 
@@ -299,7 +305,7 @@ def _fusvaf_kernel(
         if i < adaptation.window:
             half_width = adaptation.warmup_half_width
         else:  # as adapt_gate, over residuals that are already absolute
-            spread = statistics.median([r for per_tick in residual_window for r in per_tick])
+            spread = _median([r for per_tick in residual_window for r in per_tick])
             half_width = adaptation.half_width(spread)
         v_l, v_r, a = predicted - half_width, predicted + half_width, half_width / 2.0
         if not (a > 0.0 and -math.inf < v_l < predicted < v_r < math.inf):

@@ -16,20 +16,15 @@ from typing import Optional
 import yaml
 
 from ..consensus import CommGraph
-from ..core import SensorKind
+from ..core import ConfigError, SensorKind
 
 
 # Longest accepted horizon in ticks. It bounds the memory a scenario can ask
 # for: the world holds one float per tick for every stream.
 MAX_HORIZON = 10_000_000
 
-
-class ConfigError(ValueError):
-    """Scenario configuration is invalid; `errors` lists every offence."""
-
-    def __init__(self, errors):
-        self.errors = list(errors)
-        super().__init__("; ".join(self.errors))
+# libyaml's parser when pyyaml was built with it; both give the same objects
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 # a field's bound (its metadata "bound"), as the error words it -> the test a value passes
@@ -292,7 +287,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
     if not horizon_ok:
         horizon = None  # reported once here; the checks against it are skipped
 
-    topology = _parse_topology(data.get("topology"), errors)
+    topology, node_kinds = _parse_topology(data.get("topology"), errors)
     declared_signals = data.get("signals", {})
     signals = _parse_signals(declared_signals, errors)
     events = _parse_events(data.get("events", []), horizon, errors)
@@ -316,7 +311,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         )
     if topology is not None:
         _check_topology(topology, errors)
-        _check_cross(topology, declared_signals, events, errors)
+        _check_cross(node_kinds, declared_signals, events, errors)
 
     if errors:
         raise ConfigError(errors)
@@ -336,14 +331,17 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
     return config
 
 
-def _parse_topology(data, errors) -> Optional[Topology]:
+def _parse_topology(data, errors) -> tuple[Optional[Topology], set]:
+    """The topology, and the sensor kinds of every node entry, also those
+    dropped for an error, so that the cross checks see them."""
     if data is None:
         errors.append("topology: required")
-        return None
+        return None, set()
     if not isinstance(data, dict):
         errors.append("topology: expected a mapping")
-        return None
+        return None, set()
     nodes = []
+    node_kinds = set()
     for i, raw in enumerate(_list_at(data, "nodes", "topology.nodes", errors)):
         prefix = f"topology.nodes[{i}]"
         if not isinstance(raw, dict):
@@ -354,6 +352,7 @@ def _parse_topology(data, errors) -> Optional[Topology]:
             kind = _parse_kind(s, f"{prefix}.sensors", errors)
             if kind is not None:
                 kinds.append(kind)
+        node_kinds.update(kinds)
         node = _build_section(NodeSpec, {**raw, "sensors": tuple(kinds)}, prefix, errors)
         if node is not None:
             nodes.append(node)
@@ -381,7 +380,7 @@ def _parse_topology(data, errors) -> Optional[Topology]:
     for key in data:
         if key not in known:
             errors.append(f"topology.{key}: unknown key")
-    return Topology(tuple(nodes), tuple(heads), str(gateway_id), tuple(patrol))
+    return Topology(tuple(nodes), tuple(heads), str(gateway_id), tuple(patrol)), node_kinds
 
 
 def _parse_signals(data, errors) -> dict:
@@ -465,22 +464,21 @@ def _check_topology(topology: Topology, errors) -> None:
             errors.append("topology.uav.patrol: end must be >= start")
 
 
-def _check_cross(topology, declared_signals, events, errors) -> None:
-    """Cross-section checks; a signal spec that is present but invalid has
-    already been reported, so only an absent one is reported here."""
-    used_analog = {k for n in topology.nodes for k in n.sensors if not k.is_binary}
+def _check_cross(node_kinds, declared_signals, events, errors) -> None:
+    """Cross-section checks against the sensor kinds the nodes carry; a
+    signal spec that is present but invalid has already been reported, so
+    only an absent one is reported here."""
+    used_analog = {k for k in node_kinds if not k.is_binary}
     for kind in sorted(used_analog, key=lambda k: k.value):
         if isinstance(declared_signals, dict) and kind.value not in declared_signals:
             errors.append(f"signals.{kind.value}: required (kind appears in topology)")
-    has_binary = any(k.is_binary for n in topology.nodes for k in n.sensors)
+    has_binary = any(k.is_binary for k in node_kinds)
     for i, e in enumerate(events):
         if e is None:
             continue
         if e.kind == "intrusion" and not has_binary:
             errors.append(f"events[{i}]: intrusion needs a node with pir/magnetic sensors")
-        if e.kind == "leak" and not any(
-            SensorKind.PRESSURE in n.sensors for n in topology.nodes
-        ):
+        if e.kind == "leak" and SensorKind.PRESSURE not in node_kinds:
             errors.append(f"events[{i}]: leak needs a node with a pressure sensor")
 
 
@@ -525,7 +523,10 @@ def apply_overrides(data: dict, overrides) -> dict:
             target = target[k]
             if not isinstance(target, dict):
                 raise ConfigError([f"override {path!r}: {k} is not a section"])
-        target[keys[-1]] = yaml.safe_load(raw_value)
+        try:
+            target[keys[-1]] = yaml.load(raw_value, Loader=_LOADER)
+        except yaml.YAMLError as exc:
+            raise ConfigError([f"override {item!r}: invalid YAML value: {exc}"]) from None
     return result
 
 
@@ -533,7 +534,7 @@ def load_scenario(path, overrides=(), seed: Optional[int] = None) -> ScenarioCon
     """Load, override, and validate a scenario YAML file."""
     path = Path(path)
     try:
-        data = yaml.safe_load(path.read_text(encoding="utf-8"))
+        data = yaml.load(path.read_text(encoding="utf-8"), Loader=_LOADER)
     except OSError as exc:
         raise ConfigError([f"{path}: {exc}"]) from None
     except yaml.YAMLError as exc:

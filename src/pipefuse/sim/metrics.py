@@ -9,24 +9,20 @@ wall-clock data is ever written, and every file goes through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
-from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..core import write_csv
 from .config import ScenarioConfig
 from .stages import MessageKind
 
 
-@dataclass(frozen=True)
-class LevelTally:
+class LevelTally(NamedTuple):
     messages: int = 0
     bits: int = 0
 
 
-@dataclass(frozen=True)
-class EventOutcome:
+class EventOutcome(NamedTuple):
     """How one injected event fared: matched detection and its latency."""
 
     index: int
@@ -37,8 +33,7 @@ class EventOutcome:
     validated: bool
 
 
-@dataclass(frozen=True)
-class RunMetrics:
+class RunMetrics(NamedTuple):
     scenario: str
     seed: int
     horizon: int
@@ -184,46 +179,3 @@ def write_consensus_runs_csv(runs, path) -> None:
          for run_index, result in enumerate(runs)
          for i, mse in enumerate(result.mse_history)),
     )
-
-
-def write_summary(result, out_dir: Path, files: list) -> Path:
-    """Human-readable run summary; lists every artifact written."""
-    m = result.metrics
-    lines = [
-        f"scenario: {m.scenario}",
-        f"seed: {m.seed}",
-        f"horizon: {m.horizon} ticks",
-        "",
-        f"messages: node={m.node.messages} cluster={m.cluster.messages} "
-        f"consensus={m.consensus.messages} alert={m.alert.messages} "
-        f"total={m.total_messages}",
-        f"bits: total={m.total_bits}",
-        f"energy: radio={m.radio_energy} compute={m.compute_energy} "
-        f"total={m.total_energy}",
-        f"estimation rmse: mean={m.rmse_mean:.6g} max={m.rmse_max:.6g}",
-        f"events: {len(m.event_outcomes)} injected, "
-        f"{sum(1 for o in m.event_outcomes if o.latency is not None)} detected, "
-        f"{m.false_positives} false positives",
-    ]
-    for o in m.event_outcomes:
-        status = (
-            f"detected at tick {o.detected_tick} (latency {o.latency})"
-            if o.latency is not None
-            else "not detected"
-        )
-        validated = " [validated]" if o.validated else ""
-        lines.append(f"  event {o.index} ({o.kind} @ {o.start}): {status}{validated}")
-    if m.suspected_faulty:
-        lines.append("suspected faulty nodes:")
-        for cluster_id, kind, node_id, window in m.suspected_faulty:
-            lines.append(
-                f"  {node_id} ({kind.value}) in {cluster_id}, window {window}"
-            )
-    lines.append("")
-    lines.append("artifacts:")
-    for f in files:
-        lines.append(f"  {f}")
-    lines.append("")
-    path = out_dir / "summary.txt"
-    path.write_text("\n".join(lines), encoding="utf-8")
-    return path

@@ -5,7 +5,8 @@ accounting. Deterministic for a fixed (config, seed)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 from ..consensus import DisconnectedGraphError
 from ..core import SensorKind
@@ -24,8 +25,7 @@ from .stages import (
 from .world import WorldData, generate_world
 
 
-@dataclass
-class SimulationResult:
+class SimulationResult(NamedTuple):
     config: ScenarioConfig
     world: WorldData
     cluster_results: dict

@@ -10,10 +10,9 @@ report means "valid until superseded".
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -44,8 +43,7 @@ def add_messages(ledger: dict, entries: dict) -> dict:
     return ledger
 
 
-@dataclass
-class NodeStageResult:
+class NodeStageResult(NamedTuple):
     node_id: str
     kind: SensorKind
     reports: list  # [(tick, value)] actually transmitted
@@ -118,8 +116,7 @@ def _held_groups(held: list, horizon: int) -> list:
     return groups
 
 
-@dataclass(frozen=True)
-class WindowSummary:
+class WindowSummary(NamedTuple):
     """One reporting window of one (cluster, kind) stream."""
 
     cluster_id: str
@@ -134,8 +131,7 @@ class WindowSummary:
     min: Optional[float]
 
 
-@dataclass
-class ClusterStageResult:
+class ClusterStageResult(NamedTuple):
     cluster_id: str
     kind: SensorKind
     windows: list
@@ -266,8 +262,7 @@ def cluster_stage(
     )
 
 
-@dataclass
-class ConsensusStageResult:
+class ConsensusStageResult(NamedTuple):
     agreed: float
     rounds: int
     converged: bool

@@ -13,7 +13,7 @@ Signal model:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from ..ekf import NumericFailureError
 from .config import EventSpec, ScenarioConfig
 
 
-@dataclass(frozen=True)
-class WorldData:
+class WorldData(NamedTuple):
     """Per-stream ground truth and noisy traces, float arrays indexed by tick."""
 
     truth: dict

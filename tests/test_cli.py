@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -214,6 +217,21 @@ class TestEkfCommand:
         assert code == 3
         assert "runtime-failure" in capsys.readouterr().err
 
+    def test_loads_neither_simulator_nor_yaml(self, tmp_path):
+        argv = ["--quiet", "ekf", "--trace", str(FIXTURES / "ekf_20_samples.csv"),
+                "--out", str(tmp_path / "out")]
+        script = (
+            "import sys\n"
+            "from pipefuse.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(sorted(m for m in ('pipefuse.sim', 'yaml') if m in sys.modules))\n"
+        )
+        path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
 
 class TestFusvafCommand:
     def test_two_node_fixture_envelope(self, tmp_path):
@@ -312,6 +330,10 @@ class TestLibraryCommandFlags:
         ("consensus", "--tol", "nan", "tol must be positive, got nan"),
         ("fusvaf", "--alpha", "nan", "alpha must be finite and non-negative, got nan"),
         ("fusvaf", "--omega", "inf", "omega must be finite and positive, got inf"),
+        ("consensus", "--values", "nan", "estimates must be finite, got nan at index 0"),
+        ("consensus", "--values", "1,inf", "estimates must be finite, got inf at index 1"),
+        ("ekf", "--x0", "nan", "x0 must be finite, got nan"),
+        ("ekf", "--x0", "inf", "x0 must be finite, got inf"),
     ])
     def test_bad_argument_exits_2_and_names_value(
         self, tmp_path, capsys, command, flag, value, error

@@ -76,6 +76,18 @@ class TestMetropolisWeights:
         assert np.all(W >= -1e-15)
 
 
+class TestConsensusState:
+    @pytest.mark.parametrize("values, error", [
+        ([float("nan")], "estimates must be finite, got nan at index 0"),
+        ([1.0, float("inf")], "estimates must be finite, got inf at index 1"),
+        ([2.0, 3.0, -float("inf")], "estimates must be finite, got -inf at index 2"),
+    ])
+    def test_non_finite_estimate_rejected(self, values, error):
+        with pytest.raises(ValueError) as exc:
+            ConsensusState(values)
+        assert str(exc.value) == error
+
+
 class TestConsensusStep:
     def test_consensus_is_fixed_point(self):
         W = metropolis_weights(CommGraph.complete(4))

@@ -1,0 +1,91 @@
+"""The scenario loader parses with libyaml when pyyaml has it; these tests
+check that it reads every scenario and override exactly as the pure-Python
+loader does."""
+
+import copy
+from pathlib import Path
+
+import numpy as np
+import pytest
+import yaml
+
+from pipefuse.cli import main
+from pipefuse.sim import apply_overrides, load_scenario, scenario_from_dict
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = sorted((ROOT / "scenarios").glob("*.yaml"))
+
+needs_libyaml = pytest.mark.skipif(
+    not hasattr(yaml, "CSafeLoader"), reason="pyyaml was built without libyaml"
+)
+
+
+def both_loaders(text):
+    return yaml.load(text, Loader=yaml.CSafeLoader), yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def bench_style_variants():
+    """Scenario dicts shaped like the benchmark's: the bundled scenario under
+    other seeds, and an all-raw long run with seeded float event locations."""
+    base = yaml.safe_load(SCENARIOS[0].read_text(encoding="utf-8"))
+    rng = np.random.default_rng(42)
+    variants = []
+    for seed in [42] + [int(s) for s in rng.integers(0, 2**31 - 1, size=7)]:
+        data = copy.deepcopy(base)
+        data["seed"] = seed
+        variants.append(data)
+    raw = copy.deepcopy(base)
+    raw.update(name="raw_long", horizon=4800)
+    raw["fusion"].update(node_ekf=False, cluster_fusvaf=False, consensus_policy="off")
+    raw["events"] = [
+        {"kind": "leak", "start": 1230, "end": 1240,
+         "location": round(float(rng.uniform(20.0, 160.0)), 1), "magnitude": 40.0,
+         "radius": 50.0},
+        {"kind": "intrusion", "start": 3010, "end": 3030,
+         "location": round(float(rng.uniform(0.0, 180.0)), 1)},
+    ]
+    variants.append(raw)
+    return variants
+
+
+@needs_libyaml
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.name)
+def test_loaders_agree_on_bundled_scenarios(path):
+    fast, pure = both_loaders(path.read_text(encoding="utf-8"))
+    assert fast == pure
+
+
+@needs_libyaml
+@pytest.mark.parametrize("sort_keys", [True, False])
+def test_loaders_agree_on_dumped_bench_style_variants(sort_keys):
+    for data in bench_style_variants():
+        text = yaml.safe_dump(data, sort_keys=sort_keys)
+        fast, pure = both_loaders(text)
+        assert fast == pure == data
+        assert scenario_from_dict(fast) == scenario_from_dict(pure)
+
+
+@needs_libyaml
+@pytest.mark.parametrize("raw", [
+    "1e3", ".5", "1_000", "0x1f", "yes", "null", "~", "[1, 2]", "'abc'", "-.inf",
+])
+def test_loaders_agree_on_override_scalars(raw):
+    fast, pure = both_loaders(raw)
+    assert fast == pure and type(fast) is type(pure)
+    out = apply_overrides({"fusion": {}}, [f"fusion.ekf_q={raw}"])
+    assert out["fusion"]["ekf_q"] == pure and type(out["fusion"]["ekf_q"]) is type(pure)
+
+
+def test_load_scenario_equals_pure_python_parse():
+    path = SCENARIOS[0]
+    pure = yaml.load(path.read_text(encoding="utf-8"), Loader=yaml.SafeLoader)
+    assert load_scenario(path) == scenario_from_dict(pure, name=path.stem)
+
+
+def test_unparsable_scenario_exits_2_and_names_its_path(tmp_path, capsys):
+    path = tmp_path / "broken.yaml"
+    path.write_text("seed: 1\ntopology: [unclosed\n", encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"pipefuse: error [config-invalid] {path}: invalid YAML: ")
+    assert "Traceback" not in err

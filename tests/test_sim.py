@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from pipefuse.core import SensorKind, TraceError, trace_from_pairs
@@ -29,6 +32,7 @@ from pipefuse.sim.stages import hold_series
 from pipefuse.sim.world import check_stream
 
 RAW, FUSED, CONSENSUS = MessageKind.RAW, MessageKind.FUSED, MessageKind.CONSENSUS
+BUNDLED = Path(__file__).resolve().parent.parent / "scenarios" / "baseline_10node.yaml"
 
 
 def base_config_dict(**overrides):
@@ -184,6 +188,23 @@ class TestConfigValidation:
             "events[1]: intrusion needs a node with pir/magnetic sensors"
         ]
 
+    @pytest.mark.parametrize("position, error", [
+        (-1, "must be >= 0, got -1.0"),
+        ("abc", "expected a finite number, got 'abc'"),
+    ])
+    def test_dropped_nodes_keep_their_sensors_for_the_cross_checks(self, position, error):
+        # n3, n4, n8 and n9 carry the bundled scenario's only pir/magnetic sensors
+        data = yaml.safe_load(BUNDLED.read_text(encoding="utf-8"))
+        nodes = data["topology"]["nodes"]
+        dropped = [i for i, n in enumerate(nodes) if n["node_id"] in ("n3", "n4", "n8", "n9")]
+        for i in dropped:
+            nodes[i]["position"] = position
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict(data)
+        assert exc.value.errors == [
+            f"topology.nodes[{i}].position: {error}" for i in dropped
+        ]
+
     def test_absent_signal_spec_required(self):
         with pytest.raises(ConfigError, match=r"signals.pressure: required"):
             make_config(signals={})
@@ -228,6 +249,14 @@ class TestOverrides:
     def test_malformed_override(self):
         with pytest.raises(ConfigError, match="key=value"):
             apply_overrides(base_config_dict(), ["seed"])
+
+    @pytest.mark.parametrize("raw", ["[1", "{a: 1", "'abc"])
+    def test_unparsable_override_value_names_the_override(self, raw):
+        item = f"fusion.ekf_q={raw}"
+        with pytest.raises(ConfigError) as exc:
+            apply_overrides(base_config_dict(), [item])
+        (error,) = exc.value.errors
+        assert error.startswith(f"override {item!r}: invalid YAML value: ")
 
     def test_original_untouched(self):
         data = base_config_dict()
@@ -503,7 +532,8 @@ class TestClusterStage:
                           if node_id in sigma_by_tick.get(t, {})]
                 if sigmas and all(x == 0.0 for x in sigmas):
                     zero_streak[node_id] += 1
-                    if zero_streak[node_id] == 2:
+                    # a member is flagged once, at the first window its streak reaches 2
+                    if zero_streak[node_id] == 2 and node_id not in dict(flagged):
                         flagged.append((node_id, s.index))
                 elif sigmas:
                     zero_streak[node_id] = 0
