@@ -12,14 +12,13 @@ without it and a function rebound in a module is the one that runs.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
 
 from . import consensus as consensus_mod
 from . import ekf, fusvaf
-from .core import ConfigError, MixedSensorKindError, SensorKind, TraceError, load_trace, write_csv
+from .core import ConfigError, MixedSensorKindError, SensorKind, TraceError, load_trace, read_csv
 
 RUNTIME_ERRORS = (
     TraceError,
@@ -50,6 +49,7 @@ def _out_dir(args) -> Path:
 
 def _write_run_outputs(result, out: Path) -> list:
     from .sim.metrics import (
+        metrics_row,
         write_consensus_runs_csv,
         write_detections_csv,
         write_metrics_csv,
@@ -62,7 +62,7 @@ def _write_run_outputs(result, out: Path) -> list:
         files.append(str(path.relative_to(out)))
         return path
 
-    write_metrics_csv([result.metrics], record(out / "metrics.csv"))
+    write_metrics_csv([metrics_row(result.metrics)], record(out / "metrics.csv"))
     write_detections_csv(result.detections, record(out / "detections.csv"))
     write_consensus_runs_csv(result.consensus_runs, record(out / "consensus_mse.csv"))
 
@@ -81,9 +81,7 @@ def _write_run_outputs(result, out: Path) -> list:
 
     fused_dir = out / "fused"
     fused_dir.mkdir(exist_ok=True)
-    for (cluster_id, kind), stage in sorted(
-        result.cluster_results.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
-    ):
+    for (cluster_id, kind), stage in sorted(result.cluster_results.items()):
         if stage.fusion is not None:
             fusvaf.write_fusion_columns(
                 stage.fusion, record(fused_dir / f"{cluster_id}_{kind.value}.csv")
@@ -158,7 +156,7 @@ def cmd_sweep(args) -> int:
     values = [v for v in values_raw.split(",") if v]
     if not key or not values:
         raise ConfigError([f"--param {args.param!r}: expected key=v1,v2,..."])
-    from .sim.metrics import metrics_row
+    from .sim.metrics import metrics_row, write_metrics_csv
 
     out = _out_dir(args)
     rows = []
@@ -172,7 +170,7 @@ def cmd_sweep(args) -> int:
         _say(args, f"{key}={value}: total_bits={result.metrics.total_bits} "
                    f"rmse_mean={result.metrics.rmse_mean:.6g}")
     sweep_path = out / "sweep_metrics.csv"
-    write_csv(sweep_path, list(rows[0]), [row.values() for row in rows])
+    write_metrics_csv(rows, sweep_path)
     _say(args, f"sweep metrics written to {sweep_path}")
     return 0
 
@@ -233,23 +231,6 @@ def cmd_fusvaf(args) -> int:
     return 0
 
 
-def _load_edges(path) -> list:
-    edges = []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["i", "j"]:
-            raise TraceError(f"{path}: expected header 'i,j'")
-        for row_num, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            try:
-                edges.append((int(row[0]), int(row[1])))
-            except (ValueError, IndexError):
-                raise TraceError(f"{path}: row {row_num}: expected two integers") from None
-    return edges
-
-
 def cmd_consensus(args) -> int:
     try:
         values = [float(v) for v in args.values.split(",") if v]
@@ -258,7 +239,8 @@ def cmd_consensus(args) -> int:
     if not values:
         raise ConfigError(["--values: at least one value required"])
     if args.edges is not None:
-        graph = consensus_mod.CommGraph.from_edges(len(values), _load_edges(args.edges))
+        edges = read_csv(args.edges, ["i", "j"], lambda row: tuple(map(int, row)))
+        graph = consensus_mod.CommGraph.from_edges(len(values), edges)
     else:
         graph = consensus_mod.CommGraph.complete(len(values))
     run = consensus_mod.run_consensus(
@@ -282,21 +264,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(error_prefix="")  # sweep names the run that failed
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one scenario end to end")
-    run.add_argument("--config", required=True, help="scenario YAML path")
-    run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    run.add_argument("--out", default="out", help="output directory")
-    run.add_argument("--override", action="append", default=[], metavar="K=V",
-                     help="override a config key (dotted path), repeatable")
+    scenario = argparse.ArgumentParser(add_help=False)  # the flags of run and sweep
+    scenario.add_argument("--config", required=True, help="scenario YAML path")
+    scenario.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    scenario.add_argument("--out", default="out", help="output directory")
+    scenario.add_argument("--override", action="append", default=[], metavar="K=V",
+                          help="override a config key (dotted path), repeatable")
+    run = sub.add_parser("run", parents=[scenario], help="run one scenario end to end")
     run.set_defaults(func=cmd_run)
-
-    sweep = sub.add_parser("sweep", help="run a scenario once per parameter value")
-    sweep.add_argument("--config", required=True)
+    sweep = sub.add_parser("sweep", parents=[scenario],
+                           help="run a scenario once per parameter value")
     sweep.add_argument("--param", required=True, metavar="K=V1,V2,...",
                        help="config key and comma-separated values")
-    sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--out", default="out")
-    sweep.add_argument("--override", action="append", default=[], metavar="K=V")
     sweep.set_defaults(func=cmd_sweep)
 
     validate = sub.add_parser("validate", help="validate a scenario config (writes nothing)")

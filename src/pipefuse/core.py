@@ -31,7 +31,7 @@ class SensorKind(str, Enum):
     @property
     def is_binary(self) -> bool:
         """Presence-type sensors report exactly 0.0 or 1.0."""
-        return self in (SensorKind.PIR, SensorKind.MAGNETIC)
+        return self in BINARY_KINDS
 
 
 ANALOG_KINDS = (SensorKind.PRESSURE, SensorKind.TEMPERATURE, SensorKind.HUMIDITY)
@@ -130,43 +130,48 @@ def trace_from_pairs(pairs, node_id: str, sensor_kind: SensorKind) -> Trace:
 CSV_HEADER = ["timestamp", "value"]
 
 
-def load_trace(path, node_id: str, sensor_kind: SensorKind) -> Trace:
-    """Read a `timestamp,value` CSV into a Trace.
-
-    Raises TraceError for a missing/garbled header, malformed rows (with the
-    1-based data row number), an empty file, or timestamps that are not
-    strictly increasing.
-    """
+def read_csv(path, header, parse) -> list:
+    """`parse(row)` for each data row of a CSV file whose first row is
+    `header`, blank rows skipped. Raises TraceError naming the file for an
+    empty file or another header, and also the row (numbered from 1 below
+    the header) for a row of another width or a ValueError from `parse`."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceError(f"{path}: empty file") from None
-        if [c.strip() for c in header] != CSV_HEADER:
-            raise TraceError(f"{path}: expected header 'timestamp,value', got {header!r}")
-        readings = []
+        first = next(reader, None)
+        if first is None:
+            raise TraceError(f"{path}: empty file")
+        if [c.strip() for c in first] != header:
+            raise TraceError(f"{path}: expected header {','.join(header)!r}, got {first!r}")
+        items = []
         for row_num, row in enumerate(reader, start=1):
             if not row:
                 continue
-            if len(row) != 2:
-                raise TraceError(f"{path}: row {row_num}: expected 2 fields, got {len(row)}")
             try:
-                ts = int(row[0])
-                value = float(row[1])
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                items.append(parse(row))
             except ValueError as exc:
                 raise TraceError(f"{path}: row {row_num}: {exc}") from None
-            try:
-                readings.append(Measurement(node_id, sensor_kind, ts, value))
-            except ValueError as exc:
-                raise TraceError(f"{path}: row {row_num}: {exc}") from None
+    return items
+
+
+def load_trace(path, node_id: str, sensor_kind: SensorKind) -> Trace:
+    """Read a `timestamp,value` CSV into a Trace.
+
+    Raises TraceError as `read_csv` does, and for a file without data rows
+    or timestamps that are not strictly increasing.
+    """
+    readings = read_csv(
+        path, CSV_HEADER,
+        lambda row: Measurement(node_id, sensor_kind, int(row[0]), float(row[1])),
+    )
     if not readings:
-        raise TraceError(f"{path}: no data rows")
+        raise TraceError(f"{Path(path)}: no data rows")
     try:
         return Trace(tuple(readings))
     except TraceError as exc:
-        raise TraceError(f"{path}: {exc}") from None
+        raise TraceError(f"{Path(path)}: {exc}") from None
 
 
 _FLOATS = (float, np.floating)

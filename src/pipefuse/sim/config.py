@@ -34,6 +34,7 @@ _BOUNDS = {
     ">= 1": lambda v: v >= 1,
     "in [1000, 3000]": lambda v: 1000 <= v <= 3000,
     "'off' or 'on_detection'": lambda v: v in ("off", "on_detection"),
+    "'leak' or 'intrusion'": lambda v: v in ("leak", "intrusion"),
 }
 
 
@@ -105,7 +106,7 @@ class SignalSpec:
 
 @dataclass(frozen=True)
 class EventSpec:
-    kind: str  # "leak" | "intrusion"
+    kind: str = _bounded("'leak' or 'intrusion'")
     start: int = _bounded(">= 0")
     end: int
     location: float = _bounded(">= 0")
@@ -261,8 +262,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError(["top level: expected a mapping"])
 
-    known_top = {"name", "seed", "horizon", "topology", "signals", "events",
-                 "fusion", "detection", "energy"}
+    known_top = {f.name for f in fields(ScenarioConfig)}
     for key in data:
         if key not in known_top:
             errors.append(f"{key}: unknown key")
@@ -287,7 +287,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
     if not horizon_ok:
         horizon = None  # reported once here; the checks against it are skipped
 
-    topology, node_kinds = _parse_topology(data.get("topology"), errors)
+    topology, entries = _parse_topology(data.get("topology"), errors)
     declared_signals = data.get("signals", {})
     signals = _parse_signals(declared_signals, errors)
     events = _parse_events(data.get("events", []), horizon, errors)
@@ -309,8 +309,9 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
             f"detection.window: {detection.window} must divide the horizon "
             f"{horizon}, so that every tick falls in a reporting window"
         )
+    node_kinds = {k for _, kinds in entries for k in kinds}
     if topology is not None:
-        _check_topology(topology, errors)
+        _check_topology(topology, entries, errors)
         _check_cross(node_kinds, declared_signals, events, errors)
 
     if errors:
@@ -327,21 +328,22 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         energy=energy,
     )
     if fusion.cluster_fusvaf and fusion.gate_w_min is None:
-        _check_gate_floors(config)
+        _check_gate_floors(config, node_kinds)
     return config
 
 
-def _parse_topology(data, errors) -> tuple[Optional[Topology], set]:
-    """The topology, and the sensor kinds of every node entry, also those
-    dropped for an error, so that the cross checks see them."""
+def _parse_topology(data, errors) -> tuple[Optional[Topology], list]:
+    """The topology, and the (raw cluster_id, sensor kinds) of every node
+    entry, also those dropped for an error, so that the later checks see
+    them."""
     if data is None:
         errors.append("topology: required")
-        return None, set()
+        return None, []
     if not isinstance(data, dict):
         errors.append("topology: expected a mapping")
-        return None, set()
+        return None, []
     nodes = []
-    node_kinds = set()
+    entries = []
     for i, raw in enumerate(_list_at(data, "nodes", "topology.nodes", errors)):
         prefix = f"topology.nodes[{i}]"
         if not isinstance(raw, dict):
@@ -350,9 +352,11 @@ def _parse_topology(data, errors) -> tuple[Optional[Topology], set]:
         kinds = []
         for s in _list_at(raw, "sensors", f"{prefix}.sensors", errors):
             kind = _parse_kind(s, f"{prefix}.sensors", errors)
-            if kind is not None:
+            if kind in kinds:
+                errors.append(f"{prefix}.sensors: {kind.value} listed twice")
+            elif kind is not None:
                 kinds.append(kind)
-        node_kinds.update(kinds)
+        entries.append((raw.get("cluster_id"), kinds))
         node = _build_section(NodeSpec, {**raw, "sensors": tuple(kinds)}, prefix, errors)
         if node is not None:
             nodes.append(node)
@@ -376,11 +380,14 @@ def _parse_topology(data, errors) -> tuple[Optional[Topology], set]:
         if visit is not None:
             patrol.append(visit)
     gateway_id = data.get("gateway_id", "gw")
+    if not isinstance(gateway_id, str):
+        errors.append(f"topology.gateway_id: expected a string, got {gateway_id!r}")
+        gateway_id = None  # reported; no id can collide with it
     known = {"nodes", "cluster_heads", "uav", "gateway_id"}
     for key in data:
         if key not in known:
             errors.append(f"topology.{key}: unknown key")
-    return Topology(tuple(nodes), tuple(heads), str(gateway_id), tuple(patrol)), node_kinds
+    return Topology(tuple(nodes), tuple(heads), gateway_id, tuple(patrol)), entries
 
 
 def _parse_signals(data, errors) -> dict:
@@ -412,8 +419,6 @@ def _parse_events(data, horizon, errors) -> list[Optional[EventSpec]]:
         events.append(event)  # None, already reported, keeps later events' indices
         if event is None:
             continue
-        if event.kind not in ("leak", "intrusion"):
-            errors.append(f"{prefix}.kind: must be 'leak' or 'intrusion', got {event.kind!r}")
         if event.end < event.start:
             errors.append(f"{prefix}.end: must be >= start")
         if horizon is not None and event.end >= horizon:
@@ -425,30 +430,29 @@ def _parse_events(data, horizon, errors) -> list[Optional[EventSpec]]:
     return events
 
 
-def _check_topology(topology: Topology, errors) -> None:
-    if not topology.nodes:
+def _check_topology(topology: Topology, entries, errors) -> None:
+    if not entries:
         errors.append("topology.nodes: at least one node required")
     if not topology.cluster_heads:
         errors.append("topology.cluster_heads: at least one cluster head required")
-    seen_nodes = set()
+    # nodes, cluster heads and the gateway share one id space
+    ids = [("topology.nodes", n.node_id) for n in topology.nodes]
+    ids += [("topology.cluster_heads", c.cluster_id) for c in topology.cluster_heads]
+    owners = {}
+    for where, id_ in ids + [("topology.gateway_id", topology.gateway_id)]:
+        if id_ in owners:
+            errors.append(f"{where}: id {id_!r} is already used in {owners[id_]}")
+        owners.setdefault(id_, where)
+    cluster_ids = {c.cluster_id for c in topology.cluster_heads}
     for n in topology.nodes:
-        if n.node_id in seen_nodes:
-            errors.append(f"topology.nodes: duplicate node_id {n.node_id!r}")
-        seen_nodes.add(n.node_id)
         if not n.sensors:
             errors.append(f"topology.nodes[{n.node_id}].sensors: at least one sensor required")
-    cluster_ids = set()
-    for c in topology.cluster_heads:
-        if c.cluster_id in cluster_ids:
-            errors.append(f"topology.cluster_heads: duplicate cluster_id {c.cluster_id!r}")
-        cluster_ids.add(c.cluster_id)
-    for n in topology.nodes:
         if n.cluster_id not in cluster_ids:
             errors.append(
                 f"topology.nodes[{n.node_id}].cluster_id: unknown cluster {n.cluster_id!r}"
             )
     for c in topology.cluster_heads:
-        if not any(n.cluster_id == c.cluster_id for n in topology.nodes):
+        if not any(cluster_id == c.cluster_id for cluster_id, _ in entries):
             errors.append(f"topology.cluster_heads[{c.cluster_id}]: cluster has no member nodes")
         for p in c.peers:
             if p not in cluster_ids:
@@ -469,7 +473,7 @@ def _check_cross(node_kinds, declared_signals, events, errors) -> None:
     signal spec that is present but invalid has already been reported, so
     only an absent one is reported here."""
     used_analog = {k for k in node_kinds if not k.is_binary}
-    for kind in sorted(used_analog, key=lambda k: k.value):
+    for kind in sorted(used_analog):
         if isinstance(declared_signals, dict) and kind.value not in declared_signals:
             errors.append(f"signals.{kind.value}: required (kind appears in topology)")
     has_binary = any(k.is_binary for k in node_kinds)
@@ -482,16 +486,15 @@ def _check_cross(node_kinds, declared_signals, events, errors) -> None:
             errors.append(f"events[{i}]: leak needs a node with a pressure sensor")
 
 
-def _check_gate_floors(config: ScenarioConfig) -> None:
+def _check_gate_floors(config: ScenarioConfig, node_kinds) -> None:
     """The gate floor each analog kind's noise implies must not exceed
     gate_w_max; checked on the built config, as it spans three sections."""
     w_max = config.fusion.gate_w_max
-    kinds = {k for n in config.topology.nodes for k in n.sensors if not k.is_binary}
     errors = [
         f"signals.{kind.value}.noise_std: implies a gate floor of "
         f"{config.gate_floor(kind)}, above fusion.gate_w_max {w_max}"
-        for kind in sorted(kinds, key=lambda k: k.value)
-        if config.gate_floor(kind) > w_max
+        for kind in sorted(node_kinds)
+        if not kind.is_binary and config.gate_floor(kind) > w_max
     ]
     if errors:
         raise ConfigError(errors)

@@ -41,9 +41,7 @@ def detect_events(window_series: dict, config: ScenarioConfig) -> list[Detection
     threshold = config.detection.leak_threshold
     persistence = config.detection.leak_persistence
 
-    for (cluster_id, kind), windows in sorted(
-        window_series.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
-    ):
+    for (cluster_id, kind), windows in sorted(window_series.items()):
         if kind == SensorKind.PRESSURE and baseline is not None:
             streak = 0
             for s in windows:
@@ -80,5 +78,5 @@ def detect_events(window_series: dict, config: ScenarioConfig) -> list[Detection
                         )
                     )
                 level = s.max
-    detections.sort(key=lambda d: (d.tick, d.kind, d.cluster_id, d.sensor_kind.value))
+    detections.sort(key=lambda d: (d.tick, d.kind, d.cluster_id, d.sensor_kind))
     return detections

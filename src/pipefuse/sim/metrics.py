@@ -97,15 +97,11 @@ def match_events(config: ScenarioConfig, detections) -> tuple[list, int]:
                 explained.add(j)
                 if first is None:
                     first = det
-        if first is None:
-            outcomes.append(EventOutcome(i, event.kind, event.start, None, None, False))
-        else:
-            outcomes.append(
-                EventOutcome(
-                    i, event.kind, event.start, first.tick, first.tick - event.start,
-                    first.validated,
-                )
-            )
+        found = first is not None
+        outcomes.append(EventOutcome(
+            i, event.kind, event.start, first.tick if found else None,
+            first.tick - event.start if found else None, found and first.validated,
+        ))
     false_positives = len(detections) - len(explained)
     return outcomes, false_positives
 
@@ -143,9 +139,9 @@ def metrics_row(m: RunMetrics) -> dict:
     }
 
 
-def write_metrics_csv(metrics_list, path) -> None:
-    """`metrics.csv`: one `metrics_row` per run (at least one run)."""
-    rows = [metrics_row(m) for m in metrics_list]
+def write_metrics_csv(rows, path) -> None:
+    """`metrics.csv` and `sweep_metrics.csv`: one row dict per run (at least
+    one); the first row's keys, in order, are the columns."""
     write_csv(path, list(rows[0]), [row.values() for row in rows])
 
 

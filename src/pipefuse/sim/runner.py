@@ -67,10 +67,7 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
     cluster_results: dict = {}
     window_series: dict = {}
     suspected = []
-    cluster_kinds = sorted(
-        {(n.cluster_id, kind) for n in topology.nodes for kind in n.sensors},
-        key=lambda ck: (ck[0], ck[1].value),
-    )
+    cluster_kinds = sorted({(n.cluster_id, kind) for n in topology.nodes for kind in n.sensors})
     for cluster_id, kind in cluster_kinds:
         member_reports = {
             n.node_id: node_results[(n.node_id, kind)].reports
@@ -89,28 +86,23 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
     # level 3: detection at the gateway, consensus on demand
     detections = detect_events(window_series, config)
     consensus_runs = []
-    if config.fusion.consensus_policy == "on_detection" and len(topology.cluster_heads) >= 2:
-        updated = []
-        for det in detections:
+    if config.fusion.consensus_policy == "on_detection":
+        for i, det in enumerate(detections):
             if det.kind != "leak":
-                updated.append(det)
                 continue
             estimates = _latest_pressure_estimates(window_series, det.window_index)
             if len(estimates) < 2:
-                updated.append(det)
                 continue
             try:
                 stage = consensus_stage(estimates, config)
             except DisconnectedGraphError:
                 # clusters without a pressure estimate can sever the peer
                 # graph; the alert still goes out, just without agreement
-                updated.append(det)
                 continue
             add_messages(messages, stage.messages)
             ops += stage.ops
             consensus_runs.append(stage)
-            updated.append(replace(det, consensus_value=stage.agreed))
-        detections = updated
+            detections[i] = replace(det, consensus_value=stage.agreed)
     alerts = len(detections)
     bits = alerts * config.energy.sample_bits
     add_messages(messages, {(gateway, "gcc", MessageKind.ALERT): (alerts, bits)})

@@ -202,9 +202,8 @@ def cluster_stage(
             raise ValueError(f"cluster {cluster_id}: reports of {node_id} are not in tick order")
         member_ticks.append((ticks, [v for _, v in member_reports[node_id]]))
     windows = []
-    zero_streak = {node_id: 0 for node_id in member_order}
+    zero_streak = {node_id: 0 for node_id in member_order}  # members not yet flagged
     suspected = []
-    flagged = set()
     for w in range(n_windows):
         start, end = w * window, (w + 1) * window - 1
         # member order, then tick order: the window average is order-sensitive
@@ -232,16 +231,13 @@ def cluster_stage(
         if fusion is not None:
             for node_id, column in zip(member_order, fusion.sigma):
                 sigmas = [s for s in column[lo:hi] if s is not None]
-                if not sigmas:
-                    continue  # member silent this window; streak unchanged
+                if not sigmas or node_id not in zero_streak:
+                    continue  # member silent this window (streak unchanged) or flagged
                 if all(s == 0.0 for s in sigmas):
                     zero_streak[node_id] += 1
-                    if (
-                        zero_streak[node_id] >= config.detection.fault_persistence
-                        and node_id not in flagged
-                    ):
+                    if zero_streak[node_id] >= config.detection.fault_persistence:
                         suspected.append((node_id, w))
-                        flagged.add(node_id)
+                        del zero_streak[node_id]
                 else:
                     zero_streak[node_id] = 0
 

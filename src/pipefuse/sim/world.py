@@ -29,7 +29,7 @@ class WorldData(NamedTuple):
     traces: dict
 
     def stream_keys(self) -> list[tuple[str, SensorKind]]:
-        return sorted(self.truth, key=lambda k: (k[0], k[1].value))
+        return sorted(self.truth)
 
 
 def check_stream(node_id: str, kind: SensorKind, values: np.ndarray) -> None:
@@ -71,10 +71,7 @@ def generate_world(config: ScenarioConfig) -> WorldData:
         if e.kind == "intrusion"
     }
 
-    streams = sorted(
-        ((n.node_id, kind) for n in config.topology.nodes for kind in n.sensors),
-        key=lambda k: (k[0], k[1].value),
-    )
+    streams = sorted((n.node_id, kind) for n in config.topology.nodes for kind in n.sensors)
     truth: dict = {}
     traces: dict = {}
     for index, (node_id, kind) in enumerate(streams):

@@ -194,6 +194,20 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg)]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("old, new, error", [
+        ("c1", "n0", "topology.cluster_heads: id 'n0' is already used in topology.nodes"),
+        ("gateway_id: gw", "gateway_id: null", "topology.gateway_id: expected a string, got None"),
+        ("0.0,   sensors: [pressure]}", "0.0, sensors: [pressure, pressure]}",
+         "topology.nodes[0].sensors: pressure listed twice"),
+    ])
+    def test_topology_defect_exits_2_and_names_path(self, tmp_path, capsys, old, new, error):
+        config = tmp_path / "scenario.yaml"
+        config.write_text(SCENARIO.read_text(encoding="utf-8").replace(old, new),
+                          encoding="utf-8")
+        code = main(["validate", "--config", str(config)])
+        assert code == 2
+        assert capsys.readouterr().err == f"pipefuse: error [config-invalid] {error}\n"
+
     def test_invalid_exits_2(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("seed: 1\n", encoding="utf-8")
@@ -293,6 +307,19 @@ class TestConsensusCommand:
         code = main(["--quiet", "consensus", "--values", "1,2,3",
                      "--edges", str(edges), "--out", str(tmp_path / "o")])
         assert code == 3
+
+    @pytest.mark.parametrize("text, error", [
+        ("a,b\n0,1\n", "expected header 'i,j', got ['a', 'b']"),
+        ("i,j\n0,1,7\n1,2\n", "row 1: expected 2 fields, got 3"),
+        ("i,j\n0,1\n\n1,x\n", "row 3: invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_malformed_edges_exit_3_and_name_file_and_row(self, tmp_path, capsys, text, error):
+        edges = tmp_path / "edges.csv"
+        edges.write_text(text, encoding="utf-8")
+        code = main(["--quiet", "consensus", "--values", "1,2,3",
+                     "--edges", str(edges), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == f"pipefuse: error [runtime-failure] {edges}: {error}\n"
 
     def test_bad_values_exit_2(self, tmp_path):
         code = main(["--quiet", "consensus", "--values", "1,abc",

@@ -93,6 +93,10 @@ mutations = st.lists(
 @example([(("horizon",), 10**400)])
 @example([(("horizon",), 2**62)])
 @example([(("signals", "pressure", "noise_std"), "1e308")])
+@example([(("topology", "cluster_heads", 1, "cluster_id"), "n0")])
+@example([(("topology", "gateway_id"), "n3")])
+@example([(("topology", "gateway_id"), None)])
+@example([(("topology", "nodes", 0, "sensors"), ["pressure", "pressure"])])
 @settings(max_examples=80, deadline=None)
 def test_mutated_scenario_exits_cleanly(changes):
     data = small_baseline()

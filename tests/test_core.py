@@ -25,6 +25,19 @@ def write_csv(tmp_path, text, name="trace.csv"):
     return path
 
 
+class TestSensorKind:
+    def test_members_sort_in_value_order(self):
+        # the simulator sorts (node_id, kind) and (cluster_id, kind) keys by
+        # plain tuple order and relies on it being the order of kind.value
+        by_value = sorted(SensorKind, key=lambda k: k.value)
+        assert sorted(SensorKind) == by_value
+        keys = [(node_id, kind) for kind in reversed(by_value) for node_id in ("n1", "n0")]
+        assert sorted(keys) == sorted(keys, key=lambda k: (k[0], k[1].value))
+
+    def test_is_binary_names_the_binary_kinds(self):
+        assert [k for k in SensorKind if k.is_binary] == list(core.BINARY_KINDS)
+
+
 class TestMeasurement:
     def test_binary_kinds_accept_only_zero_or_one(self):
         Measurement("n0", SensorKind.PIR, 0, 1.0)
@@ -91,6 +104,16 @@ class TestLoadTrace:
         path = write_csv(tmp_path, "time,reading\n0,1.0\n")
         with pytest.raises(TraceError, match="header"):
             load_trace(path, "n0", SensorKind.TEMPERATURE)
+
+    @pytest.mark.parametrize("text, error", [
+        ("timestamp,value\n0,1.0\n1,2.0,3\n", "row 2: expected 2 fields, got 3"),
+        ("timestamp,value\n\n0,1.0\n1\n", "row 3: expected 2 fields, got 1"),
+    ])
+    def test_row_of_another_width_named(self, tmp_path, text, error):
+        path = write_csv(tmp_path, text)
+        with pytest.raises(TraceError) as exc:
+            load_trace(path, "n0", SensorKind.TEMPERATURE)
+        assert str(exc.value) == f"{path}: {error}"
 
     def test_duplicate_timestamps_rejected(self, tmp_path):
         path = write_csv(tmp_path, "timestamp,value\n0,1.0\n0,2.0\n")

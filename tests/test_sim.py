@@ -205,6 +205,44 @@ class TestConfigValidation:
             f"topology.nodes[{i}].position: {error}" for i in dropped
         ]
 
+    def test_dropped_members_do_not_empty_their_cluster(self):
+        # n5-n9 are all of c1's members; each is dropped for its position
+        data = yaml.safe_load(BUNDLED.read_text(encoding="utf-8"))
+        nodes = data["topology"]["nodes"]
+        for node in nodes[5:]:
+            node["position"] = -1
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict(data)
+        assert exc.value.errors == [
+            f"topology.nodes[{i}].position: must be >= 0, got -1.0" for i in range(5, 10)
+        ]
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda t: t["nodes"][1].update(node_id="n0"),
+         "topology.nodes: id 'n0' is already used in topology.nodes"),
+        (lambda t: t["cluster_heads"].append({"cluster_id": "c0", "peers": ["c1"]}),
+         "topology.cluster_heads: id 'c0' is already used in topology.cluster_heads"),
+        (lambda t: t.update(gateway_id="n2"),
+         "topology.gateway_id: id 'n2' is already used in topology.nodes"),
+        (lambda t: t.update(gateway_id="c1"),
+         "topology.gateway_id: id 'c1' is already used in topology.cluster_heads"),
+        (lambda t: t.update(gateway_id=[1]), "topology.gateway_id: expected a string, got [1]"),
+        (lambda t: t["nodes"][1].update(sensors=["pir", "pressure", "pir"]),
+         "topology.nodes[1].sensors: pir listed twice"),
+    ])
+    def test_topology_id_and_sensor_defects_named(self, edit, error):
+        data = base_config_dict()
+        edit(data["topology"])
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict(data)
+        assert exc.value.errors == [error]
+
+    def test_unknown_event_kind_named(self):
+        data = base_config_dict(events=[{"kind": "fire", "start": 10, "end": 20, "location": 0.0}])
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict(data)
+        assert exc.value.errors == ["events[0].kind: must be 'leak' or 'intrusion', got 'fire'"]
+
     def test_absent_signal_spec_required(self):
         with pytest.raises(ConfigError, match=r"signals.pressure: required"):
             make_config(signals={})
