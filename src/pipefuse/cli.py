@@ -70,12 +70,10 @@ def _write_run_outputs(result, out: Path) -> list:
     streams_dir.mkdir(exist_ok=True)
     for key in result.world.stream_keys():
         node_id, kind = key
-        # the held series is dense from its first tick to the horizon
-        first_tick, held = result.reported_series[key]
         write_stream_csv(
-            result.world.truth[key].tolist(),
-            result.world.traces[key].tolist(),
-            [None] * first_tick + held,
+            result.world.truth[key],
+            result.world.traces[key],
+            *result.reported_series[key],
             record(streams_dir / f"{node_id}_{kind.value}.csv"),
         )
 
@@ -132,20 +130,21 @@ def write_summary(result, out_dir: Path, files: list) -> Path:
     return path
 
 
-def _simulate(args, overrides, out: Path):
-    """Load the scenario with overrides, run it and write its outputs to
-    out; returns the result and the path of its summary."""
-    from .sim import load_scenario, run_simulation
+def _simulate(config, out: Path):
+    """Run a loaded scenario and write its outputs to out; returns the
+    result and the path of its summary."""
+    from .sim import run_simulation
 
-    config = load_scenario(args.config, overrides=overrides, seed=args.seed)
     out.mkdir(parents=True, exist_ok=True)
     result = run_simulation(config)
     return result, write_summary(result, out, _write_run_outputs(result, out))
 
 
 def cmd_run(args) -> int:
+    from .sim import load_scenario
+
     out = Path(args.out)
-    _, summary = _simulate(args, args.override, out)
+    _, summary = _simulate(load_scenario(args.config, overrides=args.override, seed=args.seed), out)
     _say(args, summary.read_text(encoding="utf-8").rstrip())
     _say(args, f"outputs written to {out}")
     return 0
@@ -156,14 +155,20 @@ def cmd_sweep(args) -> int:
     values = [v for v in values_raw.split(",") if v]
     if not key or not values:
         raise ConfigError([f"--param {args.param!r}: expected key=v1,v2,..."])
+    from .sim import load_scenario
     from .sim.metrics import metrics_row, write_metrics_csv
 
-    out = _out_dir(args)
-    rows = []
+    configs = []  # every value is checked before any of them runs
     for value in values:
         args.error_prefix = f"{key}={value}: "
+        overrides = list(args.override) + [f"{key}={value}"]
+        configs.append(load_scenario(args.config, overrides=overrides, seed=args.seed))
+    out = _out_dir(args)
+    rows = []
+    for value, config in zip(values, configs):
+        args.error_prefix = f"{key}={value}: "
         sub = out / f"{key.replace('/', '_')}={value.replace('/', '_')}"
-        result, _ = _simulate(args, list(args.override) + [f"{key}={value}"], sub)
+        result, _ = _simulate(config, sub)
         row = {"param": key, "value": value}
         row.update(metrics_row(result.metrics))
         rows.append(row)
@@ -239,7 +244,12 @@ def cmd_consensus(args) -> int:
     if not values:
         raise ConfigError(["--values: at least one value required"])
     if args.edges is not None:
-        edges = read_csv(args.edges, ["i", "j"], lambda row: tuple(map(int, row)))
+        def edge(row):  # a one-edge graph checks the row's range and self-loop
+            i, j = map(int, row)
+            consensus_mod.CommGraph.from_edges(len(values), [(i, j)])
+            return i, j
+
+        edges = read_csv(args.edges, ["i", "j"], edge)
         graph = consensus_mod.CommGraph.from_edges(len(values), edges)
     else:
         graph = consensus_mod.CommGraph.complete(len(values))
@@ -333,7 +343,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         for e in exc.errors:
-            _fail("config-invalid", e)
+            _fail("config-invalid", f"{args.error_prefix}{e}")
         return EXIT_CONFIG
     except RUNTIME_ERRORS as exc:
         _fail("runtime-failure", f"{args.error_prefix}{exc}")

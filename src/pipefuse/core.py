@@ -11,11 +11,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable
 
 import math
+import operator
 import re
 
 import numpy as np
@@ -174,17 +175,15 @@ def load_trace(path, node_id: str, sensor_kind: SensorKind) -> Trace:
         raise TraceError(f"{Path(path)}: {exc}") from None
 
 
-_FLOATS = (float, np.floating)
-_BLOCK_ROWS = 256  # rows formatted per block; measured on the raw_long workload
 _NUMERIC = {float, int, bool, type(None)}  # repr() is the cell, "None" aside
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 def _format_cell(v) -> str:
-    """One cell of any type, as write_csv's docstring says, quoted if needed."""
+    """One cell of any type, as write_columns's docstring says, quoted if needed."""
     if isinstance(v, str):
         text = str.__str__(v)  # csv.writer writes a str subclass's characters
-    elif isinstance(v, _FLOATS):
+    elif isinstance(v, (float, np.floating)):
         text = repr(float(v))
     elif v is None:
         text = ""
@@ -195,51 +194,69 @@ def _format_cell(v) -> str:
     return text
 
 
+def _run_cells(values, none) -> list:
+    """The cells of a float64 array, repr() once per run of bit-identical
+    values and "" where `none`; None if most values differ from the last."""
+    bits = values.view(np.int64)
+    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]) | (none[1:] != none[:-1])])
+    if 2 * len(starts) > len(values) + 1:
+        return None
+    texts = ["" if skip else repr(v)
+             for v, skip in zip(values[starts].tolist(), none[starts].tolist())]
+    return np.repeat(np.array(texts, dtype=object), np.diff(starts, append=len(values))).tolist()
+
+
 def _format_column(column) -> list:
+    if isinstance(column, np.ndarray):
+        if column.dtype == float:
+            cells = _run_cells(column, np.zeros(len(column), bool))
+            return cells or list(map(repr, column.tolist()))
+        column = column.tolist()
     types = set(map(type, column))
+    if float in types and types <= {float, type(None)}:  # None is nan, told apart by `none`
+        none = np.fromiter(map(operator.is_, column, repeat(None)), bool, len(column))
+        if cells := _run_cells(np.array(column, dtype=float), none):
+            return cells
     if types <= _NUMERIC:
         cells = list(map(repr, column))
-        if type(None) in types:
-            cells = list(map({"None": ""}.get, cells, cells))
-        return cells
+        return list(map({"None": ""}.get, cells, cells)) if type(None) in types else cells
     return list(map(_format_cell, column))
 
 
-def _lines(columns) -> str:
-    """Formatted columns as `\\r\\n`-terminated lines."""
-    if len(columns) == 1:  # csv.writer quotes a one-cell row that is empty
-        columns = [[cell or '""' for cell in columns[0]]]
-    return "".join([",".join(row) + "\r\n" for row in zip(*columns)])
-
-
-def write_csv(path, header, rows) -> None:
-    """Write one CSV file; every CSV that pipefuse writes goes through here.
+def write_columns(path, header, columns) -> None:
+    """Write one CSV file, given one column (a sequence or a 1-D numpy
+    array) per header cell; every CSV that pipefuse writes goes through here.
 
     The file is UTF-8 and holds the same bytes as csv.writer with minimal
     quoting and `\\r\\n` line endings. Each cell is formatted here: None
     becomes an empty cell, any float (numpy floats included) becomes repr()
     of the Python float, i.e. the shortest string that reads back to the
     same value, and any other value is written as csv.writer writes it. The
-    same run therefore writes the same bytes under any numpy version. Every
-    row must have exactly one cell per header column; otherwise ValueError
-    names the (1-based) data row.
-    """
+    same run therefore writes the same bytes under any numpy version. Each
+    run of equal floats, and each column object, is formatted once."""
     header = list(map(_format_cell, header))
-    width = len(header)
-    if not width:
+    if not header:
         raise ValueError("a CSV header needs at least one column")
-    rows = map(tuple, rows)
+    if len(columns) != len(header) or len(set(map(len, columns))) > 1:
+        raise ValueError(f"expected {len(header)} columns of one length")
+    formatted = {id(column): column for column in columns}
+    formatted = {key: _format_column(column) for key, column in formatted.items()}
+    cells = [formatted[id(column)] for column in columns]
+    if len(cells) == 1:  # csv.writer quotes a one-cell row that is empty
+        header, cells = [h or '""' for h in header], [[c or '""' for c in cells[0]]]
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.write(_lines([[cell] for cell in header]))
-        done = 0
-        while block := list(islice(rows, _BLOCK_ROWS)):
-            if set(map(len, block)) != {width}:
-                i = next(i for i, row in enumerate(block) if len(row) != width)
-                raise ValueError(
-                    f"row {done + i + 1}: expected {width} cells, got {len(block[i])}"
-                )
-            fh.write(_lines([_format_column(column) for column in zip(*block)]))
-            done += len(block)
+        fh.write("\r\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\r\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """write_columns from rows of cells (a generator, say). Every row must
+    have one cell per header column; otherwise ValueError names the
+    (1-based) data row."""
+    rows = list(map(tuple, rows))
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ValueError(f"row {i}: expected {len(header)} cells, got {len(row)}")
+    write_columns(path, header, list(zip(*rows)) or [()] * len(header))
 
 
 def save_trace(trace: Trace, path) -> None:

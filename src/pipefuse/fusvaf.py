@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .core import Trace, merge_traces, write_csv
+from .core import Trace, merge_traces, write_columns
 from . import ekf
 
 
@@ -406,8 +406,7 @@ def fusvaf_stream(
 def write_fusion_columns(columns: FusionColumns, path) -> None:
     """Emit `tick,fused,pred,z_1,sigma_1,...,z_n,sigma_n` rows; z_i and
     sigma_i are slot i-1, empty at ticks where that slot has no reading."""
-    header = ["tick", "fused", "pred"]
-    for i in range(1, len(columns.value) + 1):
-        header += [f"z_{i}", f"sigma_{i}"]
+    slots = range(1, len(columns.value) + 1)
+    header = ["tick", "fused", "pred", *(f"{name}_{i}" for i in slots for name in ("z", "sigma"))]
     per_slot = [column for pair in zip(columns.value, columns.sigma) for column in pair]
-    write_csv(path, header, zip(columns.tick, columns.fused, columns.predicted, *per_slot))
+    write_columns(path, header, [columns.tick, columns.fused, columns.predicted, *per_slot])

@@ -4,15 +4,16 @@ Radio-equivalent energy charges every transmitted bit at ops_per_bit
 microcontroller operations; compute energy charges the ops the node and
 cluster stages actually spent. All CSV output is deterministic: no
 wall-clock data is ever written, and every file goes through
-`core.write_csv`.
+`core.write_columns`.
 """
 
 from __future__ import annotations
 
-from itertools import count
 from typing import NamedTuple, Optional
 
-from ..core import write_csv
+import numpy as np
+
+from ..core import write_columns, write_csv
 from .config import ScenarioConfig
 from .stages import MessageKind
 
@@ -155,15 +156,18 @@ def write_detections_csv(detections, path) -> None:
     )
 
 
-def write_stream_csv(truth, measured, reported, path) -> None:
-    """Per-stream estimate trail: `tick,truth,measurement,reported,abs_error`;
-    `reported` holds None before the stream's first report."""
-    errors = [None if re is None else abs(re - tr) for tr, re in zip(truth, reported)]
-    write_csv(
-        path,
-        ["tick", "truth", "measurement", "reported", "abs_error"],
-        zip(count(), truth, measured, reported, errors),
-    )
+def write_stream_csv(truth, measured, first_tick, held, path) -> None:
+    """Per-stream estimate trail `tick,truth,measurement,reported,abs_error`
+    from the world's arrays and the held series (first tick, values);
+    `reported` and `abs_error` are empty before the first tick."""
+    held = np.array(held, dtype=float)
+    errors = np.abs(held - truth[first_tick:])  # IEEE, the bits of abs(float - float)
+    if first_tick:
+        held, errors = ([None] * first_tick + column.tolist() for column in (held, errors))
+    elif np.array_equal(held.view(np.int64), measured.view(np.int64)):
+        held = measured  # a raw stream reports every measurement: format it once
+    write_columns(path, ["tick", "truth", "measurement", "reported", "abs_error"],
+                  [range(len(truth)), truth, measured, held, errors])
 
 
 def write_consensus_runs_csv(runs, path) -> None:

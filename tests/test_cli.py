@@ -312,6 +312,8 @@ class TestConsensusCommand:
         ("a,b\n0,1\n", "expected header 'i,j', got ['a', 'b']"),
         ("i,j\n0,1,7\n1,2\n", "row 1: expected 2 fields, got 3"),
         ("i,j\n0,1\n\n1,x\n", "row 3: invalid literal for int() with base 10: 'x'"),
+        ("i,j\n0,1\n0,5\n", "row 2: edge (0, 5) out of range for n=3"),
+        ("i,j\n0,0\n", "row 1: self-loop on agent 0"),
     ])
     def test_malformed_edges_exit_3_and_name_file_and_row(self, tmp_path, capsys, text, error):
         edges = tmp_path / "edges.csv"
@@ -395,6 +397,17 @@ class TestSweep:
             "pipefuse: error [runtime-failure] signals.pressure.drift=1.0e+306: "
             "stream n0:pressure: non-finite value inf at tick 180\n"
         )
+
+    def test_bad_value_exits_2_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main(["--quiet", "sweep", "--config", str(SCENARIO),
+                     "--param", "energy.ops_per_bit=1000,500", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "pipefuse: error [config-invalid] energy.ops_per_bit=500: "
+            "energy.ops_per_bit: must be in [1000, 3000], got 500\n"
+        )
+        assert not out.exists()
 
     def test_malformed_param_exits_2(self, tmp_path, capsys):
         code = main(["--quiet", "sweep", "--config", str(SCENARIO),

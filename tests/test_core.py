@@ -209,7 +209,7 @@ def reference_write_csv(path, header, rows):
         )
 
 
-BLOCK = core._BLOCK_ROWS
+BLOCK = 256  # table sizes straddle 256 rows, the writer's former block size
 SPECIAL_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e16, 1e-5]
 CSV_FLOATS = st.sampled_from(SPECIAL_FLOATS) | st.floats()
 CSV_TEXT = st.text(alphabet=list('a,"\r\n é\''), max_size=6)
@@ -279,3 +279,58 @@ class TestWriteCsv:
     def test_empty_header_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="at least one column"):
             core.write_csv(tmp_path / "empty.csv", [], [])
+
+
+# a run-aware float column: each drawn value repeated 1-300 times
+RUN_VALUES = st.sampled_from(SPECIAL_FLOATS + [-float("nan"), None]) | st.floats() | st.none()
+
+
+@st.composite
+def run_columns(draw, length):
+    """A float column of `length` cells made of runs of one drawn value,
+    as a list (floats and Nones) or, when it holds no None, maybe as a
+    float64 array."""
+    column = []
+    while len(column) < length:
+        column += [draw(RUN_VALUES)] * draw(st.integers(1, 300))
+    column = column[:length]
+    if None not in column and draw(st.booleans()):
+        return np.array(column, dtype=np.float64)
+    return column
+
+
+@st.composite
+def run_tables(draw):
+    width = draw(st.integers(1, 4))
+    length = draw(st.integers(0, 1200))
+    return [draw(run_columns(length)) for _ in range(width)]
+
+
+class TestWriteColumns:
+    @settings(max_examples=100, deadline=None, phases=[Phase.explicit, Phase.generate])
+    @given(columns=run_tables())
+    @example(columns=[[0.0, 0.0, -0.0, -0.0, 0.0, None, None, float("nan"), float("nan")]])
+    @example(columns=[np.array([-0.0] * 3 + [0.0] * 3 + [float("nan")] * 4 + [5e-324] * 2),
+                      [None] * 6 + [float("inf")] * 6])
+    @example(columns=[np.array([0.0, -0.0, 1.5, float("nan"), -float("nan"), 5e-324, float("inf")]),
+                      [None, 0.0, -0.0, 1.0, None, float("nan"), 2.0]])
+    def test_runs_same_bytes_as_csv_writer(self, columns, tmp_path_factory):
+        out = tmp_path_factory.mktemp("runs")
+        header = [f"c{i}" for i in range(len(columns))]
+        reference_write_csv(out / "reference.csv", header, zip(*columns))
+        core.write_columns(out / "columns.csv", header, columns)
+        expected = (out / "reference.csv").read_bytes().splitlines(keepends=True)
+        assert (out / "columns.csv").read_bytes().splitlines(keepends=True) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(column=st.integers(0, 600).flatmap(run_columns))
+    def test_column_passed_twice_same_bytes_as_copies(self, column, tmp_path_factory):
+        out, ticks = tmp_path_factory.mktemp("shared"), range(len(column))
+        core.write_columns(out / "shared.csv", ["a", "b", "c"], [column, ticks, column])
+        core.write_columns(out / "copies.csv", ["a", "b", "c"], [column, ticks, column.copy()])
+        assert (out / "shared.csv").read_bytes() == (out / "copies.csv").read_bytes()
+
+    @pytest.mark.parametrize("columns", [[[1.0]], [[1.0], [2.0, 3.0]], [[1.0], [2.0], [3.0]]])
+    def test_columns_must_match_header_and_each_other(self, tmp_path, columns):
+        with pytest.raises(ValueError, match="expected 2 columns of one length"):
+            core.write_columns(tmp_path / "bad.csv", ["a", "b"], columns)
