@@ -9,6 +9,7 @@ progress metric and stop condition.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -130,14 +131,27 @@ def consensus_step(state: ConsensusState, W: np.ndarray) -> ConsensusState:
 
 def mse_dispersion(state: ConsensusState) -> float:
     """Mean squared deviation of the estimates from their average."""
-    return _dispersion(state.estimates)
+    return float(_dispersion(state.estimates))
 
 
-def _dispersion(x: np.ndarray) -> float:
-    # sum()/n is the pairwise sum and division that np.mean does, minus its overhead
-    n = x.shape[0]
-    d = x - x.sum() / n
-    return float((d * d).sum() / n)
+def _dispersion(x: np.ndarray):
+    """The dispersion of a vector of estimates, or of each row of a block.
+
+    sum()/n is the pairwise sum and division that np.mean does, minus its
+    overhead; a row-wise sum adds each row as the sum of that row alone does.
+    """
+    n = x.shape[-1]
+    d = x - x.sum(axis=-1, keepdims=True) / n
+    return (d * d).sum(axis=-1) / n
+
+
+# run_consensus computes its rounds in blocks, one row per round, and tests a
+# whole block for the stop in one pass. A block holds 1 round, then twice as
+# many as the one before, up to _BLOCK_ROUNDS rounds or _BLOCK_CELLS
+# estimates: a run computes few rounds past its stop, and a block stays a
+# small multiple of the state.
+_BLOCK_ROUNDS = 64
+_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -164,19 +178,29 @@ def run_consensus(
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter}")
     if initial.n != graph.n:
         raise ValueError(f"state has {initial.n} estimates but graph has {graph.n} agents")
     W = metropolis_weights(graph)
-    # consensus_step on a plain array: W matches the state by construction
+    # consensus_step on plain arrays: W matches the state by construction
     x = initial.estimates
-    history = [_dispersion(x)]
+    history = [float(_dispersion(x))]
     iterations = 0
+    cap = max(1, min(_BLOCK_ROUNDS, _BLOCK_CELLS // initial.n))
+    rows = 1
     while history[-1] >= tol and iterations < max_iter:
-        x = W @ x
-        history.append(_dispersion(x))
-        iterations += 1
+        block = np.empty((min(rows, cap, max_iter - iterations), initial.n))
+        for row in block:
+            x = np.matmul(W, x, out=row)
+        dispersions = _dispersion(block)
+        # keep the rounds up to the first whose dispersion is not >= tol (nan too)
+        stop = np.flatnonzero(~(dispersions >= tol))
+        kept = int(stop[0]) + 1 if stop.size else len(block)
+        history.extend(dispersions[:kept].tolist())
+        iterations += kept
+        x = block[kept - 1].copy()  # the estimates do not keep the block alive
+        rows *= 2
     x.flags.writeable = False
     return ConsensusRun(
         estimates=x,

@@ -160,12 +160,15 @@ def numeric_jacobian(fn, x, eps=None) -> np.ndarray:
         steps = np.broadcast_to(np.asarray(eps, dtype=float), (n,)).copy()
         if np.any(steps <= 0):
             raise ValueError("eps must be positive")
-    hi, lo = [], []
+    # Probe j is x +- row j of diag(steps), not x with component j stepped in
+    # place: the other components are x_k +- 0.0, which turns -0.0 into 0.0.
+    probes = np.diag(steps)
     with np.errstate(invalid="ignore"):  # divergent probes are caught below
-        for dx in np.diag(steps):
-            hi.append(np.atleast_1d(np.asarray(fn(x + dx), dtype=float)))
-            lo.append(np.atleast_1d(np.asarray(fn(x - dx), dtype=float)))
-        jac = (np.column_stack(hi) - np.column_stack(lo)) / (2.0 * steps)
+        hi = np.array([fn(p) for p in x + probes], dtype=float).reshape(n, -1)
+        lo = np.array([fn(p) for p in x - probes], dtype=float).reshape(n, -1)
+        # Row j of hi - lo is column j. The Jacobian stays in C order: BLAS
+        # rounds F @ P @ F.T differently for a Fortran-ordered F.
+        jac = np.ascontiguousarray((hi - lo).T) / (2.0 * steps)
     if not np.isfinite(jac).all():
         raise NumericFailureError("numeric Jacobian produced non-finite values")
     return jac

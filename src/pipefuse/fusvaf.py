@@ -11,6 +11,8 @@ single faulty sensor cannot inflate it.
 from __future__ import annotations
 
 import math
+import numbers
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -81,22 +83,16 @@ class FusionParams:
             raise ValueError(f"omega must be finite and positive, got {self.omega}")
 
 
-def _bell_branch(dev: float, reach: float, a: float) -> float:
-    # (exp(-(dev/a)^2) - exp(-(reach/a)^2)) / (1 - exp(-(reach/a)^2)),
-    # written with expm1 so near-flat gates (a >> reach) stay accurate.
-    num = math.expm1(-((dev / a) ** 2)) - math.expm1(-((reach / a) ** 2))
-    den = -math.expm1(-((reach / a) ** 2))
-    return num / den
+def _edge(reach: float, a: float) -> float:
+    """The edge term expm1(-(reach/a)^2) of a flank that reaches `reach`
+    from x_hat to its gate boundary."""
+    return math.expm1(-((reach / a) ** 2))
 
 
-def _confidence(x_hat: float, v_l: float, v_r: float, a_l: float, a_r: float, z: float) -> float:
-    if z <= v_l or z > v_r:
-        return 0.0
-    if z <= x_hat:
-        sigma = _bell_branch(x_hat - z, x_hat - v_l, a_l)
-    else:
-        sigma = _bell_branch(x_hat - z, x_hat - v_r, a_r)
-    return min(1.0, max(0.0, sigma))
+def _bell(dev: float, a: float, edge: float) -> float:
+    # (exp(-(dev/a)^2) - exp(-(reach/a)^2)) / (1 - exp(-(reach/a)^2)) clamped
+    # to [0, 1], written with expm1 so near-flat gates (a >> reach) stay accurate.
+    return min(1.0, max(0.0, (math.expm1(-((dev / a) ** 2)) - edge) / -edge))
 
 
 def confidence(gate: ValidationGate, z: float) -> float:
@@ -105,7 +101,12 @@ def confidence(gate: ValidationGate, z: float) -> float:
     1 at z = x_hat, falling bell-shaped to exactly 0 at both gate
     boundaries, 0 outside.
     """
-    return _confidence(gate.x_hat, gate.v_l, gate.v_r, gate.a_l, gate.a_r, z)
+    x_hat = gate.x_hat
+    if z <= gate.v_l or z > gate.v_r:
+        return 0.0
+    if z <= x_hat:
+        return _bell(x_hat - z, gate.a_l, _edge(x_hat - gate.v_l, gate.a_l))
+    return _bell(x_hat - z, gate.a_r, _edge(x_hat - gate.v_r, gate.a_r))
 
 
 def _fuse_weighted(pairs, x_hat: float, alpha: float, omega: float) -> float:
@@ -153,8 +154,8 @@ class GateAdaptation:
     def __post_init__(self):
         if not (0 < self.k_sigma < math.inf and 0 < self.w_min <= self.w_max < math.inf):
             raise ValueError("require finite k_sigma > 0 and 0 < w_min <= w_max")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+        if not isinstance(self.window, numbers.Integral) or self.window < 1:
+            raise ValueError(f"window must be an integer >= 1, got {self.window}")
         if self.initial_half_width is not None and not 0 < self.initial_half_width < math.inf:
             raise ValueError("initial_half_width must be positive and finite")
 
@@ -167,9 +168,9 @@ class GateAdaptation:
         return min(max(self.k_sigma * spread, self.w_min), self.w_max)
 
 
-def _median(values) -> float:
-    """The median as `statistics.median` computes it, bit for bit."""
-    data = sorted(values)
+def _median(data: list) -> float:
+    """The median of a sorted list, as `statistics.median` computes it, bit
+    for bit."""
     mid = len(data) // 2
     return data[mid] if len(data) % 2 else (data[mid - 1] + data[mid]) / 2
 
@@ -190,7 +191,7 @@ def adapt_gate(
         raise ValueError("residual window must be non-empty")
     if not math.isfinite(new_prediction):
         raise ValueError(f"new_prediction must be finite, got {new_prediction}")
-    spread = _median(abs(r) for r in recent_residuals)
+    spread = _median(sorted(abs(r) for r in recent_residuals))
     return ValidationGate.symmetric(new_prediction, adaptation.half_width(spread))
 
 
@@ -294,7 +295,14 @@ def _fusvaf_kernel(
     ticks, fused_col, predicted_col, half_widths = [], [], [], []
     value_cols = [[None] * n for _ in range(n_slots)]
     sigma_cols = [[None] * n for _ in range(n_slots)]
-    residual_window: deque = deque(maxlen=adaptation.window)
+    # The last `window` ticks' absolute residuals, per tick, and those of the
+    # ticks with a non-nan fused value as one sorted list. A nan fused value,
+    # which only a predictor that accepts it lets through, makes every
+    # residual of its tick nan (readings are finite); while such a tick is in
+    # the window, the median sorts the whole window, as adapt_gate does.
+    residual_window: deque = deque()
+    window_sorted: list = []
+    nan_ticks = 0
     alpha = params.alpha
     for i, (tick, slots, values) in enumerate(groups):
         predicted = predictor.predict()
@@ -305,7 +313,10 @@ def _fusvaf_kernel(
         if i < adaptation.window:
             half_width = adaptation.warmup_half_width
         else:  # as adapt_gate, over residuals that are already absolute
-            spread = _median([r for per_tick in residual_window for r in per_tick])
+            spread = _median(
+                sorted([r for per_tick in residual_window for r in per_tick]) if nan_ticks
+                else window_sorted
+            )
             half_width = adaptation.half_width(spread)
         v_l, v_r, a = predicted - half_width, predicted + half_width, half_width / 2.0
         if not (a > 0.0 and -math.inf < v_l < predicted < v_r < math.inf):
@@ -315,7 +326,13 @@ def _fusvaf_kernel(
                 ValidationGate.symmetric(predicted, half_width)
             except ValueError as exc:
                 raise ekf.NumericFailureError(f"tick {tick}: {exc}") from None
-        sigmas = [_confidence(predicted, v_l, v_r, a, a, z) for z in values]
+        # as confidence() for the gate, with each flank's edge term computed once
+        edge_l, edge_r = _edge(predicted - v_l, a), _edge(predicted - v_r, a)
+        sigmas = [
+            0.0 if z <= v_l or z > v_r
+            else _bell(predicted - z, a, edge_l if z <= predicted else edge_r)
+            for z in values
+        ]
         try:
             fused = _fuse_weighted(zip(values, sigmas), predicted, alpha, params.omega)
         except DegenerateDenominatorError as exc:
@@ -324,7 +341,20 @@ def _fusvaf_kernel(
             predictor.observe(fused)
         except ekf.NumericFailureError as exc:
             raise ekf.NumericFailureError(f"tick {tick}: {exc}") from None
-        residual_window.append([abs(z - fused) for z in values])
+        residuals = [abs(z - fused) for z in values]
+        residual_window.append(residuals)
+        if math.isnan(fused):
+            nan_ticks += 1
+        else:
+            for r in residuals:
+                insort(window_sorted, r)
+        if len(residual_window) > adaptation.window:
+            evicted = residual_window.popleft()
+            if math.isnan(evicted[0]):
+                nan_ticks -= 1
+            else:
+                for r in evicted:
+                    del window_sorted[bisect_left(window_sorted, r)]
         if adaptive_alpha:
             alpha = sum(sigmas)
         ticks.append(tick)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pipefuse import consensus
 from pipefuse.consensus import (
     CommGraph,
     ConsensusState,
@@ -28,6 +29,46 @@ def connected_graphs(draw, max_n=20):
         if i != j:
             edges.add((min(i, j), max(i, j)))
     return CommGraph.from_edges(n, edges)
+
+
+def ring(n):
+    return CommGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def block_edges(n, count=10):
+    """The round counts at which run_consensus ends its first `count`
+    blocks of rounds for n agents."""
+    cap = max(1, min(consensus._BLOCK_ROUNDS, consensus._BLOCK_CELLS // n))
+    edges, rows, total = [], 1, 0
+    for _ in range(count):
+        total += min(rows, cap)
+        edges.append(total)
+        rows *= 2
+    return edges
+
+
+def assert_run_equals_step_by_step(values, graph, tol, max_iter):
+    """run_consensus gives, bit for bit, what the public consensus_step
+    loop with np.mean dispersions gives, and returns its run."""
+
+    def np_mean_dispersion(state):
+        mean = float(np.mean(state.estimates))
+        return float(np.mean((state.estimates - mean) ** 2))
+
+    W = metropolis_weights(graph)
+    state = ConsensusState(values)
+    history = [np_mean_dispersion(state)]
+    while history[-1] >= tol and state.iteration < max_iter:
+        state = consensus_step(state, W)
+        assert np.array_equal(mse_dispersion(state), np_mean_dispersion(state), equal_nan=True)
+        history.append(np_mean_dispersion(state))
+    run = run_consensus(ConsensusState(values), graph, tol=tol, max_iter=max_iter)
+    assert np.array(run.mse_history).tobytes() == np.array(history).tobytes()
+    assert run.iterations == state.iteration
+    assert run.converged == (history[-1] < tol)
+    assert run.estimates.tobytes() == state.estimates.tobytes()
+    assert not run.estimates.flags.writeable
+    return run
 
 
 class TestCommGraph:
@@ -160,6 +201,18 @@ class TestRunConsensus:
         with pytest.raises(ValueError):
             run_consensus(state, CommGraph.path(3))
 
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, "3", None])
+    def test_non_integer_max_iter_rejected(self, max_iter):
+        state = ConsensusState([0.0, 1.0, 100.0])
+        message = rf"^max_iter must be an integer >= 1, got {max_iter}$"
+        with pytest.raises(ValueError, match=message):
+            run_consensus(state, CommGraph.path(3), tol=1e-30, max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_accepted(self):
+        run = run_consensus(ConsensusState([0.0, 1.0, 100.0]), CommGraph.path(3),
+                            tol=1e-30, max_iter=np.int64(3))
+        assert run.iterations == 3
+
 
 class TestProperties:
     @given(graph=connected_graphs(), data=st.data())
@@ -201,29 +254,43 @@ class TestProperties:
         assert np.all(np.abs(run.estimates - np.mean(values)) < 1e-5)
 
     @given(graph=connected_graphs(), data=st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_run_equals_public_step_by_step_path(self, graph, data):
         values = data.draw(
             st.lists(st.floats(-1e3, 1e3), min_size=graph.n, max_size=graph.n)
         )
-        max_iter = data.draw(st.integers(1, 200))
+        tol = data.draw(st.one_of(
+            st.just(1e-12), st.floats(1e-300, 1e3), st.integers(-40, 3).map(lambda k: 10.0**k)
+        ))
+        near_edge = st.sampled_from(block_edges(graph.n)).flatmap(
+            lambda e: st.sampled_from([max(1, e - 1), e, e + 1])
+        )
+        max_iter = data.draw(st.integers(1, 400) | near_edge)
+        assert_run_equals_step_by_step(values, graph, tol, max_iter)
 
-        def np_mean_dispersion(state):
-            mean = float(np.mean(state.estimates))
-            return float(np.mean((state.estimates - mean) ** 2))
+    @pytest.mark.parametrize("values, graph, max_iter", [
+        # every dispersion overflows to inf: the run stops at max_iter inside a block
+        ([1e308, -1e308, 1e308], CommGraph.path(3), 100),
+        # the initial sum is inf + -inf, so the initial dispersion is nan
+        ([1.7e308] * 2 + [-1.7e308] * 2 + [0.0] * 4, ring(8), 100),
+        # the first round's sum is inf + -inf: its dispersion is nan and ends the run
+        ([1e308] + [-1.7e308] * 3 + [0.0] + [1.7e308] * 2 + [-1.7e308], ring(8), 100),
+        # few enough rounds per block that rows x agents stays under the cap
+        (list(np.random.default_rng(5).normal(0.0, 100.0, 300)), CommGraph.path(300), 200),
+    ])
+    def test_extreme_inputs_equal_step_by_step_path(self, values, graph, max_iter):
+        run = assert_run_equals_step_by_step(values, graph, 1e-12, max_iter)
+        assert not run.converged
 
-        W = metropolis_weights(graph)
-        state = ConsensusState(values)
-        history = [np_mean_dispersion(state)]
-        while history[-1] >= 1e-12 and state.iteration < max_iter:
-            state = consensus_step(state, W)
-            assert mse_dispersion(state) == np_mean_dispersion(state)
-            history.append(np_mean_dispersion(state))
-        run = run_consensus(ConsensusState(values), graph, tol=1e-12, max_iter=max_iter)
-        assert run.mse_history == tuple(history)
-        assert run.iterations == state.iteration
-        assert run.estimates.tobytes() == state.estimates.tobytes()
-        assert not run.estimates.flags.writeable
+    def test_dispersions_of_fixed_inputs(self):
+        inf_run = run_consensus(ConsensusState([1e308, -1e308, 1e308]), CommGraph.path(3),
+                                max_iter=100)
+        assert inf_run.iterations == 100
+        assert inf_run.mse_history == (float("inf"),) * 101
+        nan_run = run_consensus(ConsensusState([1.7e308] * 2 + [-1.7e308] * 2 + [0.0] * 4),
+                                ring(8))
+        assert nan_run.iterations == 0
+        assert np.isnan(nan_run.mse_history).all() and len(nan_run.mse_history) == 1
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(9)

@@ -51,6 +51,83 @@ class TestNumericJacobian:
             numeric_jacobian(bad, np.array([1.0]))
 
 
+def reference_numeric_jacobian(fn, x, eps=None):
+    """numeric_jacobian as it was written before its probes were collected
+    into one array per side: one column per probe pair, column-stacked. The
+    oracle of the equal-bits test below."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    n = x.shape[0]
+    if eps is None:
+        steps = 1e-6 * np.maximum(1.0, np.abs(x))
+    else:
+        steps = np.broadcast_to(np.asarray(eps, dtype=float), (n,)).copy()
+        if np.any(steps <= 0):
+            raise ValueError("eps must be positive")
+    hi, lo = [], []
+    with np.errstate(invalid="ignore"):
+        for dx in np.diag(steps):
+            hi.append(np.atleast_1d(np.asarray(fn(x + dx), dtype=float)))
+            lo.append(np.atleast_1d(np.asarray(fn(x - dx), dtype=float)))
+        jac = (np.column_stack(hi) - np.column_stack(lo)) / (2.0 * steps)
+    if not np.isfinite(jac).all():
+        raise NumericFailureError("numeric Jacobian produced non-finite values")
+    return jac
+
+
+# Scalar and vector outputs; copysign sees the sign of a zero component, and
+# log and the squares turn some probes into nan or inf.
+JACOBIAN_FNS = [
+    lambda v: float(np.sin(v).sum()),
+    lambda v: np.sin(v[0]) * v[-1],
+    lambda v: v**2,
+    lambda v: np.array([v.sum(), np.copysign(1.0, v).prod(), np.exp(-(v @ v))]),
+    lambda v: np.copysign(v + 1.0, v),
+    lambda v: np.log(v),
+    lambda v: np.array([np.hypot(v[0], v[-1])]),
+]
+
+jacobian_components = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -5e-324]),
+    st.floats(-1e3, 1e3),
+    st.floats(1e150, 1e300).flatmap(lambda a: st.sampled_from([a, -a])),
+)
+
+
+class TestNumericJacobianOracle:
+    @given(
+        fn=st.sampled_from(JACOBIAN_FNS),
+        x=st.lists(jacobian_components, min_size=1, max_size=5),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equal_bits_to_per_column_reference(self, fn, x, data):
+        steps = st.floats(1e-9, 1e-2)
+        eps = data.draw(st.one_of(
+            st.none(), steps, st.lists(steps, min_size=len(x), max_size=len(x))
+        ))
+        try:
+            want = reference_numeric_jacobian(fn, np.array(x), eps)
+        except NumericFailureError as exc:
+            with pytest.raises(NumericFailureError, match=f"^{re.escape(str(exc))}$"):
+                numeric_jacobian(fn, np.array(x), eps)
+            return
+        got = numeric_jacobian(fn, np.array(x), eps)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
+
+    def test_scalar_x_and_scalar_output(self):
+        fn = lambda v: float(v[0] ** 3)
+        got, want = numeric_jacobian(fn, 2.0), reference_numeric_jacobian(fn, 2.0)
+        assert got.shape == want.shape == (1, 1)
+        assert got.tobytes() == want.tobytes()
+
+    def test_non_finite_probe_message(self):
+        with pytest.raises(NumericFailureError,
+                           match="^numeric Jacobian produced non-finite values$"):
+            numeric_jacobian(lambda v: np.log(v), np.array([1.0, -0.0, 3.0]))
+
+
 class TestPredict:
     def test_identity_dynamics_no_noise(self):
         prior = predict(FilterState([5.0], [[1.0]]), random_walk_model(0.0, 1.0))

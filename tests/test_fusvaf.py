@@ -4,7 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pipefuse import ekf
 from pipefuse.core import SensorKind, merge_traces, trace_from_pairs
@@ -343,6 +343,17 @@ class TestFusvafStream:
         with pytest.raises(ValueError):
             GateAdaptation(**kwargs)
 
+    @pytest.mark.parametrize("window", [2.5, 3.0, "3", None])
+    def test_adaptation_rejects_non_integer_window(self, window):
+        with pytest.raises(ValueError, match=rf"^window must be an integer >= 1, got {window}$"):
+            GateAdaptation(window=window)
+
+    def test_adaptation_accepts_numpy_integer_window(self):
+        stream = [temp_trace("a", [1.0, 2.0, 3.0, 4.0]), temp_trace("b", [1.5] * 4)]
+        adaptation = GateAdaptation(window=np.int64(2))
+        points = fusvaf_stream(stream, FusionParams(), adaptation=adaptation)
+        assert [p.warmup for p in points] == [True, True, False, False]
+
     def test_requires_traces(self):
         with pytest.raises(ValueError):
             fusvaf_stream([], FusionParams())
@@ -436,7 +447,8 @@ def fusion_cases(draw):
     traces = []
     for i in range(draw(st.integers(1, 5))):
         ticks = sorted(draw(st.sets(st.integers(0, horizon - 1), min_size=1)))
-        offsets = draw(st.lists(st.one_of(st.floats(-2, 2), st.floats(-300, 300)),
+        offsets = draw(st.lists(st.one_of(st.floats(-2, 2), st.floats(-300, 300),
+                                          st.integers(-3, 3).map(float)),
                                 min_size=len(ticks), max_size=len(ticks)))
         traces.append(trace_from_pairs(
             [(t, level + o) for t, o in zip(ticks, offsets)], f"s{i}", SensorKind.TEMPERATURE
@@ -459,11 +471,37 @@ def fusion_cases(draw):
     return traces, params, predictor, adaptation, draw(st.booleans())
 
 
+def tied_residuals_case():
+    """Integer offsets over a horizon 40 times the window: equal residuals go
+    into and out of the kernel's sorted residual window again and again."""
+    offsets = np.random.default_rng(11).integers(-2, 3, size=(4, 120))
+    traces = [
+        trace_from_pairs([(t, 20.0 + float(o)) for t, o in enumerate(row)], f"s{i}",
+                         SensorKind.TEMPERATURE)
+        for i, row in enumerate(offsets)
+    ]
+    adaptation = GateAdaptation(k_sigma=3.0, w_min=0.5, w_max=10.0, window=3)
+    return traces, FusionParams(1.0, 1.0), EkfPredictor, adaptation, False
+
+
+def nan_fused_case():
+    """A prediction weight alpha/omega of inf makes the fused value nan
+    whenever the prediction is not 0; a scripted predictor carries on, so nan
+    residuals enter and leave the window next to finite ones."""
+    traces = [temp_trace(f"s{i}", [float(i + t % 3) for t in range(30)]) for i in range(4)]
+    predictions = [0.0, 0.0, 0.0, 2.0] * 8
+    adaptation = GateAdaptation(k_sigma=2.0, w_min=0.5, w_max=20.0, window=5)
+    return (traces, FusionParams(1e10, 1e-300), lambda: ScriptedPredictor(predictions),
+            adaptation, False)
+
+
 class TestKernelOracle:
     """fusvaf_stream runs a float kernel; the reference loop above is the
     implementation it replaced."""
 
     @given(case=fusion_cases())
+    @example(case=tied_residuals_case())
+    @example(case=nan_fused_case())
     @settings(max_examples=300, deadline=None)
     def test_equals_reference_loop(self, case):
         traces, params, predictor, adaptation, adaptive_alpha = case
@@ -476,7 +514,8 @@ class TestKernelOracle:
             )
             return
         points = fusvaf_stream(traces, params, predictor(), adaptation, adaptive_alpha)
-        assert as_tuples(points) == expected
+        # repr tells 0.0 from -0.0 and matches nan to nan
+        assert repr(as_tuples(points)) == repr(expected)
 
     @pytest.mark.parametrize("values, predictions", [
         ([[1.7e308] * 3, [1.7e308] * 3], []),         # the first-tick mean overflows
