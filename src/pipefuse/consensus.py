@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -154,8 +154,7 @@ _BLOCK_ROUNDS = 64
 _BLOCK_CELLS = 1 << 14
 
 
-@dataclass(frozen=True)
-class ConsensusRun:
+class ConsensusRun(NamedTuple):
     """Outcome of an iterated consensus: final estimates plus the MSE decay."""
 
     estimates: np.ndarray
@@ -202,12 +201,7 @@ def run_consensus(
         x = block[kept - 1].copy()  # the estimates do not keep the block alive
         rows *= 2
     x.flags.writeable = False
-    return ConsensusRun(
-        estimates=x,
-        iterations=iterations,
-        mse_history=tuple(history),
-        converged=history[-1] < tol,
-    )
+    return ConsensusRun(x, iterations, tuple(history), history[-1] < tol)
 
 
 def write_mse_csv(mse_history: Sequence[float], path) -> None:

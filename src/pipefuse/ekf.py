@@ -8,7 +8,7 @@ propagation step; the update uses the plain (I - KH)P covariance form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import math
 
@@ -231,8 +231,7 @@ def update(prior: FilterState, y, model: ProcessModel) -> FilterState:
     return _filter_state(x1, P1, prior.tick)
 
 
-@dataclass(frozen=True)
-class FilterPoint:
+class FilterPoint(NamedTuple):
     """One filtered measurement: posterior state plus the raw innovation."""
 
     tick: int

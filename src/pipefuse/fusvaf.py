@@ -241,24 +241,26 @@ class EkfPredictor:
             )
 
 
-@dataclass(frozen=True)
-class SensorReading:
+class SensorReading(NamedTuple):
     node_id: str
     value: float
     sigma: float
 
 
-@dataclass(frozen=True)
-class FusionPoint:
+class FusionPoint(NamedTuple):
     """Fused output for one tick, with per-node confidences and the gate
-    that produced them, for fault-detection inspection."""
+    half-width that produced them, for fault-detection inspection."""
 
     tick: int
     fused: float
     predicted: float
     readings: tuple[SensorReading, ...]
     warmup: bool
-    gate: ValidationGate
+    half_width: float
+
+    @property
+    def gate(self) -> ValidationGate:
+        return ValidationGate.symmetric(self.predicted, self.half_width)
 
 
 class FusionColumns(NamedTuple):
@@ -333,10 +335,13 @@ def _fusvaf_kernel(
             else _bell(predicted - z, a, edge_l if z <= predicted else edge_r)
             for z in values
         ]
-        try:
-            fused = _fuse_weighted(zip(values, sigmas), predicted, alpha, params.omega)
-        except DegenerateDenominatorError as exc:
-            raise DegenerateDenominatorError(f"tick {tick}: {exc}") from None
+        if adaptive_alpha and i > 0 and not any(sigmas):
+            fused = predicted  # alpha, the last tick's total confidence, may be 0 too
+        else:
+            try:
+                fused = _fuse_weighted(zip(values, sigmas), predicted, alpha, params.omega)
+            except DegenerateDenominatorError as exc:
+                raise DegenerateDenominatorError(f"tick {tick}: {exc}") from None
         try:
             predictor.observe(fused)
         except ekf.NumericFailureError as exc:
@@ -380,7 +385,8 @@ def fusvaf_columns(
     Per tick: predict, assign confidences, fuse, then feed the fused value
     back to the predictor and the residual window that sizes the next gate.
     With adaptive_alpha the prediction weight for a tick is the previous
-    tick's total confidence (params.alpha seeds the first tick); otherwise
+    tick's total confidence (params.alpha seeds the first tick), and a later
+    tick that rejects every reading fuses to its prediction; otherwise
     params.alpha is used throughout.
 
     On the very first tick, before the predictor has seen anything, the
@@ -427,7 +433,7 @@ def fusvaf_stream(
                 if values[i] is not None
             ),
             warmup=i < adaptation.window,
-            gate=ValidationGate.symmetric(columns.predicted[i], columns.half_width[i]),
+            half_width=columns.half_width[i],
         )
         for i, tick in enumerate(columns.tick)
     ]

@@ -9,9 +9,8 @@ once and reports them with dotted field paths.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import yaml
 
@@ -27,7 +26,7 @@ MAX_HORIZON = 10_000_000
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-# a field's bound (its metadata "bound"), as the error words it -> the test a value passes
+# a field's bound (its section's BOUNDS entry), as the error words it -> the test a value passes
 _BOUNDS = {
     "> 0": lambda v: v > 0,
     ">= 0": lambda v: v >= 0,
@@ -38,36 +37,34 @@ _BOUNDS = {
 }
 
 
-def _bounded(bound: str, default=MISSING):
-    return field(default=default, metadata={"bound": bound})
-
-
-@dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(NamedTuple):
     node_id: str
     cluster_id: str
-    position: float = _bounded(">= 0")
+    position: float
     sensors: tuple[SensorKind, ...]
 
+    BOUNDS = {"position": ">= 0"}
 
-@dataclass(frozen=True)
-class ClusterSpec:
+
+class ClusterSpec(NamedTuple):
     cluster_id: str
     peers: tuple[str, ...] = ()
 
+    BOUNDS = {}
 
-@dataclass(frozen=True)
-class UavVisit:
+
+class UavVisit(NamedTuple):
     start: int
     end: int
     cluster_id: str
+
+    BOUNDS = {}
 
     def covers(self, tick: int, cluster_id: str) -> bool:
         return self.cluster_id == cluster_id and self.start <= tick <= self.end
 
 
-@dataclass(frozen=True)
-class Topology:
+class Topology(NamedTuple):
     nodes: tuple[NodeSpec, ...]
     cluster_heads: tuple[ClusterSpec, ...]
     gateway_id: str = "gw"
@@ -95,73 +92,84 @@ class Topology:
         return CommGraph.from_edges(len(index), sorted(edges))
 
 
-@dataclass(frozen=True)
-class SignalSpec:
+class SignalSpec(NamedTuple):
     """Ground-truth model for one analog kind: baseline + drift*t + noise."""
 
     baseline: float
     drift: float = 0.0
-    noise_std: float = _bounded(">= 0", 0.0)
+    noise_std: float = 0.0
+
+    BOUNDS = {"noise_std": ">= 0"}
 
 
-@dataclass(frozen=True)
-class EventSpec:
-    kind: str = _bounded("'leak' or 'intrusion'")
-    start: int = _bounded(">= 0")
+class EventSpec(NamedTuple):
+    kind: str
+    start: int
     end: int
-    location: float = _bounded(">= 0")
+    location: float
     magnitude: float = 0.0
     radius: float = 50.0
 
+    BOUNDS = {"kind": "'leak' or 'intrusion'", "start": ">= 0", "location": ">= 0"}
 
-@dataclass(frozen=True)
-class FusionConfig:
+
+class FusionConfig(NamedTuple):
     """Placement and tuning of the fusion methods along the pipeline."""
 
     node_ekf: bool = True
-    ekf_q: float = _bounded("> 0", 0.1)
-    ekf_r: float = _bounded("> 0", 0.1)
-    report_delta: float = _bounded(">= 0", 1.0)
+    ekf_q: float = 0.1
+    ekf_r: float = 0.1
+    report_delta: float = 1.0
     cluster_fusvaf: bool = True
-    fusvaf_alpha: float = _bounded(">= 0", 1.0)
-    fusvaf_omega: float = _bounded("> 0", 1.0)
+    fusvaf_alpha: float = 1.0
+    fusvaf_omega: float = 1.0
     # constant prediction weight: a cluster-wide excursion (leak front) must
     # not zero out the fusion denominator while the gate is still catching up
     fusvaf_adaptive_alpha: bool = False
-    gate_k_sigma: float = _bounded("> 0", 3.0)
-    gate_w_min: Optional[float] = _bounded("> 0", None)  # None: derived per kind from noise_std
-    gate_w_max: float = _bounded("> 0", 100.0)
+    gate_k_sigma: float = 3.0
+    gate_w_min: Optional[float] = None  # None: derived per kind from noise_std
+    gate_w_max: float = 100.0
     # gate memory of half a reporting window keeps cluster fusion responsive
     # within one window when the whole cluster moves (leak onset)
-    gate_window: int = _bounded(">= 1", 5)
-    consensus_policy: str = _bounded("'off' or 'on_detection'", "on_detection")
-    consensus_tol: float = _bounded("> 0", 1e-9)
-    consensus_max_iter: int = _bounded(">= 1", 1000)
+    gate_window: int = 5
+    consensus_policy: str = "on_detection"
+    consensus_tol: float = 1e-9
+    consensus_max_iter: int = 1000
+
+    BOUNDS = {"ekf_q": "> 0", "ekf_r": "> 0", "report_delta": ">= 0",
+              "fusvaf_alpha": ">= 0", "fusvaf_omega": "> 0", "gate_k_sigma": "> 0",
+              "gate_w_min": "> 0", "gate_w_max": "> 0", "gate_window": ">= 1",
+              "consensus_policy": "'off' or 'on_detection'",
+              "consensus_tol": "> 0", "consensus_max_iter": ">= 1"}
 
 
-@dataclass(frozen=True)
-class DetectionConfig:
-    window: int = _bounded(">= 1", 10)
-    leak_threshold: float = _bounded("> 0", 20.0)
-    leak_persistence: int = _bounded(">= 1", 2)
-    fault_persistence: int = _bounded(">= 1", 3)
+class DetectionConfig(NamedTuple):
+    window: int = 10
+    leak_threshold: float = 20.0
+    leak_persistence: int = 2
+    fault_persistence: int = 3
+
+    BOUNDS = {"window": ">= 1", "leak_threshold": "> 0",
+              "leak_persistence": ">= 1", "fault_persistence": ">= 1"}
 
 
-@dataclass(frozen=True)
-class EnergyConfig:
+class EnergyConfig(NamedTuple):
     """Radio cost in microcontroller-op equivalents plus per-op compute charges."""
 
-    ops_per_bit: int = _bounded("in [1000, 3000]", 1000)
-    per_op_cost: float = _bounded("> 0", 1.0)
-    sample_bits: int = _bounded(">= 1", 32)
-    ekf_ops_per_update: int = _bounded(">= 0", 50)
-    fusvaf_ops_per_value: int = _bounded(">= 0", 20)
-    aggregation_ops_per_value: int = _bounded(">= 0", 1)
-    consensus_ops_per_value: int = _bounded(">= 0", 5)
+    ops_per_bit: int = 1000
+    per_op_cost: float = 1.0
+    sample_bits: int = 32
+    ekf_ops_per_update: int = 50
+    fusvaf_ops_per_value: int = 20
+    aggregation_ops_per_value: int = 1
+    consensus_ops_per_value: int = 5
+
+    BOUNDS = {"ops_per_bit": "in [1000, 3000]", "per_op_cost": "> 0", "sample_bits": ">= 1",
+              "ekf_ops_per_update": ">= 0", "fusvaf_ops_per_value": ">= 0",
+              "aggregation_ops_per_value": ">= 0", "consensus_ops_per_value": ">= 0"}
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     name: str
     seed: int
     horizon: int
@@ -203,21 +211,22 @@ _SCALAR_TYPES = {
 
 
 def _build_section(cls, data, prefix, errors, converters=None):
-    """Build dataclass `cls` from a mapping. Keys must be fields of `cls`,
+    """Build section `cls` from a mapping. Keys must be fields of `cls`,
     fields without a default must be present, and after the converters,
     values of scalar fields must have the field's type and lie within its
-    bound; floats must be finite, and integers given for them become floats."""
+    bound in `cls.BOUNDS`; floats must be finite, and integers given for
+    them become floats."""
     converters = converters or {}
     if not isinstance(data, dict):
         errors.append(f"{prefix}: expected a mapping, got {type(data).__name__}")
         return None
-    types = {f.name: f.type for f in fields(cls)}
-    bounds = {f.name: f.metadata.get("bound") for f in fields(cls)}
+    # under postponed evaluation the annotations are ForwardRefs of their text
+    types = {name: ref.__forward_arg__ for name, ref in cls.__annotations__.items()}
     kwargs = {}
     valid = True
-    for f in fields(cls):
-        if f.default is MISSING and f.name not in data:
-            errors.append(f"{prefix}.{f.name}: required")
+    for name in cls._fields:
+        if name not in cls._field_defaults and name not in data:
+            errors.append(f"{prefix}.{name}: required")
             valid = False
     for key, value in data.items():
         if key not in types:
@@ -232,7 +241,7 @@ def _build_section(cls, data, prefix, errors, converters=None):
             continue
         if value is not None and types[key] in ("float", "Optional[float]"):
             value = float(value)
-        bound = bounds[key]
+        bound = cls.BOUNDS.get(key)
         if bound and value is not None and not _BOUNDS[bound](value):
             errors.append(f"{prefix}.{key}: must be {bound}, got {value!r}")
             valid = False
@@ -262,9 +271,8 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError(["top level: expected a mapping"])
 
-    known_top = {f.name for f in fields(ScenarioConfig)}
     for key in data:
-        if key not in known_top:
+        if key not in ScenarioConfig._fields:
             errors.append(f"{key}: unknown key")
 
     name = data.get("name", name)
@@ -317,15 +325,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
     if errors:
         raise ConfigError(errors)
     config = ScenarioConfig(
-        name=name,
-        seed=seed,
-        horizon=horizon,
-        topology=topology,
-        signals=signals,
-        events=tuple(events),
-        fusion=fusion,
-        detection=detection,
-        energy=energy,
+        name, seed, horizon, topology, signals, tuple(events), fusion, detection, energy
     )
     if fusion.cluster_fusvaf and fusion.gate_w_min is None:
         _check_gate_floors(config, node_kinds)
@@ -375,10 +375,17 @@ def _parse_topology(data, errors) -> tuple[Optional[Topology], list]:
     if not isinstance(uav, dict):
         errors.append("topology.uav: expected a mapping")
         uav = {}
+    cluster_ids = {c.cluster_id for c in heads}
     for i, raw in enumerate(_list_at(uav, "patrol", "topology.uav.patrol", errors)):
-        visit = _build_section(UavVisit, raw, f"topology.uav.patrol[{i}]", errors)
-        if visit is not None:
-            patrol.append(visit)
+        prefix = f"topology.uav.patrol[{i}]"
+        visit = _build_section(UavVisit, raw, prefix, errors)
+        if visit is None:
+            continue
+        if visit.cluster_id not in cluster_ids:
+            errors.append(f"{prefix}.cluster_id: unknown cluster {visit.cluster_id!r}")
+        if visit.end < visit.start:
+            errors.append(f"{prefix}.end: must be >= start")
+        patrol.append(visit)
     gateway_id = data.get("gateway_id", "gw")
     if not isinstance(gateway_id, str):
         errors.append(f"topology.gateway_id: expected a string, got {gateway_id!r}")
@@ -461,11 +468,6 @@ def _check_topology(topology: Topology, entries, errors) -> None:
                 errors.append(f"topology.cluster_heads[{c.cluster_id}].peers: self link")
     if len(cluster_ids) > 1 and not topology.peer_graph(cluster_ids).is_connected():
         errors.append("topology.cluster_heads: peer graph must be connected")
-    for v in topology.uav_patrol:
-        if v.cluster_id not in cluster_ids:
-            errors.append(f"topology.uav.patrol: unknown cluster {v.cluster_id!r}")
-        if v.end < v.start:
-            errors.append("topology.uav.patrol: end must be >= start")
 
 
 def _check_cross(node_kinds, declared_signals, events, errors) -> None:

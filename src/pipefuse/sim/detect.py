@@ -9,15 +9,13 @@ when the UAV patrol schedule covers its cluster at the detection tick.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..core import SensorKind
 from .config import ScenarioConfig
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
     kind: str  # "leak" | "intrusion"
     tick: int
     cluster_id: str

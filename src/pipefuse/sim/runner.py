@@ -5,7 +5,6 @@ accounting. Deterministic for a fixed (config, seed)."""
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import NamedTuple
 
 from ..consensus import DisconnectedGraphError
@@ -102,7 +101,7 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
             add_messages(messages, stage.messages)
             ops += stage.ops
             consensus_runs.append(stage)
-            detections[i] = replace(det, consensus_value=stage.agreed)
+            detections[i] = det._replace(consensus_value=stage.agreed)
     alerts = len(detections)
     bits = alerts * config.energy.sample_bits
     add_messages(messages, {(gateway, "gcc", MessageKind.ALERT): (alerts, bits)})

@@ -265,6 +265,21 @@ class TestFusvafCommand:
             bounds = zs + [float(row["pred"])]
             assert min(bounds) - 1e-9 <= float(row["fused"]) <= max(bounds) + 1e-9
 
+    def test_humidity_fixture_pair_fuses_with_default_flags(self, tmp_path):
+        # every reading leaves the gate at tick 16 and again at tick 17
+        out = tmp_path / "out"
+        code = main([
+            "--quiet", "fusvaf",
+            "--trace", str(FIXTURES / "humidity_node_a.csv"),
+            "--trace", str(FIXTURES / "humidity_node_b.csv"),
+            "--kind", "humidity", "--out", str(out),
+        ])
+        assert code == 0
+        rows = read_csv(out / "fusvaf.csv")
+        assert [int(row["tick"]) for row in rows] == list(range(200))
+        assert (rows[17]["sigma_1"], rows[17]["sigma_2"]) == ("0.0", "0.0")
+        assert rows[17]["fused"] == rows[17]["pred"]
+
     def test_repeated_file_stems_get_distinct_columns(self, tmp_path):
         # the third trace's stem repeats the second's, and stem + "_2" is the first's
         paths = []

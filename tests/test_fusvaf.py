@@ -19,6 +19,7 @@ from pipefuse.fusvaf import (
     adapt_gate,
     confidence,
     fuse,
+    fusvaf_columns,
     fusvaf_stream,
 )
 
@@ -300,13 +301,13 @@ class TestFusvafStream:
             assert lo - 1e-9 <= p.fused <= hi + 1e-9
 
     def test_degenerate_denominator_reports_tick(self):
-        # adaptive alpha drops to 0 once everything is rejected; the next
-        # fully-rejected tick has no information at all
+        # a constant alpha of 0 leaves a fully-rejected tick no information at all
         values = [0.0] * 12 + [500.0, 500.0]
         stream = [temp_trace("a", values)]
         adaptation = GateAdaptation(window=2, initial_half_width=1.0, w_max=1.0)
-        with pytest.raises(DegenerateDenominatorError, match="tick 13"):
-            fusvaf_stream(stream, FusionParams(1.0, 1.0), adaptation=adaptation)
+        with pytest.raises(DegenerateDenominatorError, match="^tick 12: "):
+            fusvaf_stream(stream, FusionParams(0.0, 1.0), adaptation=adaptation,
+                          adaptive_alpha=False)
 
     def test_constant_alpha_survives_total_rejection(self):
         values = [0.0] * 12 + [500.0, 500.0]
@@ -395,7 +396,11 @@ def reference_fusvaf(traces, params, predictor, adaptation, adaptive_alpha):
         try:
             fused = _fuse_weighted(pairs, predicted, alpha, params.omega)
         except DegenerateDenominatorError as exc:
-            raise DegenerateDenominatorError(f"tick {tick}: {exc}") from None
+            # adaptive alpha is 0 after a fully-rejected tick: the prediction
+            # is all there is to fuse
+            if not (adaptive_alpha and ticks_seen > 0):
+                raise DegenerateDenominatorError(f"tick {tick}: {exc}") from None
+            fused = predicted
         try:
             predictor.observe(fused)
         except ekf.NumericFailureError as exc:
@@ -484,6 +489,14 @@ def tied_residuals_case():
     return traces, FusionParams(1.0, 1.0), EkfPredictor, adaptation, False
 
 
+def first_tick_rejected_case():
+    """Adaptive alpha seeded with 0 and both readings outside the first
+    tick's gate: there is no earlier tick to fall back on, so this raises."""
+    traces = [temp_trace("s0", [-500.0, 0.0]), temp_trace("s1", [500.0, 0.0])]
+    adaptation = GateAdaptation(window=2, initial_half_width=1.0, w_max=1.0)
+    return traces, FusionParams(0.0, 1.0), EkfPredictor, adaptation, True
+
+
 def nan_fused_case():
     """A prediction weight alpha/omega of inf makes the fused value nan
     whenever the prediction is not 0; a scripted predictor carries on, so nan
@@ -495,6 +508,19 @@ def nan_fused_case():
             adaptation, False)
 
 
+def assert_same_outcome(traces, params, predictor, adaptation, adaptive_alpha):
+    """fusvaf_stream returns what the reference loop returns, or raises the
+    exception it raises; `predictor()` makes a fresh predictor."""
+    args = lambda: (traces, params, predictor(), adaptation, adaptive_alpha)
+    try:
+        expected = reference_fusvaf(*args())
+    except (DegenerateDenominatorError, ekf.NumericFailureError):
+        raise_alike(lambda: fusvaf_stream(*args()), lambda: reference_fusvaf(*args()))
+        return
+    # repr tells 0.0 from -0.0 and matches nan to nan
+    assert repr(as_tuples(fusvaf_stream(*args()))) == repr(expected)
+
+
 class TestKernelOracle:
     """fusvaf_stream runs a float kernel; the reference loop above is the
     implementation it replaced."""
@@ -502,20 +528,24 @@ class TestKernelOracle:
     @given(case=fusion_cases())
     @example(case=tied_residuals_case())
     @example(case=nan_fused_case())
+    @example(case=first_tick_rejected_case())
     @settings(max_examples=300, deadline=None)
     def test_equals_reference_loop(self, case):
-        traces, params, predictor, adaptation, adaptive_alpha = case
+        assert_same_outcome(*case)
+
+    @given(case=fusion_cases(), alpha=st.floats(0, 3, exclude_min=True))
+    @example(case=([temp_trace("a", [0.0] * 12 + [500.0, 500.0])], FusionParams(), EkfPredictor,
+                   GateAdaptation(window=2, initial_half_width=1.0, w_max=1.0), True),
+             alpha=1.0)
+    @settings(max_examples=200, deadline=None)
+    def test_adaptive_alpha_never_degenerates(self, case, alpha):
+        """On finite readings and a positive seed alpha, the adaptive kernel
+        never raises DegenerateDenominatorError."""
+        traces, params, predictor, adaptation, _ = case
         try:
-            expected = reference_fusvaf(traces, params, predictor(), adaptation, adaptive_alpha)
-        except (DegenerateDenominatorError, ekf.NumericFailureError):
-            raise_alike(
-                lambda: fusvaf_stream(traces, params, predictor(), adaptation, adaptive_alpha),
-                lambda: reference_fusvaf(traces, params, predictor(), adaptation, adaptive_alpha),
-            )
-            return
-        points = fusvaf_stream(traces, params, predictor(), adaptation, adaptive_alpha)
-        # repr tells 0.0 from -0.0 and matches nan to nan
-        assert repr(as_tuples(points)) == repr(expected)
+            fusvaf_columns(traces, FusionParams(alpha, params.omega), predictor(), adaptation, True)
+        except ekf.NumericFailureError:
+            pass  # a prediction or gate beyond float range, not a degenerate denominator
 
     @pytest.mark.parametrize("values, predictions", [
         ([[1.7e308] * 3, [1.7e308] * 3], []),         # the first-tick mean overflows
@@ -548,12 +578,20 @@ class TestKernelOracle:
             run(fusvaf_stream)
 
     @pytest.mark.parametrize("values, alpha, adaptive", [
-        ([[0.0] * 12 + [500.0, 500.0]], 1.0, True),   # adaptive alpha drops to 0
+        # adaptive alpha drops to 0, then the prediction is fused alone
+        ([[0.0] * 12 + [500.0, 500.0]], 1.0, True),
+        # a constant alpha of 0 raises at the first fully-rejected tick
         ([[0.0] * 3 + [500.0], [0.0] * 3 + [-500.0]], 0.0, False),
     ])
     def test_degenerate_denominator(self, values, alpha, adaptive):
         traces = [temp_trace(f"s{i}", v) for i, v in enumerate(values)]
         adaptation = GateAdaptation(window=2, initial_half_width=1.0, w_max=1.0)
-        run = lambda fn: fn(traces, FusionParams(alpha, 1.0), EkfPredictor(), adaptation,
-                            adaptive)
-        raise_alike(lambda: run(fusvaf_stream), lambda: run(reference_fusvaf))
+        params = FusionParams(alpha, 1.0)
+        assert_same_outcome(traces, params, EkfPredictor, adaptation, adaptive)
+        run = lambda: fusvaf_stream(traces, params, EkfPredictor(), adaptation, adaptive)
+        if adaptive:
+            last = run()[-1]
+            assert (last.tick, last.fused) == (13, last.predicted)
+        else:
+            with pytest.raises(DegenerateDenominatorError, match="^tick 3: "):
+                run()

@@ -27,7 +27,18 @@ from pipefuse.sim import (
     run_simulation,
     scenario_from_dict,
 )
-from pipefuse.sim.config import MAX_HORIZON
+from pipefuse.sim.config import (
+    _BOUNDS,
+    MAX_HORIZON,
+    ClusterSpec,
+    DetectionConfig,
+    EnergyConfig,
+    EventSpec,
+    FusionConfig,
+    NodeSpec,
+    SignalSpec,
+    UavVisit,
+)
 from pipefuse.sim.stages import hold_series
 from pipefuse.sim.world import check_stream
 
@@ -66,6 +77,35 @@ def base_config_dict(**overrides):
 
 def make_config(name="test", **overrides):
     return scenario_from_dict(base_config_dict(**overrides), name)
+
+
+# every section read from a mapping -> where base_config_dict holds one (a
+# valid event is added for EventSpec)
+SECTION_PATHS = {
+    NodeSpec: ("topology", "nodes", 0),
+    ClusterSpec: ("topology", "cluster_heads", 0),
+    UavVisit: ("topology", "uav", "patrol", 0),
+    SignalSpec: ("signals", "pressure"),
+    EventSpec: ("events", 0),
+    FusionConfig: ("fusion",),
+    DetectionConfig: ("detection",),
+    EnergyConfig: ("energy",),
+}
+# a bound -> values just outside it
+OUTSIDE = {
+    "> 0": [0], ">= 0": [-1], ">= 1": [0], "in [1000, 3000]": [999, 3001],
+    "'off' or 'on_detection'": ["on"], "'leak' or 'intrusion'": ["fire"],
+}
+
+
+def section_at(data, path):
+    """The mapping at `path` in a scenario dict, made where absent."""
+    for key in path:
+        if isinstance(data, dict):
+            data = data.setdefault(key, {})
+        else:
+            data = data[key]
+    return data
 
 
 class TestConfigValidation:
@@ -259,6 +299,45 @@ class TestConfigValidation:
         make_config(fusion={"cluster_fusvaf": False}, **noisy)  # no gate in relay mode
         with pytest.raises(ConfigError, match="fusion.gate_w_min: must not exceed gate_w_max"):
             make_config(fusion={"gate_w_min": 200.0})
+
+    @pytest.mark.parametrize("section", SECTION_PATHS, ids=lambda cls: cls.__name__)
+    def test_bound_table_names_fields_and_known_bounds(self, section):
+        assert set(section.BOUNDS) <= set(section._fields)
+        assert set(section.BOUNDS.values()) <= set(_BOUNDS)
+
+    @pytest.mark.parametrize("section, field, value", [
+        pytest.param(section, field, value, id=f"{section.__name__}.{field}={value!r}")
+        for section in SECTION_PATHS
+        for field, bound in section.BOUNDS.items()
+        for value in OUTSIDE[bound]
+    ])
+    def test_value_outside_bound_named(self, section, field, value):
+        data = base_config_dict(events=[
+            {"kind": "leak", "start": 10, "end": 20, "location": 0.0, "magnitude": 30.0}
+        ])
+        path = SECTION_PATHS[section]
+        section_at(data, path)[field] = value
+        where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict(data)
+        named = [e for e in exc.value.errors if e.startswith(f"{where}.{field}: ")]
+        assert len(named) == 1
+        assert named[0].startswith(f"{where}.{field}: must be {section.BOUNDS[field]}, got ")
+
+    def test_patrol_errors_name_their_entry(self):
+        data = base_config_dict()
+        data["topology"]["uav"] = {"patrol": [
+            {"start": "x", "end": 5, "cluster_id": "c0"},  # dropped for its start
+            {"start": 10, "end": 20, "cluster_id": "c9"},
+            {"start": 30, "end": 20, "cluster_id": "c1"},
+        ]}
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict(data)
+        assert exc.value.errors == [
+            "topology.uav.patrol[0].start: expected an integer, got 'x'",
+            "topology.uav.patrol[1].cluster_id: unknown cluster 'c9'",
+            "topology.uav.patrol[2].end: must be >= start",
+        ]
 
     def test_errors_collected_not_first_only(self):
         data = base_config_dict(energy={"ops_per_bit": 10}, horizon=-5)
