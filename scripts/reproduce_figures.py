@@ -29,7 +29,7 @@ def main():
 
     trace = load_trace(FIXTURES / "ekf_20_samples.csv", "n0", SensorKind.TEMPERATURE)
     model = ekf.random_walk_model(q=0.1, r=0.1)
-    init = ekf.FilterState([trace.readings[0].value], [[1.0]])
+    init = ekf.FilterState([trace.values[0]], [[1.0]])
     points = ekf.run_filter(model, init, trace)
     ekf.write_filter_csv(points, out / "ekf_estimates.csv")
     print(f"ekf_estimates.csv: {len(points)} rows")

@@ -3,7 +3,6 @@
 from .core import (
     ANALOG_KINDS,
     BINARY_KINDS,
-    Measurement,
     MixedSensorKindError,
     SensorKind,
     Trace,
@@ -17,7 +16,6 @@ from .core import (
 __all__ = [
     "ANALOG_KINDS",
     "BINARY_KINDS",
-    "Measurement",
     "MixedSensorKindError",
     "SensorKind",
     "Trace",

@@ -197,7 +197,7 @@ def cmd_ekf(args) -> int:
         raise ValueError(f"x0 must be finite, got {args.x0}")
     trace = load_trace(args.trace, args.node_id, SensorKind(args.kind))
     model = ekf.random_walk_model(args.q, args.r)
-    x0 = trace.readings[0].value if args.x0 is None else args.x0
+    x0 = trace.values[0] if args.x0 is None else args.x0
     points = ekf.run_filter(model, ekf.FilterState([x0], [[args.p0]]), trace)
     path = _out_dir(args) / "ekf.csv"
     ekf.write_filter_csv(points, path)

@@ -85,7 +85,7 @@ class ConsensusState:
     iteration: int = 0
 
     def __post_init__(self):
-        est = np.atleast_1d(np.asarray(self.estimates, dtype=float))
+        est = np.atleast_1d(np.array(self.estimates, dtype=float))
         if est.ndim != 1:
             raise ValueError(f"estimates must be a vector, got shape {est.shape}")
         bad = np.flatnonzero(~np.isfinite(est))
@@ -93,7 +93,6 @@ class ConsensusState:
             raise ValueError(f"estimates must be finite, got {est[bad[0]]} at index {bad[0]}")
         if self.iteration < 0:
             raise ValueError(f"iteration must be non-negative, got {self.iteration}")
-        est = np.array(est)
         est.flags.writeable = False
         object.__setattr__(self, "estimates", est)
 
@@ -134,6 +133,7 @@ def mse_dispersion(state: ConsensusState) -> float:
     return float(_dispersion(state.estimates))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is recorded as an inf or nan
 def _dispersion(x: np.ndarray):
     """The dispersion of a vector of estimates, or of each row of a block.
 

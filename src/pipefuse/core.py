@@ -1,21 +1,22 @@
-"""Shared domain types: sensor measurements, per-sensor traces, CSV input and
+"""Shared domain types: per-sensor traces, the reading check, CSV input and
 output.
 
-A trace is the raw material every fusion method consumes: an ordered,
-strictly increasing sequence of (tick, value) readings from one sensor on
-one node. Ticks are abstract non-negative integers, not wall-clock time.
+A trace is the raw material every fusion method consumes: one sensor's
+readings on one node, as a column of strictly increasing ticks and one of
+values. Ticks are abstract non-negative integers, not wall-clock time.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable
 
-import math
+import numbers
 import operator
 import re
 
@@ -56,76 +57,61 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """One timestamped scalar reading from a named sensor on a named node."""
-
-    node_id: str
-    sensor_kind: SensorKind
-    timestamp: int
-    value: float
-
-    def __post_init__(self):
-        if self.timestamp < 0:
-            raise ValueError(f"timestamp must be non-negative, got {self.timestamp}")
-        if not math.isfinite(self.value):
-            raise ValueError(f"value must be finite, got {self.value}")
-        if self.sensor_kind.is_binary and self.value not in (0.0, 1.0):
-            raise ValueError(
-                f"{self.sensor_kind.value} readings must be exactly 0.0 or 1.0, "
-                f"got {self.value}"
+def check_stream(node_id: str, kind: SensorKind, values, ticks, non_finite=TraceError) -> None:
+    """The one reading check: every value finite, and a binary kind's
+    exactly 0.0 or 1.0. values[i] is the reading at tick ticks[i]. A
+    non-finite value raises `non_finite`, a binary value other than 0 or 1
+    TraceError; both name the stream and the first such tick."""
+    values = np.asarray(values, dtype=float)
+    stream = f"stream {node_id}:{kind.value}"
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise non_finite(f"{stream}: non-finite value {values[bad[0]]} at tick {ticks[bad[0]]}")
+    if kind.is_binary:
+        bad = np.flatnonzero((values != 0.0) & (values != 1.0))
+        if bad.size:
+            raise TraceError(
+                f"{stream}: value {values[bad[0]]} at tick {ticks[bad[0]]} is not 0.0 or 1.0"
             )
 
 
 @dataclass(frozen=True)
 class Trace:
-    """Readings for one (node_id, sensor_kind), strictly increasing in time."""
+    """One sensor's readings: values[i] at tick timestamps[i], stored as
+    tuples of Python ints and floats, each reading passing check_stream."""
 
-    readings: tuple[Measurement, ...]
+    node_id: str
+    sensor_kind: SensorKind
+    timestamps: tuple[int, ...]
+    values: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.readings:
-            raise TraceError("trace must contain at least one reading")
-        first = self.readings[0]
-        prev_ts = None
-        for m in self.readings:
-            if m.node_id != first.node_id or m.sensor_kind != first.sensor_kind:
-                raise TraceError(
-                    "all readings in a trace must share node_id and sensor_kind"
-                )
-            if prev_ts is not None and m.timestamp <= prev_ts:
-                kind = "duplicate" if m.timestamp == prev_ts else "non-monotone"
-                raise TraceError(
-                    f"{kind} timestamp {m.timestamp} after {prev_ts} in trace "
-                    f"({first.node_id}, {first.sensor_kind.value})"
-                )
-            prev_ts = m.timestamp
-
-    @property
-    def node_id(self) -> str:
-        return self.readings[0].node_id
-
-    @property
-    def sensor_kind(self) -> SensorKind:
-        return self.readings[0].sensor_kind
-
-    @property
-    def timestamps(self) -> tuple[int, ...]:
-        return tuple(m.timestamp for m in self.readings)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(m.value for m in self.readings)
+        stream = f"stream {self.node_id}:{self.sensor_kind.value}"
+        ticks, values = tuple(self.timestamps), tuple(map(float, self.values))
+        if not ticks:
+            raise TraceError(f"{stream}: a trace needs at least one reading")
+        if len(ticks) != len(values):
+            raise TraceError(f"{stream}: {len(ticks)} timestamps but {len(values)} values")
+        for t in ticks:
+            if isinstance(t, bool) or not isinstance(t, numbers.Integral):
+                raise TraceError(f"{stream}: timestamp {t!r} is not an integer")
+        if ticks[0] < 0:
+            raise TraceError(f"{stream}: timestamp {ticks[0]} is negative")
+        for prev, t in zip(ticks, ticks[1:]):
+            if t <= prev:
+                kind = "duplicate" if t == prev else "non-monotone"
+                raise TraceError(f"{stream}: {kind} timestamp {t} after {prev}")
+        check_stream(self.node_id, self.sensor_kind, values, ticks)
+        object.__setattr__(self, "timestamps", tuple(map(int, ticks)))
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
-        return len(self.readings)
+        return len(self.timestamps)
 
 
 def trace_from_pairs(pairs, node_id: str, sensor_kind: SensorKind) -> Trace:
     """Build a Trace from (timestamp, value) pairs."""
-    return Trace(
-        tuple(Measurement(node_id, sensor_kind, int(t), float(v)) for t, v in pairs)
-    )
+    return Trace(node_id, sensor_kind, *(tuple(zip(*pairs)) or ((), ())))
 
 
 CSV_HEADER = ["timestamp", "value"]
@@ -160,17 +146,14 @@ def read_csv(path, header, parse) -> list:
 def load_trace(path, node_id: str, sensor_kind: SensorKind) -> Trace:
     """Read a `timestamp,value` CSV into a Trace.
 
-    Raises TraceError as `read_csv` does, and for a file without data rows
-    or timestamps that are not strictly increasing.
+    Raises TraceError as `read_csv` does, and, naming the file, for a file
+    without data rows or readings that Trace rejects.
     """
-    readings = read_csv(
-        path, CSV_HEADER,
-        lambda row: Measurement(node_id, sensor_kind, int(row[0]), float(row[1])),
-    )
-    if not readings:
+    rows = read_csv(path, CSV_HEADER, lambda row: (int(row[0]), float(row[1])))
+    if not rows:
         raise TraceError(f"{Path(path)}: no data rows")
     try:
-        return Trace(tuple(readings))
+        return Trace(node_id, sensor_kind, *zip(*rows))
     except TraceError as exc:
         raise TraceError(f"{Path(path)}: {exc}") from None
 
@@ -261,27 +244,26 @@ def write_csv(path, header, rows) -> None:
 
 def save_trace(trace: Trace, path) -> None:
     """Write a Trace as a `timestamp,value` CSV (inverse of load_trace)."""
-    write_csv(path, CSV_HEADER, ((m.timestamp, m.value) for m in trace.readings))
+    write_columns(path, CSV_HEADER, [trace.timestamps, trace.values])
 
 
-def merge_traces(traces: Iterable[Trace]) -> list[tuple[int, list[Measurement]]]:
-    """Time-align traces of one sensor kind into per-tick measurement groups.
+def merge_traces(traces: Iterable[Trace]) -> list[tuple[int, list[int], list[float]]]:
+    """Time-align traces of one sensor kind into the FUSVAF kernel's groups.
 
-    For every tick present in any trace, emits the measurements of the traces
-    that have that tick; a trace missing a tick simply contributes nothing
-    (no interpolation). Within a group, measurements keep the input trace
-    order. Raises MixedSensorKindError if kinds differ.
+    One (tick, slots, values) per tick present in any trace, in tick order:
+    the slots i, increasing, of the traces[i] that have a reading at the
+    tick, and those readings. A trace missing a tick simply contributes
+    nothing (no interpolation). Raises MixedSensorKindError if kinds differ.
     """
     traces = list(traces)
-    if not traces:
-        return []
     kinds = {t.sensor_kind for t in traces}
     if len(kinds) > 1:
         raise MixedSensorKindError(
             f"cannot merge traces of mixed sensor kinds: {sorted(k.value for k in kinds)}"
         )
-    by_tick: dict[int, list[Measurement]] = {}
-    for trace in traces:
-        for m in trace.readings:
-            by_tick.setdefault(m.timestamp, []).append(m)
-    return [(tick, by_tick[tick]) for tick in sorted(by_tick)]
+    slots_at, values_at = defaultdict(list), defaultdict(list)
+    for slot, trace in enumerate(traces):
+        for tick, value in zip(trace.timestamps, trace.values):
+            slots_at[tick].append(slot)
+            values_at[tick].append(value)
+    return [(tick, slots_at[tick], values_at[tick]) for tick in sorted(slots_at)]

@@ -248,23 +248,23 @@ class FilterPoint(NamedTuple):
         return float(self.state.P[0, 0])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # predict and update check each state
 def run_filter(model: ProcessModel, init: FilterState, measurements: Trace) -> list[FilterPoint]:
     """Filter a scalar-measurement trace, one predict+update per reading.
 
-    Output has one posterior per measurement. Innovation magnitudes are
-    surfaced in the points so callers can watch for divergence.
+    Output has one posterior and its innovation per measurement, so callers
+    can watch for divergence; an overflow raises NumericFailureError.
     """
     points = []
     state = init
-    for m in measurements.readings:
+    for tick, value in zip(measurements.timestamps, measurements.values):
         try:
             prior = predict(state, model)
-            z_pred = np.atleast_1d(np.asarray(model.h(prior.x_hat), dtype=float))
-            state = update(prior, [m.value], model)
+            innovation = value - np.atleast_1d(np.asarray(model.h(prior.x_hat), dtype=float))
+            state = update(prior, [value], model)
         except (NumericFailureError, ValueError) as exc:
-            raise type(exc)(f"tick {m.timestamp}: {exc}") from exc
-        innovation = np.array([m.value]) - z_pred
-        points.append(FilterPoint(m.timestamp, m.value, state, innovation))
+            raise type(exc)(f"tick {tick}: {exc}") from exc
+        points.append(FilterPoint(tick, value, state, innovation))
     return points
 
 

@@ -398,16 +398,12 @@ def fusvaf_columns(
     if not traces:
         raise ValueError("at least one trace is required")
     node_ids = [t.node_id for t in traces]
-    slot_of = {node_id: slot for slot, node_id in enumerate(node_ids)}
-    if len(slot_of) < len(node_ids):
+    if len(set(node_ids)) < len(node_ids):
         repeated = sorted({n for n in node_ids if node_ids.count(n) > 1})
         raise ValueError(f"traces must have distinct node_ids, got repeated {repeated}")
     if predictor is None:
         predictor = EkfPredictor()
-    groups = [
-        (tick, [slot_of[m.node_id] for m in group], [m.value for m in group])
-        for tick, group in merge_traces(traces)
-    ]
+    groups = merge_traces(traces)
     return _fusvaf_kernel(groups, len(traces), params, predictor, adaptation, adaptive_alpha)
 
 

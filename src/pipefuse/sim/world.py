@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..core import SensorKind, TraceError
+from ..core import SensorKind, check_stream
 from ..ekf import NumericFailureError
 from .config import EventSpec, ScenarioConfig
 
@@ -30,21 +30,6 @@ class WorldData(NamedTuple):
 
     def stream_keys(self) -> list[tuple[str, SensorKind]]:
         return sorted(self.truth)
-
-
-def check_stream(node_id: str, kind: SensorKind, values: np.ndarray) -> None:
-    """The per-array form of `Measurement`'s checks: every value finite,
-    and a binary stream exactly 0.0 or 1.0."""
-    stream = f"stream {node_id}:{kind.value}"
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise NumericFailureError(
-            f"{stream}: non-finite value {values[bad[0]]} at tick {bad[0]}"
-        )
-    if kind.is_binary:
-        bad = np.flatnonzero((values != 0.0) & (values != 1.0))
-        if bad.size:
-            raise TraceError(f"{stream}: value {values[bad[0]]} at tick {bad[0]} is not 0.0 or 1.0")
 
 
 def _leak_depression(event: EventSpec, t: np.ndarray) -> np.ndarray:
@@ -93,7 +78,7 @@ def generate_world(config: ScenarioConfig) -> WorldData:
             if spec.noise_std > 0:
                 rng = np.random.default_rng((config.seed, index))
                 values = signal + rng.normal(0.0, spec.noise_std, size=config.horizon)
-        check_stream(node_id, kind, values)
+        check_stream(node_id, kind, values, range(config.horizon), NumericFailureError)
         truth[(node_id, kind)] = signal
         traces[(node_id, kind)] = values
     return WorldData(truth=truth, traces=traces)

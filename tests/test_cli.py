@@ -231,6 +231,18 @@ class TestEkfCommand:
         assert code == 3
         assert "runtime-failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, error", [
+        ("0,1.0\n\n1,nan\n", "stream n0:temperature: non-finite value nan at tick 1"),
+        ("4,1.0\n9,-inf\n", "stream n0:temperature: non-finite value -inf at tick 9"),
+        ("0,1.0\n2.5,1.0\n", "row 2: invalid literal for int() with base 10: '2.5'"),
+    ])
+    def test_bad_reading_exits_3_and_names_file_and_tick(self, tmp_path, capsys, text, error):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("timestamp,value\n" + text, encoding="utf-8")
+        code = main(["--quiet", "ekf", "--trace", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == f"pipefuse: error [runtime-failure] {bad}: {error}\n"
+
     def test_loads_neither_simulator_nor_yaml(self, tmp_path):
         argv = ["--quiet", "ekf", "--trace", str(FIXTURES / "ekf_20_samples.csv"),
                 "--out", str(tmp_path / "out")]
@@ -342,6 +354,34 @@ class TestConsensusCommand:
         code = main(["--quiet", "consensus", "--values", "1,abc",
                      "--out", str(tmp_path / "o")])
         assert code == 2
+
+
+@pytest.mark.filterwarnings("error")
+class TestNoRuntimeWarnings:
+    """An overflow that the library checks or records reaches the output,
+    not stderr as a numpy RuntimeWarning (turned into an error here)."""
+
+    def test_consensus_overflowing_dispersion(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["consensus", "--values", "1e308,-1e308,1e308", "--out", str(out)]) == 0
+        assert capsys.readouterr() == (
+            "converged after 2 iterations; agreed value 3.333333333333333e+307\n"
+            f"mse history written to {out / 'consensus_mse.csv'}\n", "")
+        assert (out / "consensus_mse.csv").read_bytes() == (
+            b"iteration,mse\r\n0,inf\r\n1,inf\r\n2,0.0\r\n")
+
+    @pytest.mark.parametrize("text, flags, tick", [
+        ("0,1e308\n1,-1e308\n", [], 1),                        # the innovation overflows
+        ("0,1.0\n", ["--p0", "1e308", "--q", "1e308"], 0),     # the predicted P overflows
+    ])
+    def test_ekf_overflowing_state(self, tmp_path, capsys, text, flags, tick):
+        trace = tmp_path / "big.csv"
+        trace.write_text("timestamp,value\n" + text, encoding="utf-8")
+        code = main(["ekf", "--trace", str(trace), *flags, "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr() == ("", (
+            f"pipefuse: error [runtime-failure] tick {tick}: "
+            "filter state contains non-finite values\n"))
 
 
 LIBRARY_COMMANDS = {

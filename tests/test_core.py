@@ -7,7 +7,6 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 from pipefuse import core
 from pipefuse.core import (
-    Measurement,
     MixedSensorKindError,
     SensorKind,
     Trace,
@@ -38,38 +37,60 @@ class TestSensorKind:
         assert [k for k in SensorKind if k.is_binary] == list(core.BINARY_KINDS)
 
 
-class TestMeasurement:
-    def test_binary_kinds_accept_only_zero_or_one(self):
-        Measurement("n0", SensorKind.PIR, 0, 1.0)
-        Measurement("n0", SensorKind.MAGNETIC, 0, 0.0)
-        with pytest.raises(ValueError):
-            Measurement("n0", SensorKind.PIR, 0, 0.5)
-
-    def test_negative_timestamp_rejected(self):
-        with pytest.raises(ValueError):
-            Measurement("n0", SensorKind.PRESSURE, -1, 100.0)
-
-    def test_non_finite_value_rejected(self):
-        with pytest.raises(ValueError):
-            Measurement("n0", SensorKind.PRESSURE, 0, float("nan"))
-
-
 class TestTrace:
     def test_empty_rejected(self):
-        with pytest.raises(TraceError):
-            Trace(())
+        with pytest.raises(TraceError) as exc:
+            Trace("n0", SensorKind.PRESSURE, (), ())
+        assert str(exc.value) == "stream n0:pressure: a trace needs at least one reading"
 
     def test_duplicate_timestamp_rejected(self):
         with pytest.raises(TraceError, match="duplicate"):
             trace_from_pairs([(0, 1.0), (0, 2.0)], "n0", SensorKind.PRESSURE)
 
-    def test_mixed_node_rejected(self):
-        readings = (
-            Measurement("a", SensorKind.PRESSURE, 0, 1.0),
-            Measurement("b", SensorKind.PRESSURE, 1, 2.0),
-        )
-        with pytest.raises(TraceError):
-            Trace(readings)
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(TraceError) as exc:
+            Trace("n0", SensorKind.PRESSURE, (0, 1), (1.0,))
+        assert str(exc.value) == "stream n0:pressure: 2 timestamps but 1 values"
+
+    def test_binary_kinds_accept_only_zero_or_one(self):
+        Trace("n0", SensorKind.PIR, (0, 1), (1.0, 0.0))
+        Trace("n0", SensorKind.MAGNETIC, (0,), (0.0,))
+        with pytest.raises(TraceError) as exc:
+            Trace("n0", SensorKind.PIR, (0, 4), (1.0, 0.5))
+        assert str(exc.value) == "stream n0:pir: value 0.5 at tick 4 is not 0.0 or 1.0"
+
+    def test_negative_timestamp_rejected(self):
+        with pytest.raises(TraceError) as exc:
+            Trace("n0", SensorKind.PRESSURE, (-1, 0), (100.0, 100.0))
+        assert str(exc.value) == "stream n0:pressure: timestamp -1 is negative"
+
+    def test_non_finite_value_rejected(self):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(TraceError) as exc:
+                trace_from_pairs([(2, 1.0), (7, bad)], "n0", SensorKind.PRESSURE)
+            assert str(exc.value) == f"stream n0:pressure: non-finite value {bad} at tick 7"
+
+    @pytest.mark.parametrize("pairs, text", [
+        ([(0, 1.0), (1.5, 2.0)], "1.5"),
+        ([(0, 1.0), (np.float64(2.5), 2.0)], "np.float64(2.5)"),
+        ([(3.0, 1.0)], "3.0"),
+        ([(True, 1.0)], "True"),
+        ([(0.9, 1.0), (1.7, 2.0)], "0.9"),  # int() would give ticks (0, 1)
+        ([(0.2, 1.0), (0.7, 2.0)], "0.2"),  # int() would give a duplicate tick 0
+    ])
+    def test_non_integer_timestamp_rejected(self, pairs, text):
+        with pytest.raises(TraceError) as exc:
+            trace_from_pairs(pairs, "n0", SensorKind.PRESSURE)
+        assert str(exc.value) == f"stream n0:pressure: timestamp {text} is not an integer"
+
+    def test_columns_hold_python_ints_and_floats(self):
+        trace = Trace("n0", SensorKind.PRESSURE,
+                      [np.int64(0), np.int32(2), 5], np.array([1.0, 2.0, 3.0]))
+        assert trace == trace_from_pairs([(0, 1.0), (2, 2.0), (5, 3.0)], "n0", SensorKind.PRESSURE)
+        assert hash(trace) == hash(Trace("n0", SensorKind.PRESSURE, (0, 2, 5), (1.0, 2.0, 3.0)))
+        assert [type(t) for t in trace.timestamps] == [int] * 3
+        assert [type(v) for v in trace.values] == [float] * 3
+        assert len(trace) == 3
 
 
 class TestLoadTrace:
@@ -120,6 +141,21 @@ class TestLoadTrace:
         with pytest.raises(TraceError, match="duplicate"):
             load_trace(path, "n0", SensorKind.TEMPERATURE)
 
+    @pytest.mark.parametrize("text, kind, error", [
+        ("3,1.0\n5,nan\n", SensorKind.TEMPERATURE,
+         "stream n0:temperature: non-finite value nan at tick 5"),
+        ("0,0.0\n\n4,0.5\n", SensorKind.PIR,
+         "stream n0:pir: value 0.5 at tick 4 is not 0.0 or 1.0"),
+        ("-2,1.0\n", SensorKind.TEMPERATURE, "stream n0:temperature: timestamp -2 is negative"),
+        ("0,1.0\n1.5,2.0\n", SensorKind.TEMPERATURE,
+         "row 2: invalid literal for int() with base 10: '1.5'"),
+    ])
+    def test_reading_errors_name_file_stream_and_tick(self, tmp_path, text, kind, error):
+        path = write_csv(tmp_path, "timestamp,value\n" + text)
+        with pytest.raises(TraceError) as exc:
+            load_trace(path, "n0", kind)
+        assert str(exc.value) == f"{path}: {error}"
+
 
 finite_values = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -130,7 +166,7 @@ finite_values = st.floats(
 def traces(draw, kind=SensorKind.TEMPERATURE, node_id="n0", max_len=50):
     n = draw(st.integers(min_value=1, max_value=max_len))
     gaps = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
-    ts = 0
+    ts = draw(st.integers(0, 30))
     pairs = []
     for gap in gaps:
         pairs.append((ts, draw(finite_values)))
@@ -159,21 +195,30 @@ def test_save_trace_reproduces_fixture_bytes(name, tmp_path):
     assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes()
 
 
+def reference_merge(traces):
+    """merge_traces one reading at a time: for each tick of any trace, in
+    order, the slots of the traces that read it and their readings."""
+    readings = [(tick, slot, value) for slot, trace in enumerate(traces)
+                for tick, value in zip(trace.timestamps, trace.values)]
+    groups = []
+    for tick in sorted({tick for tick, _, _ in readings}):
+        at_tick = sorted((slot, value) for t, slot, value in readings if t == tick)
+        groups.append((tick, [slot for slot, _ in at_tick], [value for _, value in at_tick]))
+    return groups
+
+
+def temp_trace(node_id, pairs):
+    return trace_from_pairs(pairs, node_id, SensorKind.TEMPERATURE)
+
+
 class TestMergeTraces:
     def test_union_at_shared_tick(self):
-        a = trace_from_pairs([(0, 1.0)], "a", SensorKind.TEMPERATURE)
-        b = trace_from_pairs([(0, 2.0)], "b", SensorKind.TEMPERATURE)
-        merged = merge_traces([a, b])
-        assert len(merged) == 1
-        tick, group = merged[0]
-        assert tick == 0
-        assert sorted(m.value for m in group) == [1.0, 2.0]
+        merged = merge_traces([temp_trace("a", [(0, 1.0)]), temp_trace("b", [(0, 2.0)])])
+        assert merged == [(0, [0, 1], [1.0, 2.0])]
 
     def test_disjoint_ticks(self):
-        a = trace_from_pairs([(0, 1.0)], "a", SensorKind.TEMPERATURE)
-        b = trace_from_pairs([(1, 2.0)], "b", SensorKind.TEMPERATURE)
-        merged = merge_traces([a, b])
-        assert [(t, [m.value for m in g]) for t, g in merged] == [(0, [1.0]), (1, [2.0])]
+        merged = merge_traces([temp_trace("a", [(0, 1.0)]), temp_trace("b", [(1, 2.0)])])
+        assert merged == [(0, [0], [1.0]), (1, [1], [2.0])]
 
     def test_mixed_kind_rejected(self):
         a = trace_from_pairs([(0, 1.0)], "a", SensorKind.TEMPERATURE)
@@ -188,13 +233,24 @@ class TestMergeTraces:
             data.draw(traces(node_id=f"n{i}", max_len=20)) for i in range(n_traces)
         ]
         merged = merge_traces(all_traces)
-        flat = [m for _, group in merged for m in group]
-        original = [m for t in all_traces for m in t.readings]
-        assert sorted(flat, key=lambda m: (m.timestamp, m.node_id)) == sorted(
-            original, key=lambda m: (m.timestamp, m.node_id)
-        )
-        ticks = [t for t, _ in merged]
+        flat = [(tick, slot, value) for tick, slots, values in merged
+                for slot, value in zip(slots, values)]
+        original = [(tick, slot, value) for slot, t in enumerate(all_traces)
+                    for tick, value in zip(t.timestamps, t.values)]
+        assert sorted(flat) == sorted(original)
+        ticks = [t for t, _, _ in merged]
         assert ticks == sorted(set(ticks))
+
+    @given(all_traces=st.integers(1, 4).flatmap(
+        lambda n: st.tuples(*(traces(node_id=f"n{i}", max_len=20) for i in range(n)))))
+    @example(all_traces=(temp_trace("a", [(0, 1.0), (4, 2.0)]),
+                         temp_trace("b", [(1, 3.0), (9, 4.0)]),
+                         temp_trace("c", [(2, -0.0), (4, 0.0), (9, 5.0)])))
+    @example(all_traces=(temp_trace("a", [(30, 1.0)]),))
+    def test_equals_per_reading_grouping(self, all_traces):
+        """Gapped traces of 1-4 members, each from its own first tick: the
+        groups the FUSVAF kernel reads are those of the reference grouping."""
+        assert repr(merge_traces(all_traces)) == repr(reference_merge(all_traces))
 
 
 def reference_write_csv(path, header, rows):

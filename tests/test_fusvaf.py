@@ -377,10 +377,10 @@ def reference_fusvaf(traces, params, predictor, adaptation, adaptive_alpha):
     alpha = params.alpha
     gate = None
     out = []
-    for ticks_seen, (tick, group) in enumerate(merge_traces(traces)):
+    for ticks_seen, (tick, slots, values) in enumerate(merge_traces(traces)):
         predicted = predictor.predict()
         if predicted is None:
-            predicted = sum(m.value for m in group) / len(group)
+            predicted = sum(values) / len(values)
         if not math.isfinite(predicted):
             raise ekf.NumericFailureError(f"tick {tick}: prediction {predicted} is not finite")
         warmup = ticks_seen < adaptation.window
@@ -392,7 +392,7 @@ def reference_fusvaf(traces, params, predictor, adaptation, adaptive_alpha):
                 gate = adapt_gate(gate, residuals, predicted, adaptation)
         except ValueError as exc:
             raise ekf.NumericFailureError(f"tick {tick}: {exc}") from None
-        pairs = [(m.value, confidence(gate, m.value)) for m in group]
+        pairs = [(z, confidence(gate, z)) for z in values]
         try:
             fused = _fuse_weighted(pairs, predicted, alpha, params.omega)
         except DegenerateDenominatorError as exc:
@@ -405,10 +405,10 @@ def reference_fusvaf(traces, params, predictor, adaptation, adaptive_alpha):
             predictor.observe(fused)
         except ekf.NumericFailureError as exc:
             raise ekf.NumericFailureError(f"tick {tick}: {exc}") from None
-        residual_window.append([abs(m.value - fused) for m in group])
+        residual_window.append([abs(z - fused) for z in values])
         if adaptive_alpha:
             alpha = sum(sigma for _, sigma in pairs)
-        readings = tuple((m.node_id, m.value, sigma) for m, (_, sigma) in zip(group, pairs))
+        readings = tuple((traces[slot].node_id, z, sigma) for slot, (z, sigma) in zip(slots, pairs))
         out.append((tick, fused, predicted, readings, warmup, gate))
     return out
 

@@ -5,7 +5,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from pipefuse.core import SensorKind, TraceError, trace_from_pairs
+from pipefuse.core import SensorKind, TraceError, check_stream, trace_from_pairs
 from pipefuse.ekf import NumericFailureError
 from pipefuse.fusvaf import (
     DegenerateDenominatorError,
@@ -40,7 +40,6 @@ from pipefuse.sim.config import (
     UavVisit,
 )
 from pipefuse.sim.stages import hold_series
-from pipefuse.sim.world import check_stream
 
 RAW, FUSED, CONSENSUS = MessageKind.RAW, MessageKind.FUSED, MessageKind.CONSENSUS
 BUNDLED = Path(__file__).resolve().parent.parent / "scenarios" / "baseline_10node.yaml"
@@ -445,24 +444,34 @@ class TestGenerateWorld:
 
 
 class TestCheckStream:
+    """core.check_stream as generate_world calls it: tick i is values[i],
+    and a non-finite value is a NumericFailureError."""
+
+    @staticmethod
+    def world_check(node_id, kind, values):
+        check_stream(node_id, kind, values, range(len(values)), NumericFailureError)
+
     def test_finite_analog_and_binary_pass(self):
-        check_stream("n0", SensorKind.PRESSURE, np.array([500.0, -1e308, 0.5]))
-        check_stream("n1", SensorKind.PIR, np.array([0.0, 1.0, 1.0, 0.0]))
+        self.world_check("n0", SensorKind.PRESSURE, np.array([500.0, -1e308, 0.5]))
+        self.world_check("n1", SensorKind.PIR, np.array([0.0, 1.0, 1.0, 0.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_first_non_finite_tick_named(self, bad):
         values = np.array([1.0, 2.0, bad, bad])
-        with pytest.raises(NumericFailureError, match=r"stream n0:humidity: .* at tick 2$"):
-            check_stream("n0", SensorKind.HUMIDITY, values)
+        with pytest.raises(NumericFailureError) as exc:
+            self.world_check("n0", SensorKind.HUMIDITY, values)
+        assert str(exc.value) == f"stream n0:humidity: non-finite value {bad} at tick 2"
 
     def test_non_finite_binary_is_numeric_failure(self):
-        with pytest.raises(NumericFailureError, match="tick 1"):
-            check_stream("n1", SensorKind.MAGNETIC, np.array([0.0, np.nan]))
+        with pytest.raises(NumericFailureError) as exc:
+            self.world_check("n1", SensorKind.MAGNETIC, np.array([0.0, np.nan]))
+        assert str(exc.value) == "stream n1:magnetic: non-finite value nan at tick 1"
 
     @pytest.mark.parametrize("bad", [0.5, -1.0, 2.0])
     def test_binary_value_other_than_0_or_1_rejected(self, bad):
-        with pytest.raises(TraceError, match=r"stream n1:pir: value .* at tick 3 is not 0.0 or 1"):
-            check_stream("n1", SensorKind.PIR, np.array([0.0, 1.0, 0.0, bad]))
+        with pytest.raises(TraceError) as exc:
+            self.world_check("n1", SensorKind.PIR, np.array([0.0, 1.0, 0.0, bad]))
+        assert str(exc.value) == f"stream n1:pir: value {bad} at tick 3 is not 0.0 or 1.0"
 
 
 def pressure_stage(values, config):
