@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-import yaml
-
-from pipefuse.sim import apply_overrides, run_simulation, scenario_from_dict
+from pipefuse.sim import load_scenario, run_simulation
 
 ROOT = Path(__file__).resolve().parent.parent
 RAW_OVERRIDES = [
@@ -28,14 +26,8 @@ def main():
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args()
 
-    data = yaml.safe_load(Path(args.config).read_text(encoding="utf-8"))
-    if args.seed is not None:
-        data["seed"] = args.seed
-
-    fused = run_simulation(scenario_from_dict(data, "fused")).metrics
-    raw = run_simulation(
-        scenario_from_dict(apply_overrides(data, RAW_OVERRIDES), "raw")
-    ).metrics
+    fused = run_simulation(load_scenario(args.config, seed=args.seed)).metrics
+    raw = run_simulation(load_scenario(args.config, RAW_OVERRIDES, args.seed)).metrics
 
     reduction = 100.0 * (1.0 - fused.total_bits / raw.total_bits)
     print(f"{'':24} {'fused':>14} {'all-raw':>14}")

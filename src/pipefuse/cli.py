@@ -73,7 +73,7 @@ def _write_run_outputs(result, out: Path) -> list:
         write_stream_csv(
             result.world.truth[key],
             result.world.traces[key],
-            *result.reported_series[key],
+            result.reported_series[key],
             record(streams_dir / f"{node_id}_{kind.value}.csv"),
         )
 

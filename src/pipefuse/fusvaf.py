@@ -297,14 +297,9 @@ def _fusvaf_kernel(
     ticks, fused_col, predicted_col, half_widths = [], [], [], []
     value_cols = [[None] * n for _ in range(n_slots)]
     sigma_cols = [[None] * n for _ in range(n_slots)]
-    # The last `window` ticks' absolute residuals, per tick, and those of the
-    # ticks with a non-nan fused value as one sorted list. A nan fused value,
-    # which only a predictor that accepts it lets through, makes every
-    # residual of its tick nan (readings are finite); while such a tick is in
-    # the window, the median sorts the whole window, as adapt_gate does.
+    # the last `window` ticks' absolute residuals, per tick and as one sorted list
     residual_window: deque = deque()
     window_sorted: list = []
-    nan_ticks = 0
     alpha = params.alpha
     for i, (tick, slots, values) in enumerate(groups):
         predicted = predictor.predict()
@@ -315,11 +310,7 @@ def _fusvaf_kernel(
         if i < adaptation.window:
             half_width = adaptation.warmup_half_width
         else:  # as adapt_gate, over residuals that are already absolute
-            spread = _median(
-                sorted([r for per_tick in residual_window for r in per_tick]) if nan_ticks
-                else window_sorted
-            )
-            half_width = adaptation.half_width(spread)
+            half_width = adaptation.half_width(_median(window_sorted))
         v_l, v_r, a = predicted - half_width, predicted + half_width, half_width / 2.0
         if not (a > 0.0 and -math.inf < v_l < predicted < v_r < math.inf):
             # the half-width vanishes next to a huge prediction; the gate's own
@@ -346,20 +337,15 @@ def _fusvaf_kernel(
             predictor.observe(fused)
         except ekf.NumericFailureError as exc:
             raise ekf.NumericFailureError(f"tick {tick}: {exc}") from None
+        if not math.isfinite(fused):  # after observe: a predictor that refuses it words the error
+            raise ekf.NumericFailureError(f"tick {tick}: fused value {fused} is not finite")
         residuals = [abs(z - fused) for z in values]
         residual_window.append(residuals)
-        if math.isnan(fused):
-            nan_ticks += 1
-        else:
-            for r in residuals:
-                insort(window_sorted, r)
+        for r in residuals:
+            insort(window_sorted, r)
         if len(residual_window) > adaptation.window:
-            evicted = residual_window.popleft()
-            if math.isnan(evicted[0]):
-                nan_ticks -= 1
-            else:
-                for r in evicted:
-                    del window_sorted[bisect_left(window_sorted, r)]
+            for r in residual_window.popleft():
+                del window_sorted[bisect_left(window_sorted, r)]
         if adaptive_alpha:
             alpha = sum(sigmas)
         ticks.append(tick)
@@ -391,9 +377,9 @@ def fusvaf_columns(
 
     On the very first tick, before the predictor has seen anything, the
     prediction falls back to the mean of that tick's measurements. A
-    prediction that is not finite, or too large for the gate's half-width
-    to register, raises ekf.NumericFailureError. Traces must have distinct
-    node_ids.
+    prediction that is not finite or too large for the gate's half-width to
+    register, and a fused value that is not finite, raise
+    ekf.NumericFailureError. Traces must have distinct node_ids.
     """
     if not traces:
         raise ValueError("at least one trace is required")

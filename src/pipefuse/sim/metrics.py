@@ -156,15 +156,12 @@ def write_detections_csv(detections, path) -> None:
     )
 
 
-def write_stream_csv(truth, measured, first_tick, held, path) -> None:
+def write_stream_csv(truth, measured, held, path) -> None:
     """Per-stream estimate trail `tick,truth,measurement,reported,abs_error`
-    from the world's arrays and the held series (first tick, values);
-    `reported` and `abs_error` are empty before the first tick."""
+    from the world's arrays and the value held at every tick."""
     held = np.array(held, dtype=float)
-    errors = np.abs(held - truth[first_tick:])  # IEEE, the bits of abs(float - float)
-    if first_tick:
-        held, errors = ([None] * first_tick + column.tolist() for column in (held, errors))
-    elif np.array_equal(held.view(np.int64), measured.view(np.int64)):
+    errors = np.abs(held - truth)  # IEEE, the bits of abs(float - float)
+    if np.array_equal(held.view(np.int64), measured.view(np.int64)):
         held = measured  # a raw stream reports every measurement: format it once
     write_columns(path, ["tick", "truth", "measurement", "reported", "abs_error"],
                   [range(len(truth)), truth, measured, held, errors])

@@ -28,21 +28,33 @@ class SimulationResult(NamedTuple):
     config: ScenarioConfig
     world: WorldData
     cluster_results: dict
-    reported_series: dict
+    reported_series: dict  # (node_id, kind) -> the value held at every tick
     detections: list
     consensus_runs: list
     messages: dict  # ledger of the whole run
     metrics: RunMetrics
 
 
-def _rmse(stream: str, first_tick: int, reported: list, truth: list) -> float:
+def _rmse(stream: str, reported: list, truth: list) -> float:
     total = 0.0
-    for value, true in zip(reported, truth[first_tick:]):
+    for value, true in zip(reported, truth):
         error = value - true
         total += error * error
     if not math.isfinite(total):
         raise NumericFailureError(f"stream {stream}: estimation error overflows")
     return math.sqrt(total / len(reported))
+
+
+def _energy(figure: str, amount, scale: float = 1.0) -> float:
+    """amount * scale as a float; NumericFailureError names the figure if
+    that overflows (an int beyond the float range included)."""
+    try:
+        energy = float(amount) * scale
+    except OverflowError:
+        energy = math.inf
+    if not math.isfinite(energy):
+        raise NumericFailureError(f"{figure} overflows the float range")
+    return energy
 
 
 def run_simulation(config: ScenarioConfig) -> SimulationResult:
@@ -111,11 +123,10 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
     rmse_per_stream: dict = {}
     for key in world.stream_keys():
         node_id, kind = key
-        first_tick, held = hold_series(node_results[key].reports, config.horizon)
-        reported_series[key] = (first_tick, held)
+        held = reported_series[key] = hold_series(node_results[key].reports, config.horizon)
         if not kind.is_binary:
             stream = f"{node_id}:{kind.value}"
-            rmse_per_stream[stream] = _rmse(stream, first_tick, held, world.truth[key].tolist())
+            rmse_per_stream[stream] = _rmse(stream, held, world.truth[key].tolist())
 
     rmse_values = [rmse_per_stream[k] for k in sorted(rmse_per_stream)]
     rmse_mean = sum(rmse_values) / len(rmse_values) if rmse_values else float("nan")
@@ -124,8 +135,9 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
     levels = tally_messages(messages, {n.node_id for n in topology.nodes})
     total_bits = sum(bits for _, bits in messages.values())
     energy = config.energy
-    radio_energy = float(total_bits * energy.ops_per_bit) * energy.per_op_cost
-    compute_energy = float(ops) * energy.per_op_cost
+    radio_energy = _energy("radio_energy", total_bits * energy.ops_per_bit, energy.per_op_cost)
+    compute_energy = _energy("compute_energy", ops, energy.per_op_cost)
+    total_energy = _energy("total_energy", radio_energy + compute_energy)
 
     event_outcomes, false_positives = match_events(config, detections)
     metrics = RunMetrics(
@@ -141,7 +153,7 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
         compute_ops=ops,
         radio_energy=radio_energy,
         compute_energy=compute_energy,
-        total_energy=radio_energy + compute_energy,
+        total_energy=total_energy,
         rmse_per_stream=rmse_per_stream,
         rmse_mean=rmse_mean,
         rmse_max=rmse_max,

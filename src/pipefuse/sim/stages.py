@@ -84,36 +84,13 @@ def node_stage(
     return NodeStageResult(node_id, kind, reports, add_messages({}, sent), ops)
 
 
-def hold_series(reports, horizon: int) -> tuple[int, list]:
-    """Zero-order-hold reconstruction: the first report's tick (horizon if
-    none) and the value held at every tick from there to horizon-1."""
-    if not reports:
-        return horizon, []
+def hold_series(reports, horizon: int) -> list:
+    """Zero-order-hold reconstruction of reports that start at tick 0: the
+    value held at every tick from 0 to horizon-1."""
     ticks = np.array([tick for tick, _ in reports] + [horizon])
     # each report holds until the next one or the horizon; a repeated tick holds for none
     held = np.clip(np.minimum(ticks[1:], horizon) - ticks[:-1], 0, None)
-    return reports[0][0], np.repeat([value for _, value in reports], held).tolist()
-
-
-def _held_groups(held: list, horizon: int) -> list:
-    """FUSVAF's per-tick groups (tick, slots, values) over held series
-    [(first tick, values)], slot i being held[i].
-
-    Each series is dense from its first tick to the horizon, so the slots
-    present change only at the ticks where a series starts.
-    """
-    starts = sorted({first for first, values in held if values})
-    groups = []
-    for start, stop in zip(starts, starts[1:] + [horizon]):
-        present = [
-            (slot, first, values)
-            for slot, (first, values) in enumerate(held)
-            if values and first <= start
-        ]
-        slots = [slot for slot, _, _ in present]
-        rows = zip(*(values[start - first:stop - first] for _, first, values in present))
-        groups.extend(zip(range(start, stop), repeat(slots), rows))
-    return groups
+    return np.repeat([value for _, value in reports], held).tolist()
 
 
 class WindowSummary(NamedTuple):
@@ -161,7 +138,8 @@ def cluster_stage(
     FUSVAF) plus one aggregate message per window that received reports;
     with FUSVAF off, received reports are relayed upstream unchanged.
     Members whose confidence stays at zero for fault_persistence
-    consecutive windows are flagged suspected-faulty.
+    consecutive windows are flagged suspected-faulty. Reports must be in
+    tick order and, under FUSVAF, start at tick 0.
     """
     horizon = config.horizon
     window = config.detection.window
@@ -170,37 +148,37 @@ def cluster_stage(
     fusion_cfg = config.fusion
     ops = 0
 
-    fusion = None
-    if fusion_cfg.cluster_fusvaf and not kind.is_binary:
-        held = [hold_series(member_reports[node_id], horizon) for node_id in member_order]
-        groups = _held_groups(held, horizon)
-        if groups:
-            adaptation = fusvaf.GateAdaptation(
-                k_sigma=fusion_cfg.gate_k_sigma,
-                w_min=config.gate_floor(kind),
-                w_max=fusion_cfg.gate_w_max,
-                window=fusion_cfg.gate_window,
-            )
-            params = fusvaf.FusionParams(fusion_cfg.fusvaf_alpha, fusion_cfg.fusvaf_omega)
-            try:
-                fusion = fusvaf._fusvaf_kernel(
-                    groups,
-                    len(member_order),
-                    params,
-                    fusvaf.EkfPredictor(fusion_cfg.ekf_q, fusion_cfg.ekf_r),
-                    adaptation,
-                    fusion_cfg.fusvaf_adaptive_alpha,
-                )
-            except (fusvaf.DegenerateDenominatorError, ekf.NumericFailureError) as exc:
-                raise type(exc)(f"cluster {cluster_id} [{kind.value}]: {exc}") from None
-            ops += config.energy.fusvaf_ops_per_value * sum(len(values) for _, values in held)
-
+    fuse = bool(member_order) and fusion_cfg.cluster_fusvaf and not kind.is_binary
     member_ticks = []
     for node_id in member_order:
         ticks = [t for t, _ in member_reports[node_id]]
         if any(a > b for a, b in zip(ticks, ticks[1:])):
             raise ValueError(f"cluster {cluster_id}: reports of {node_id} are not in tick order")
+        if fuse and ticks[:1] != [0]:  # node_stage always reports tick 0
+            raise ValueError(f"cluster {cluster_id}: reports of {node_id} do not start at tick 0")
         member_ticks.append((ticks, [v for _, v in member_reports[node_id]]))
+
+    fusion = None
+    if fuse:
+        # every held series covers ticks 0..horizon-1, so every tick has every slot
+        held = [hold_series(member_reports[node_id], horizon) for node_id in member_order]
+        groups = list(zip(range(horizon), repeat(list(range(len(held)))), zip(*held)))
+        adaptation = fusvaf.GateAdaptation(
+            k_sigma=fusion_cfg.gate_k_sigma,
+            w_min=config.gate_floor(kind),
+            w_max=fusion_cfg.gate_w_max,
+            window=fusion_cfg.gate_window,
+        )
+        params = fusvaf.FusionParams(fusion_cfg.fusvaf_alpha, fusion_cfg.fusvaf_omega)
+        try:
+            fusion = fusvaf._fusvaf_kernel(
+                groups, len(held), params, fusvaf.EkfPredictor(fusion_cfg.ekf_q, fusion_cfg.ekf_r),
+                adaptation, fusion_cfg.fusvaf_adaptive_alpha,
+            )
+        except (fusvaf.DegenerateDenominatorError, ekf.NumericFailureError) as exc:
+            raise type(exc)(f"cluster {cluster_id} [{kind.value}]: {exc}") from None
+        ops += config.energy.fusvaf_ops_per_value * horizon * len(held)
+
     windows = []
     zero_streak = {node_id: 0 for node_id in member_order}  # members not yet flagged
     suspected = []
@@ -218,10 +196,7 @@ def cluster_stage(
             ops += config.energy.aggregation_ops_per_value * count
         fused_mean = None
         if fusion is not None:
-            lo, hi = bisect_left(fusion.tick, start), bisect_right(fusion.tick, end)
-            window_fused = fusion.fused[lo:hi]
-            if window_fused:
-                fused_mean = sum(window_fused) / len(window_fused)
+            fused_mean = sum(fusion.fused[start:end + 1]) / window
         elif not fusion_cfg.cluster_fusvaf and not kind.is_binary:
             fused_mean = avg  # gateway-side window mean of the relayed raw values
         windows.append(
@@ -230,10 +205,9 @@ def cluster_stage(
 
         if fusion is not None:
             for node_id, column in zip(member_order, fusion.sigma):
-                sigmas = [s for s in column[lo:hi] if s is not None]
-                if not sigmas or node_id not in zero_streak:
-                    continue  # member silent this window (streak unchanged) or flagged
-                if all(s == 0.0 for s in sigmas):
+                if node_id not in zero_streak:
+                    continue  # already flagged
+                if all(s == 0.0 for s in column[start:end + 1]):
                     zero_streak[node_id] += 1
                     if zero_streak[node_id] >= config.detection.fault_persistence:
                         suspected.append((node_id, w))

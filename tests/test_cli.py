@@ -127,6 +127,11 @@ class TestRun:
         (["signals.pressure.baseline=1.7e+308"],
          "cluster c0 [pressure]: tick 0: prediction inf is not finite"),
         (["signals.temperature.baseline=1.7e+308"], "cluster c0 [temperature]: tick 0: gate"),
+        (["energy.per_op_cost=1.0e+303"], "radio_energy overflows the float range"),
+        (["energy.sample_bits=1" + "0" * 400], "radio_energy overflows the float range"),
+        (["energy.ekf_ops_per_update=1" + "0" * 400], "compute_energy overflows the float range"),
+        # each term is finite, their sum is not
+        (["energy.per_op_cost=5.95e+300"], "total_energy overflows the float range"),
     ])
     def test_overflow_exits_3_and_names_where(self, tmp_path, capsys, overrides, message):
         args = [a for o in overrides for a in ("--override", o)]
@@ -314,6 +319,18 @@ class TestFusvafCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert "runtime-failure" in err and "tick 0: filter state contains non-finite" in err
+
+    def test_non_finite_fused_value_exits_3_and_names_tick(self, tmp_path, capsys):
+        # a prediction weight of inf makes the fused value nan; the smoothing
+        # predictor would take it, the kernel does not
+        (tmp_path / "a.csv").write_text("timestamp,value\n0,1.0\n", encoding="utf-8")
+        code = main(["--quiet", "fusvaf", "--trace", str(tmp_path / "a.csv"),
+                     "--predictor", "smoothing", "--alpha", "1e300", "--omega", "1e-300",
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "[runtime-failure] tick 0: fused value nan is not finite" in err
+        assert not (tmp_path / "out" / "fusvaf.csv").exists()
 
 
 class TestConsensusCommand:

@@ -92,6 +92,7 @@ mutations = st.lists(
 @example([(("horizon",), -3)])
 @example([(("horizon",), 10**400)])
 @example([(("horizon",), 2**62)])
+@example([(("energy", "sample_bits"), 10**400)])
 @example([(("signals", "pressure", "noise_std"), "1e308")])
 @example([(("topology", "cluster_heads", 1, "cluster_id"), "n0")])
 @example([(("topology", "gateway_id"), "n3")])

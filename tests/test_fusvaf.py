@@ -21,6 +21,7 @@ from pipefuse.fusvaf import (
     fuse,
     fusvaf_columns,
     fusvaf_stream,
+    write_fusion_columns,
 )
 
 
@@ -331,6 +332,22 @@ class TestFusvafStream:
                            match="^tick 0: filter state contains non-finite values$"):
             fusvaf_stream(stream, FusionParams(), adaptation=GateAdaptation(w_max=1e300))
 
+    def test_fused_csv_from_columns_leaves_absent_slots_empty(self, tmp_path):
+        # a slot is empty at the ticks its trace has no reading: before a late
+        # start, in a gap, after the last reading
+        pairs = {"a": [(t, 500.0 + 0.1 * (t % 3)) for t in range(40)],
+                 "b": [(7, 501.0), (20, 499.5)], "c": [(31, 650.0)]}
+        traces = [trace_from_pairs(p, node_id, SensorKind.PRESSURE) for node_id, p in pairs.items()]
+        write_fusion_columns(fusvaf_columns(traces), tmp_path / "columns.csv")
+        header, *rows = (tmp_path / "columns.csv").read_bytes().splitlines()
+        assert header == b"tick,fused,pred,z_1,sigma_1,z_2,sigma_2,z_3,sigma_3"
+        assert rows[0].endswith(b",,,,")  # tick 0: only a reads
+        cells = [row.split(b",") for row in rows]
+        present = {slot: [int(c[0]) for c in cells if c[1 + 2 * slot] != b""] for slot in (1, 2, 3)}
+        assert present == {1: list(range(40)), 2: [7, 20], 3: [31]}
+        assert all((c[1 + 2 * slot] == b"") == (c[2 + 2 * slot] == b"")
+                   for c in cells for slot in (1, 2, 3))
+
     def test_gate_below_float_resolution_is_numeric_failure(self):
         # 1.7e308 +- 100 rounds back to 1.7e308: the gate has no width
         with pytest.raises(ekf.NumericFailureError, match="tick 0: gate"):
@@ -405,6 +422,8 @@ def reference_fusvaf(traces, params, predictor, adaptation, adaptive_alpha):
             predictor.observe(fused)
         except ekf.NumericFailureError as exc:
             raise ekf.NumericFailureError(f"tick {tick}: {exc}") from None
+        if not math.isfinite(fused):
+            raise ekf.NumericFailureError(f"tick {tick}: fused value {fused} is not finite")
         residual_window.append([abs(z - fused) for z in values])
         if adaptive_alpha:
             alpha = sum(sigma for _, sigma in pairs)
@@ -499,8 +518,8 @@ def first_tick_rejected_case():
 
 def nan_fused_case():
     """A prediction weight alpha/omega of inf makes the fused value nan
-    whenever the prediction is not 0; a scripted predictor carries on, so nan
-    residuals enter and leave the window next to finite ones."""
+    whenever the prediction is not 0. A scripted predictor would carry on
+    with it, so both sides must refuse it themselves, at tick 3."""
     traces = [temp_trace(f"s{i}", [float(i + t % 3) for t in range(30)]) for i in range(4)]
     predictions = [0.0, 0.0, 0.0, 2.0] * 8
     adaptation = GateAdaptation(k_sigma=2.0, w_min=0.5, w_max=20.0, window=5)

@@ -14,7 +14,6 @@ from pipefuse.fusvaf import (
     GateAdaptation,
     ValidationGate,
     fusvaf_stream,
-    write_fusion_columns,
 )
 from pipefuse.sim import (
     ConfigError,
@@ -511,6 +510,19 @@ class TestNodeStage:
         ]
         assert counts == sorted(counts, reverse=True)
 
+    @given(kind=st.sampled_from(SensorKind), node_ekf=st.booleans(),
+           report_delta=st.floats(0, 1.7e308), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_first_report_is_at_tick_0(self, kind, node_ekf, report_delta, data):
+        # the cluster stage's FUSVAF branch rests on this: every held series
+        # covers every tick
+        value = st.sampled_from([0.0, 1.0]) if kind.is_binary else st.floats(-1e6, 1e6)
+        values = np.array(data.draw(st.lists(value, min_size=1, max_size=50)))
+        # an explicit gate floor: the derived one grows with report_delta
+        config = make_config(fusion={"node_ekf": node_ekf, "report_delta": report_delta,
+                                     "gate_w_min": 1.0})
+        assert node_stage(values, "n0", kind, config, "c0").reports[0][0] == 0
+
     def test_binary_stream_reports_transitions(self):
         values = np.array([0.0] * 10 + [1.0] * 5 + [0.0] * 10)
         result = node_stage(values, "n1", SensorKind.PIR, make_config(), "c0")
@@ -521,17 +533,23 @@ class TestNodeStage:
 
 class TestHoldSeries:
     def test_zero_order_hold(self):
-        held = hold_series([(0, 1.0), (3, 2.0)], 6)
-        assert held == (0, [1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
-
-    def test_starts_at_first_report(self):
-        assert hold_series([(2, 1.0), (4, 3.0), (5, 4.0)], 7) == (2, [1.0, 1.0, 3.0, 4.0, 4.0])
+        assert hold_series([(0, 1.0), (3, 2.0)], 6) == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
 
     def test_repeated_tick_keeps_the_last_value(self):
-        assert hold_series([(0, 1.0), (0, 2.0), (2, 3.0)], 4) == (0, [2.0, 2.0, 3.0, 3.0])
+        assert hold_series([(0, 1.0), (0, 2.0), (2, 3.0)], 4) == [2.0, 2.0, 3.0, 3.0]
 
-    def test_empty(self):
-        assert hold_series([], 5) == (5, [])
+    def test_fusvaf_rejects_a_late_start(self):
+        # held series start at tick 0; a member that starts later, or never
+        # reports, is refused by name, while relay mode takes any ordered reports
+        on_time = [(t, 500.0) for t in range(200)]
+        for late in ([(2, 501.0), (4, 502.0)], []):
+            reports = {"a": on_time, "b": late}
+            with pytest.raises(ValueError) as got:
+                cluster_stage("c0", SensorKind.PRESSURE, reports, make_config(), "gw")
+            assert str(got.value) == "cluster c0: reports of b do not start at tick 0"
+            relay = make_config(fusion={"cluster_fusvaf": False})
+            result = cluster_stage("c0", SensorKind.PRESSURE, reports, relay, "gw")
+            assert sum(s.count for s in result.windows) == 200 + len(late)
 
 
 class TestClusterStage:
@@ -605,15 +623,16 @@ class TestClusterStage:
                     "fusvaf_adaptive_alpha": adaptive},
         )
         value = st.one_of(st.floats(495, 505), st.floats(300, 700))
+        # every member reports tick 0, as node_stage does
         reports = {
             node_id: [(t, data.draw(value))
-                      for t in sorted(data.draw(st.sets(st.integers(0, horizon - 1))))]
+                      for t in sorted(data.draw(st.sets(st.integers(1, horizon - 1))) | {0})]
             for node_id in data.draw(st.sets(st.sampled_from("abcd"), min_size=1))
         }
         member_order = sorted(reports)
-        held = [(node_id, *hold_series(reports[node_id], horizon)) for node_id in member_order]
-        traces = [trace_from_pairs(enumerate(values, first), node_id, SensorKind.PRESSURE)
-                  for node_id, first, values in held if values]
+        traces = [trace_from_pairs(enumerate(hold_series(reports[node_id], horizon)), node_id,
+                                   SensorKind.PRESSURE)
+                  for node_id in member_order]
         fusion = config.fusion
         run = lambda: cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
         try:
@@ -624,17 +643,13 @@ class TestClusterStage:
                     k_sigma=fusion.gate_k_sigma, w_min=config.gate_floor(SensorKind.PRESSURE),
                     w_max=fusion.gate_w_max, window=fusion.gate_window),
                 adaptive_alpha=adaptive,
-            ) if traces else []
+            )
         except (DegenerateDenominatorError, NumericFailureError) as exc:
             with pytest.raises(type(exc)) as got:
                 run()
             assert str(got.value) == f"cluster c0 [pressure]: {exc}"
             return
         result = run()
-        if not points:
-            assert result.fusion is None
-            assert all(s.fused is None for s in result.windows)
-            return
         columns = result.fusion
         assert columns.tick == [p.tick for p in points]
         assert columns.fused == [p.fused for p in points]
@@ -669,17 +684,10 @@ class TestClusterStage:
         assert result.ops == (config.energy.fusvaf_ops_per_value * readings
                               + config.energy.aggregation_ops_per_value * aggregated)
 
-    def test_fused_csv_from_columns_leaves_absent_slots_empty(self, tmp_path):
-        # members joining late and one silent member leave empty cells
-        config = make_config(horizon=40, detection={"window": 10},
-                             fusion={"node_ekf": False})
-        reports = {"a": [(t, 500.0 + 0.1 * (t % 3)) for t in range(40)],
-                   "b": [(7, 501.0), (20, 499.5)], "c": [], "d": [(31, 650.0)]}
-        result = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
-        write_fusion_columns(result.fusion, tmp_path / "columns.csv")
-        text = (tmp_path / "columns.csv").read_bytes()
-        assert text.startswith(b"tick,fused,pred,z_1,sigma_1,z_2,sigma_2,z_3,sigma_3,z_4")
-        assert text.splitlines()[1].endswith(b",,,,,,")  # tick 0: only a reports
+    def test_no_members_fuse_nothing(self):
+        result = cluster_stage("c0", SensorKind.PRESSURE, {}, make_config(), "gw")
+        assert result.fusion is None and result.messages == {}
+        assert all(s.fused is None and s.count == 0 for s in result.windows)
 
     def test_unordered_reports_rejected(self):
         reports = {"n0": [(5, 1.0), (2, 2.0)]}
