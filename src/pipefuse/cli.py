@@ -2,7 +2,8 @@
 
 Subcommands: run a scenario, sweep a parameter, replay CSV traces through
 the individual fusion methods, validate a config. Exit codes: 0 success,
-2 config error, 3 numeric/runtime error, mapped in `main` alone.
+2 config error, 3 numeric/runtime error (an unusable input or output path
+included), mapped in `main` alone.
 
 Only `run`, `sweep` and `validate` import the simulator (and with it yaml),
 at call time and by name from its modules, so the library commands start
@@ -26,6 +27,7 @@ RUNTIME_ERRORS = (
     ekf.NumericFailureError,
     fusvaf.DegenerateDenominatorError,
     consensus_mod.DisconnectedGraphError,
+    OSError,  # a missing or unreadable input file, an --out that cannot be a directory
 )
 
 EXIT_CONFIG = 2
@@ -163,6 +165,7 @@ def cmd_sweep(args) -> int:
         args.error_prefix = f"{key}={value}: "
         overrides = list(args.override) + [f"{key}={value}"]
         configs.append(load_scenario(args.config, overrides=overrides, seed=args.seed))
+    args.error_prefix = ""  # an unusable --out is no value's fault
     out = _out_dir(args)
     rows = []
     for value, config in zip(values, configs):
@@ -260,7 +263,7 @@ def cmd_consensus(args) -> int:
     consensus_mod.write_mse_csv(run.mse_history, path)
     status = "converged" if run.converged else "NOT converged (degraded confidence)"
     _say(args, f"{status} after {run.iterations} iterations; "
-               f"agreed value {float(run.estimates.mean())!r}")
+               f"agreed value {float(consensus_mod.estimate_mean(run.estimates))!r}")
     _say(args, f"mse history written to {path}")
     return 0
 

@@ -133,15 +133,28 @@ def mse_dispersion(state: ConsensusState) -> float:
     return float(_dispersion(state.estimates))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is recorded as an inf or nan
-def _dispersion(x: np.ndarray):
-    """The dispersion of a vector of estimates, or of each row of a block.
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing sum is redone below
+def estimate_mean(x: np.ndarray):
+    """The mean of a vector of estimates, or of each row of a block.
 
     sum()/n is the pairwise sum and division that np.mean does, minus its
     overhead; a row-wise sum adds each row as the sum of that row alone does.
+    Only where that sum overflows to +-inf is the mean the sum of x/n, whose
+    terms and total stay in range; a nan mean is left as it is.
     """
     n = x.shape[-1]
-    d = x - x.sum(axis=-1, keepdims=True) / n
+    mean = x.sum(axis=-1) / n
+    overflow = np.isinf(mean)
+    if overflow.any():
+        mean = np.where(overflow, (x / n).sum(axis=-1), mean)
+    return mean
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is recorded as an inf or nan
+def _dispersion(x: np.ndarray):
+    """The dispersion of a vector of estimates, or of each row of a block."""
+    n = x.shape[-1]
+    d = x - estimate_mean(x)[..., np.newaxis]
     return (d * d).sum(axis=-1) / n
 
 

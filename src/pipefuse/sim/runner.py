@@ -181,12 +181,7 @@ def _latest_pressure_estimates(window_series: dict, window_index: int) -> dict:
     for (cluster_id, kind), windows in window_series.items():
         if kind != SensorKind.PRESSURE:
             continue
-        value = None
-        for s in windows:
-            if s.index > window_index:
-                break
-            if s.fused is not None:
-                value = s.fused
-        if value is not None:
-            estimates[cluster_id] = value
+        fused = [s.fused for s in windows[:window_index + 1] if s.fused is not None]
+        if fused:
+            estimates[cluster_id] = fused[-1]
     return estimates

@@ -9,6 +9,7 @@ report means "valid until superseded".
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from itertools import repeat
@@ -20,6 +21,7 @@ from ..core import SensorKind
 from .. import consensus as consensus_mod
 from .. import ekf, fusvaf
 from .config import ScenarioConfig
+from .detect import persistent_onsets
 
 # deadband for 0/1 channels under report-on-change; any transition crosses it
 BINARY_DELTA = 0.5
@@ -137,9 +139,9 @@ def cluster_stage(
     Emits one fused message per reporting window (analog kinds under
     FUSVAF) plus one aggregate message per window that received reports;
     with FUSVAF off, received reports are relayed upstream unchanged.
-    Members whose confidence stays at zero for fault_persistence
-    consecutive windows are flagged suspected-faulty. Reports must be in
-    tick order and, under FUSVAF, start at tick 0.
+    A member is flagged suspected-faulty at the first window where its
+    confidence has been zero for fault_persistence consecutive windows.
+    Reports must be in tick order and, under FUSVAF, start at tick 0.
     """
     horizon = config.horizon
     window = config.detection.window
@@ -180,8 +182,6 @@ def cluster_stage(
         ops += config.energy.fusvaf_ops_per_value * horizon * len(held)
 
     windows = []
-    zero_streak = {node_id: 0 for node_id in member_order}  # members not yet flagged
-    suspected = []
     for w in range(n_windows):
         start, end = w * window, (w + 1) * window - 1
         # member order, then tick order: the window average is order-sensitive
@@ -199,21 +199,21 @@ def cluster_stage(
             fused_mean = sum(fusion.fused[start:end + 1]) / window
         elif not fusion_cfg.cluster_fusvaf and not kind.is_binary:
             fused_mean = avg  # gateway-side window mean of the relayed raw values
+        if fused_mean is not None and not math.isfinite(fused_mean):
+            raise ekf.NumericFailureError(
+                f"cluster {cluster_id} [{kind.value}]: window {w}: mean {fused_mean} is not finite"
+            )
         windows.append(
             WindowSummary(cluster_id, kind, w, start, end, fused_mean, count, avg, mx, mn)
         )
 
-        if fusion is not None:
-            for node_id, column in zip(member_order, fusion.sigma):
-                if node_id not in zero_streak:
-                    continue  # already flagged
-                if all(s == 0.0 for s in column[start:end + 1]):
-                    zero_streak[node_id] += 1
-                    if zero_streak[node_id] >= config.detection.fault_persistence:
-                        suspected.append((node_id, w))
-                        del zero_streak[node_id]
-                else:
-                    zero_streak[node_id] = 0
+    suspected = []
+    if fusion is not None:
+        for node_id, column in zip(member_order, fusion.sigma):
+            zero = [not any(column[s.start_tick:s.end_tick + 1]) for s in windows]
+            onsets = persistent_onsets(zero, config.detection.fault_persistence)
+            suspected.extend((node_id, w) for w in onsets[:1])
+        suspected.sort(key=lambda flag: (flag[1], flag[0]))  # by window, then member
 
     bits = config.energy.sample_bits
     if fusion_cfg.cluster_fusvaf:
@@ -267,7 +267,7 @@ def consensus_stage(estimates: dict, config: ScenarioConfig) -> ConsensusStageRe
     })
     ops = config.energy.consensus_ops_per_value * run.iterations * len(participants)
     return ConsensusStageResult(
-        agreed=float(np.mean(run.estimates)),
+        agreed=float(consensus_mod.estimate_mean(run.estimates)),
         rounds=run.iterations,
         converged=run.converged,
         mse_history=run.mse_history,

@@ -132,6 +132,9 @@ class TestRun:
         (["energy.ekf_ops_per_update=1" + "0" * 400], "compute_energy overflows the float range"),
         # each term is finite, their sum is not
         (["energy.per_op_cost=5.95e+300"], "total_energy overflows the float range"),
+        # a relayed window's mean overflows before the leak detector reads it
+        (["signals.pressure.noise_std=3.0e+307", "fusion.cluster_fusvaf=false"],
+         "cluster c0 [pressure]: window 0: mean -inf is not finite"),
     ])
     def test_overflow_exits_3_and_names_where(self, tmp_path, capsys, overrides, message):
         args = [a for o in overrides for a in ("--override", o)]
@@ -387,6 +390,15 @@ class TestNoRuntimeWarnings:
         assert (out / "consensus_mse.csv").read_bytes() == (
             b"iteration,mse\r\n0,inf\r\n1,inf\r\n2,0.0\r\n")
 
+    def test_consensus_near_the_float_limit(self, tmp_path, capsys):
+        # the sum of the values overflows, their mean does not
+        out = tmp_path / "out"
+        assert main(["consensus", "--values", "1.7e308,1.7e308,1.7e308", "--out", str(out)]) == 0
+        assert capsys.readouterr() == (
+            "converged after 0 iterations; agreed value 1.7e+308\n"
+            f"mse history written to {out / 'consensus_mse.csv'}\n", "")
+        assert (out / "consensus_mse.csv").read_bytes() == b"iteration,mse\r\n0,0.0\r\n"
+
     @pytest.mark.parametrize("text, flags, tick", [
         ("0,1e308\n1,-1e308\n", [], 1),                        # the innovation overflows
         ("0,1.0\n", ["--p0", "1e308", "--q", "1e308"], 0),     # the predicted P overflows
@@ -399,6 +411,44 @@ class TestNoRuntimeWarnings:
         assert capsys.readouterr() == ("", (
             f"pipefuse: error [runtime-failure] tick {tick}: "
             "filter state contains non-finite values\n"))
+
+
+def unusable_path(tmp_path, case):
+    """The arguments of one command whose input or output path cannot be
+    used, and that path."""
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+    missing = tmp_path / "missing.csv"
+    trace = str(FIXTURES / "ekf_20_samples.csv")
+    return {
+        "ekf missing trace": (["ekf", "--trace", str(missing)], missing),
+        "ekf out below a file": (["ekf", "--trace", trace, "--out", str(afile / "x")],
+                                 afile / "x"),
+        "fusvaf trace is a directory": (["fusvaf", "--trace", str(tmp_path)], tmp_path),
+        "consensus missing edges": (["consensus", "--values", "1,2", "--edges", str(missing)],
+                                    missing),
+        "run out is a file": (["run", "--config", str(SCENARIO), "--out", str(afile)], afile),
+        "sweep out is a file": (["sweep", "--config", str(SCENARIO), "--out", str(afile),
+                                 "--param", "energy.ops_per_bit=1000"], afile),
+    }[case]
+
+
+class TestUnusablePaths:
+    @pytest.mark.parametrize("case", [
+        "ekf missing trace", "ekf out below a file", "fusvaf trace is a directory",
+        "consensus missing edges", "run out is a file", "sweep out is a file",
+    ])
+    def test_exits_3_and_names_the_path(self, tmp_path, capsys, case):
+        args, path = unusable_path(tmp_path, case)
+        assert main(["--quiet", *args]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("pipefuse: error [runtime-failure] [Errno ")
+        assert f"'{path}'" in err and "Traceback" not in err
+
+    def test_missing_config_still_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.yaml"
+        assert main(["validate", "--config", str(missing)]) == 2
+        assert f"[config-invalid] {missing}: " in capsys.readouterr().err
 
 
 LIBRARY_COMMANDS = {

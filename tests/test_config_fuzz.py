@@ -93,6 +93,9 @@ mutations = st.lists(
 @example([(("horizon",), 10**400)])
 @example([(("horizon",), 2**62)])
 @example([(("energy", "sample_bits"), 10**400)])
+# a relayed window mean of -inf, which the leak detector fires on at once
+@example([(("signals", "pressure", "noise_std"), 3.0e307), (("fusion", "cluster_fusvaf"), False),
+          (("detection", "leak_persistence"), 1)])
 @example([(("signals", "pressure", "noise_std"), "1e308")])
 @example([(("topology", "cluster_heads", 1, "cluster_id"), "n0")])
 @example([(("topology", "gateway_id"), "n3")])

@@ -1,15 +1,18 @@
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from pipefuse import fusvaf
 from pipefuse.core import SensorKind, TraceError, check_stream, trace_from_pairs
 from pipefuse.ekf import NumericFailureError
 from pipefuse.fusvaf import (
     DegenerateDenominatorError,
     EkfPredictor,
+    FusionColumns,
     FusionParams,
     GateAdaptation,
     ValidationGate,
@@ -38,7 +41,8 @@ from pipefuse.sim.config import (
     SignalSpec,
     UavVisit,
 )
-from pipefuse.sim.stages import hold_series
+from pipefuse.sim.detect import Detection, _uav_covers, detect_events, persistent_onsets
+from pipefuse.sim.stages import WindowSummary, hold_series
 
 RAW, FUSED, CONSENSUS = MessageKind.RAW, MessageKind.FUSED, MessageKind.CONSENSUS
 BUNDLED = Path(__file__).resolve().parent.parent / "scenarios" / "baseline_10node.yaml"
@@ -781,6 +785,141 @@ class TestConsensusStage:
         assert any(d.kind == "leak" for d in result.detections)
         assert result.consensus_runs == []
         assert result.metrics.consensus.messages == 0
+
+
+def streak_onsets(flags, persistence):
+    """The leak streak loop of detect_events before persistent_onsets."""
+    onsets, streak = [], 0
+    for i, below in enumerate(flags):
+        if below:
+            streak += 1
+            if streak == persistence:
+                onsets.append(i)
+        else:
+            streak = 0
+    return onsets
+
+
+def streak_detect_events(window_series, config):
+    """detect_events before persistent_onsets: a streak loop for leaks and
+    a held level for intrusions."""
+    detections = []
+    baseline = None
+    if SensorKind.PRESSURE in config.signals:
+        baseline = config.signals[SensorKind.PRESSURE].baseline
+    threshold = config.detection.leak_threshold
+    for (cluster_id, kind), windows in sorted(window_series.items()):
+        if kind == SensorKind.PRESSURE and baseline is not None:
+            flags = [s.fused is not None and s.fused < baseline - threshold for s in windows]
+            for w in streak_onsets(flags, config.detection.leak_persistence):
+                s = windows[w]
+                detections.append(Detection("leak", s.end_tick, cluster_id, kind, s.index,
+                                            _uav_covers(config, cluster_id, s.end_tick)))
+        elif kind.is_binary:
+            level = 0.0
+            for s in windows:
+                if s.count == 0:
+                    continue
+                if s.max == 1.0 and level != 1.0:
+                    detections.append(Detection("intrusion", s.end_tick, cluster_id, kind,
+                                                s.index,
+                                                _uav_covers(config, cluster_id, s.end_tick)))
+                level = s.max
+    detections.sort(key=lambda d: (d.tick, d.kind, d.cluster_id, d.sensor_kind))
+    return detections
+
+
+def zero_streak_flags(member_order, sigma, windows, persistence):
+    """The fault scan of cluster_stage before persistent_onsets: a streak
+    per member not yet flagged, counted inside the window loop."""
+    zero_streak = {node_id: 0 for node_id in member_order}
+    suspected = []
+    for s in windows:
+        for node_id, column in zip(member_order, sigma):
+            if node_id not in zero_streak:
+                continue
+            if all(x == 0.0 for x in column[s.start_tick:s.end_tick + 1]):
+                zero_streak[node_id] += 1
+                if zero_streak[node_id] >= persistence:
+                    suspected.append((node_id, s.index))
+                    del zero_streak[node_id]
+            else:
+                zero_streak[node_id] = 0
+    return suspected
+
+
+# runs of equal flags, so that runs longer than the persistence and repeated
+# excursions are common; plain random lists too
+flag_lists = st.one_of(
+    st.lists(st.booleans(), max_size=40),
+    st.lists(st.tuples(st.booleans(), st.integers(0, 9)), max_size=10).map(
+        lambda runs: [flag for flag, length in runs for _ in range(length)]),
+)
+
+
+class TestPersistence:
+    def test_one_onset_per_run(self):
+        flags = [True, True, True, True, False, True, True, False, True]
+        assert persistent_onsets(flags, 2) == [1, 6]
+        assert persistent_onsets(flags, 1) == [0, 5, 8]
+        assert persistent_onsets(flags, 5) == []
+
+    @given(flags=flag_lists, persistence=st.integers(1, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_leak_streak_loop(self, flags, persistence):
+        assert persistent_onsets(flags, persistence) == streak_onsets(flags, persistence)
+
+    @given(data=st.data(), persistence=st.integers(1, 5), n_windows=st.integers(0, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_detections_equal_streak_loops(self, data, persistence, n_windows):
+        config = make_config(detection={"window": 10, "leak_persistence": persistence})
+        config = config._replace(topology=config.topology._replace(
+            uav_patrol=(UavVisit(30, 120, "c0"),)))
+        fused = st.sampled_from([None, 470.0, 479.9, 480.0, 500.0])  # below means < 480
+        series = {}
+        for cluster_id, kind in [("c0", SensorKind.PRESSURE), ("c1", SensorKind.PRESSURE),
+                                 ("c0", SensorKind.PIR), ("c1", SensorKind.MAGNETIC)]:
+            windows = []
+            for w in range(n_windows):
+                if kind.is_binary:
+                    count = data.draw(st.integers(0, 2))
+                    level = data.draw(st.sampled_from([0.0, 1.0])) if count else None
+                    values = (None, count, level, level, level)
+                else:
+                    values = (data.draw(fused), 0, None, None, None)
+                windows.append(WindowSummary(cluster_id, kind, w, 10 * w, 10 * w + 9, *values))
+            series[(cluster_id, kind)] = windows
+        assert detect_events(series, config) == streak_detect_events(series, config)
+
+    @given(data=st.data(), persistence=st.integers(1, 5), window=st.integers(1, 4),
+           n_windows=st.integers(1, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_fault_flags_equal_zero_streak_loop(self, data, persistence, window, n_windows):
+        horizon = window * n_windows
+        config = make_config(horizon=horizon, fusion={"node_ekf": False},
+                             detection={"window": window, "fault_persistence": persistence})
+        members = sorted(data.draw(st.sets(st.sampled_from("abcd"), min_size=1)))
+        # per member and window: zero confidence throughout, or at one tick not
+        sigma = []
+        for _ in members:
+            column = []
+            for _ in range(n_windows):
+                block = [0.0] * window
+                if data.draw(st.booleans()):
+                    block[data.draw(st.integers(0, window - 1))] = 0.5
+                column += block
+            sigma.append(column)
+
+        def kernel(groups, n_slots, *args):  # the fusion whose sigma columns were drawn
+            ones = [1.0] * horizon
+            return FusionColumns(list(range(horizon)), ones, ones, ones,
+                                 [ones] * n_slots, sigma)
+
+        reports = {node_id: [(t, 1.0) for t in range(horizon)] for node_id in members}
+        with mock.patch.object(fusvaf, "_fusvaf_kernel", kernel):
+            result = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
+        assert result.suspected_faulty == zero_streak_flags(
+            members, sigma, result.windows, persistence)
 
 
 class TestDetection:
