@@ -75,6 +75,17 @@ def check_stream(node_id: str, kind: SensorKind, values, ticks, non_finite=Trace
             )
 
 
+def left_sum(values) -> float:
+    """Sum of floats added left to right from 0.0: the builtin sum() up to
+    Python 3.11. Every float sum that reaches an output uses it, since
+    3.12's sum() compensates and its last bits would make the outputs
+    depend on the Python version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True)
 class Trace:
     """One sensor's readings: values[i] at tick timestamps[i], stored as

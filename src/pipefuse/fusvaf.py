@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .core import Trace, merge_traces, write_columns
+from .core import Trace, left_sum, merge_traces, write_columns
 from . import ekf
 
 
@@ -304,7 +304,7 @@ def _fusvaf_kernel(
     for i, (tick, slots, values) in enumerate(groups):
         predicted = predictor.predict()
         if predicted is None:
-            predicted = sum(values) / len(values)
+            predicted = left_sum(values) / len(values)
         if not math.isfinite(predicted):  # e.g. the first-tick mean overflowed
             raise ekf.NumericFailureError(f"tick {tick}: prediction {predicted} is not finite")
         if i < adaptation.window:
@@ -347,7 +347,7 @@ def _fusvaf_kernel(
             for r in residual_window.popleft():
                 del window_sorted[bisect_left(window_sorted, r)]
         if adaptive_alpha:
-            alpha = sum(sigmas)
+            alpha = left_sum(sigmas)
         ticks.append(tick)
         fused_col.append(fused)
         predicted_col.append(predicted)

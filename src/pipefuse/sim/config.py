@@ -186,8 +186,14 @@ class ScenarioConfig(NamedTuple):
         if self.fusion.gate_w_min is not None:
             return self.fusion.gate_w_min
         noise = self.signals[kind].noise_std if kind in self.signals else 0.0
-        slack = self.fusion.report_delta if self.fusion.node_ekf else noise
-        return max(0.1, 4.0 * noise + slack)
+        return _derived_floor(self.fusion, noise)[0]
+
+
+def _derived_floor(fusion: FusionConfig, noise: float) -> tuple[float, bool]:
+    """The gate floor a kind's noise_std implies, and whether the node
+    filter's deadband (report_delta) is its larger term."""
+    slack = fusion.report_delta if fusion.node_ekf else noise
+    return max(0.1, 4.0 * noise + slack), fusion.node_ekf and slack > 4.0 * noise
 
 
 def _is_finite_number(value) -> bool:
@@ -249,8 +255,15 @@ def _build_section(cls, data, prefix, errors, converters=None):
     return cls(**kwargs) if valid else None
 
 
+def _at(data: dict, key: str, default):
+    """data[key], or `default` where the key is absent or null: an empty
+    YAML section or list reads as null."""
+    value = data.get(key)
+    return default if value is None else value
+
+
 def _list_at(data: dict, key: str, where: str, errors) -> list:
-    value = data.get(key) or []
+    value = _at(data, key, [])
     if not isinstance(value, list):
         errors.append(f"{where}: expected a list, got {value!r}")
         return []
@@ -296,19 +309,19 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         horizon = None  # reported once here; the checks against it are skipped
 
     topology, entries = _parse_topology(data.get("topology"), errors)
-    declared_signals = data.get("signals", {})
+    declared_signals = _at(data, "signals", {})
     signals = _parse_signals(declared_signals, errors)
-    events = _parse_events(data.get("events", []), horizon, errors)
+    events = _parse_events(_at(data, "events", []), horizon, errors)
     fusion = _build_section(
         FusionConfig,
-        data.get("fusion", {}),
+        _at(data, "fusion", {}),
         "fusion",
         errors,
         # YAML 1.1 reads a bare `off` as boolean False
         converters={"consensus_policy": lambda v: "off" if v is False else v},
     )
-    detection = _build_section(DetectionConfig, data.get("detection", {}), "detection", errors)
-    energy = _build_section(EnergyConfig, data.get("energy", {}), "energy", errors)
+    detection = _build_section(DetectionConfig, _at(data, "detection", {}), "detection", errors)
+    energy = _build_section(EnergyConfig, _at(data, "energy", {}), "energy", errors)
 
     if fusion is not None and (fusion.gate_w_min or 0.0) > fusion.gate_w_max:
         errors.append("fusion.gate_w_min: must not exceed gate_w_max")
@@ -321,15 +334,13 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
     if topology is not None:
         _check_topology(topology, entries, errors)
         _check_cross(node_kinds, declared_signals, events, errors)
+        _check_gate_floors(fusion, signals, node_kinds, errors)
 
     if errors:
         raise ConfigError(errors)
-    config = ScenarioConfig(
+    return ScenarioConfig(
         name, seed, horizon, topology, signals, tuple(events), fusion, detection, energy
     )
-    if fusion.cluster_fusvaf and fusion.gate_w_min is None:
-        _check_gate_floors(config, node_kinds)
-    return config
 
 
 def _parse_topology(data, errors) -> tuple[Optional[Topology], list]:
@@ -371,7 +382,7 @@ def _parse_topology(data, errors) -> tuple[Optional[Topology], list]:
         if head is not None:
             heads.append(head)
     patrol = []
-    uav = data.get("uav") or {}
+    uav = _at(data, "uav", {})
     if not isinstance(uav, dict):
         errors.append("topology.uav: expected a mapping")
         uav = {}
@@ -488,28 +499,29 @@ def _check_cross(node_kinds, declared_signals, events, errors) -> None:
             errors.append(f"events[{i}]: leak needs a node with a pressure sensor")
 
 
-def _check_gate_floors(config: ScenarioConfig, node_kinds) -> None:
-    """The gate floor each analog kind's noise implies must not exceed
-    gate_w_max; checked on the built config, as it spans three sections."""
-    w_max = config.fusion.gate_w_max
-    errors = [
-        f"signals.{kind.value}.noise_std: implies a gate floor of "
-        f"{config.gate_floor(kind)}, above fusion.gate_w_max {w_max}"
-        for kind in sorted(node_kinds)
-        if not kind.is_binary and config.gate_floor(kind) > w_max
-    ]
-    if errors:
-        raise ConfigError(errors)
+def _check_gate_floors(fusion, signals, node_kinds, errors) -> None:
+    """Under FUSVAF, the gate floor derived for each analog kind the nodes
+    carry must not exceed gate_w_max; the error names the field whose term
+    sets the floor. A failed fusion section or signal spec has already been
+    reported, so it is skipped here."""
+    if fusion is None or not fusion.cluster_fusvaf or fusion.gate_w_min is not None:
+        return
+    for kind in sorted(k for k in node_kinds if k in signals):  # binary kinds have no spec
+        floor, deadband = _derived_floor(fusion, signals[kind].noise_std)
+        if floor > fusion.gate_w_max:
+            where = (f"fusion.report_delta: implies a {kind.value} gate floor" if deadband
+                     else f"signals.{kind.value}.noise_std: implies a gate floor")
+            errors.append(f"{where} of {floor}, above fusion.gate_w_max {fusion.gate_w_max}")
 
 
 def apply_overrides(data: dict, overrides) -> dict:
     """Apply `dotted.path=value` overrides onto a raw config mapping.
 
-    Values are parsed as YAML scalars. Sections the document omitted (all
-    defaults) are created on the way; key names themselves are checked by
-    scenario validation, so an override of a non-existent key still fails
-    with a config error naming it. Returns a copy, leaving the input
-    untouched.
+    Values are parsed as YAML scalars. Sections the document omitted or
+    left null (all defaults) are created on the way; key names themselves
+    are checked by scenario validation, so an override of a non-existent
+    key still fails with a config error naming it. Returns a copy, leaving
+    the input untouched.
     """
     import copy
 
@@ -523,7 +535,7 @@ def apply_overrides(data: dict, overrides) -> dict:
             raise ConfigError([f"override {path!r}: malformed key path"])
         target = result
         for k in keys[:-1]:
-            if k not in target:
+            if target.get(k) is None:
                 target[k] = {}
             target = target[k]
             if not isinstance(target, dict):

@@ -8,7 +8,7 @@ import math
 from typing import NamedTuple
 
 from ..consensus import DisconnectedGraphError
-from ..core import SensorKind
+from ..core import SensorKind, left_sum
 from ..ekf import NumericFailureError
 from .config import ScenarioConfig
 from .detect import detect_events
@@ -129,7 +129,7 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
             rmse_per_stream[stream] = _rmse(stream, held, world.truth[key].tolist())
 
     rmse_values = [rmse_per_stream[k] for k in sorted(rmse_per_stream)]
-    rmse_mean = sum(rmse_values) / len(rmse_values) if rmse_values else float("nan")
+    rmse_mean = left_sum(rmse_values) / len(rmse_values) if rmse_values else float("nan")
     rmse_max = max(rmse_values) if rmse_values else float("nan")
 
     levels = tally_messages(messages, {n.node_id for n in topology.nodes})

@@ -10,14 +10,13 @@ report means "valid until superseded".
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from enum import Enum
 from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ..core import SensorKind
+from ..core import SensorKind, left_sum
 from .. import consensus as consensus_mod
 from .. import ekf, fusvaf
 from .config import ScenarioConfig
@@ -124,7 +123,7 @@ class ClusterStageResult(NamedTuple):
 def _window_aggregates(values):
     if not values:
         return 0, None, None, None
-    return len(values), sum(values) / len(values), max(values), min(values)
+    return len(values), left_sum(values) / len(values), max(values), min(values)
 
 
 def cluster_stage(
@@ -141,24 +140,27 @@ def cluster_stage(
     with FUSVAF off, received reports are relayed upstream unchanged.
     A member is flagged suspected-faulty at the first window where its
     confidence has been zero for fault_persistence consecutive windows.
-    Reports must be in tick order and, under FUSVAF, start at tick 0.
+    Reports must lie in ticks 0..horizon-1, in tick order, and under FUSVAF
+    start at tick 0.
     """
     horizon = config.horizon
     window = config.detection.window
-    n_windows = horizon // window
     member_order = sorted(member_reports)
     fusion_cfg = config.fusion
-    ops = 0
-
     fuse = bool(member_order) and fusion_cfg.cluster_fusvaf and not kind.is_binary
-    member_ticks = []
-    for node_id in member_order:
-        ticks = [t for t, _ in member_reports[node_id]]
-        if any(a > b for a, b in zip(ticks, ticks[1:])):
-            raise ValueError(f"cluster {cluster_id}: reports of {node_id} are not in tick order")
-        if fuse and ticks[:1] != [0]:  # node_stage always reports tick 0
+    # member order, then tick order: the window average is order-sensitive
+    received = [[] for _ in range(horizon // window)]
+    for node_id, reports in sorted(member_reports.items()):
+        previous = 0
+        for tick, value in reports:
+            if not previous <= tick < horizon:
+                raise ValueError(f"cluster {cluster_id}: " + (
+                    f"reports of {node_id} are not in tick order" if 0 <= tick < horizon
+                    else f"report of {node_id} at tick {tick} is outside ticks 0..{horizon - 1}"))
+            received[tick // window].append(value)
+            previous = tick
+        if fuse and not (reports and reports[0][0] == 0):  # node_stage always reports tick 0
             raise ValueError(f"cluster {cluster_id}: reports of {node_id} do not start at tick 0")
-        member_ticks.append((ticks, [v for _, v in member_reports[node_id]]))
 
     fusion = None
     if fuse:
@@ -179,24 +181,14 @@ def cluster_stage(
             )
         except (fusvaf.DegenerateDenominatorError, ekf.NumericFailureError) as exc:
             raise type(exc)(f"cluster {cluster_id} [{kind.value}]: {exc}") from None
-        ops += config.energy.fusvaf_ops_per_value * horizon * len(held)
 
     windows = []
-    for w in range(n_windows):
+    for w, values in enumerate(received):
         start, end = w * window, (w + 1) * window - 1
-        # member order, then tick order: the window average is order-sensitive
-        in_window = [
-            v
-            for ticks, values in member_ticks
-            for v in values[bisect_left(ticks, start):bisect_right(ticks, end)]
-        ]
-        count, avg, mx, mn = _window_aggregates(in_window)
-        if fusion_cfg.cluster_fusvaf:
-            # in relay mode the mains-powered gateway summarizes; no charge
-            ops += config.energy.aggregation_ops_per_value * count
+        count, avg, mx, mn = _window_aggregates(values)
         fused_mean = None
         if fusion is not None:
-            fused_mean = sum(fusion.fused[start:end + 1]) / window
+            fused_mean = left_sum(fusion.fused[start:end + 1]) / window
         elif not fusion_cfg.cluster_fusvaf and not kind.is_binary:
             fused_mean = avg  # gateway-side window mean of the relayed raw values
         if fused_mean is not None and not math.isfinite(fused_mean):
@@ -204,8 +196,7 @@ def cluster_stage(
                 f"cluster {cluster_id} [{kind.value}]: window {w}: mean {fused_mean} is not finite"
             )
         windows.append(
-            WindowSummary(cluster_id, kind, w, start, end, fused_mean, count, avg, mx, mn)
-        )
+            WindowSummary(cluster_id, kind, w, start, end, fused_mean, count, avg, mx, mn))
 
     suspected = []
     if fusion is not None:
@@ -216,15 +207,19 @@ def cluster_stage(
         suspected.sort(key=lambda flag: (flag[1], flag[0]))  # by window, then member
 
     bits = config.energy.sample_bits
+    received_count = sum(s.count for s in windows)
     if fusion_cfg.cluster_fusvaf:
         # per window: one fused value if any, one 4-value aggregate if any reports
         fused = sum(1 for s in windows if s.fused is not None)
         summaries = sum(1 for s in windows if s.count)
         sent = {MessageKind.FUSED: (fused, fused * bits),
                 MessageKind.AGGREGATED: (summaries, summaries * 4 * bits)}
+        ops = config.energy.aggregation_ops_per_value * received_count
+        if fusion is not None:
+            ops += config.energy.fusvaf_ops_per_value * horizon * len(member_order)
     else:
-        relayed = sum(len(reports) for reports in member_reports.values())
-        sent = {MessageKind.RAW: (relayed, relayed * bits)}
+        sent = {MessageKind.RAW: (received_count, received_count * bits)}
+        ops = 0  # the mains-powered gateway summarizes the relayed reports
     messages = add_messages({}, {(cluster_id, gateway_id, k): v for k, v in sent.items()})
 
     return ClusterStageResult(

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -160,6 +161,23 @@ class TestRun:
         assert code == 2
         assert capsys.readouterr().err == f"pipefuse: error [config-invalid] {error}\n"
 
+    def test_gate_floor_errors_come_with_the_others(self, tmp_path, capsys):
+        # report_delta, not the 0.2-0.5 noise, sets each kind's floor
+        code = main(["--quiet", "run", "--config", str(SCENARIO), "--out", str(tmp_path / "o"),
+                     "--override", "fusion.report_delta=150",
+                     "--override", "energy.ops_per_bit=500"])
+        assert code == 2
+        assert capsys.readouterr().err == "".join(
+            f"pipefuse: error [config-invalid] {error}\n" for error in [
+                "energy.ops_per_bit: must be in [1000, 3000], got 500",
+                "fusion.report_delta: implies a humidity gate floor of 152.0, "
+                "above fusion.gate_w_max 100.0",
+                "fusion.report_delta: implies a pressure gate floor of 152.0, "
+                "above fusion.gate_w_max 100.0",
+                "fusion.report_delta: implies a temperature gate floor of 150.8, "
+                "above fusion.gate_w_max 100.0",
+            ])
+
     @pytest.mark.parametrize("pipeline", ["fused", "raw"])
     def test_every_csv_cell_is_a_number_or_declared_text(self, tmp_path, pipeline):
         out = tmp_path / "out"
@@ -215,6 +233,20 @@ class TestValidate:
         code = main(["validate", "--config", str(config)])
         assert code == 2
         assert capsys.readouterr().err == f"pipefuse: error [config-invalid] {error}\n"
+
+    def test_empty_section_headers_mean_defaults(self, tmp_path, capsys):
+        # the bundled fusion, detection and energy sections hold default values
+        # only; an empty header reads as null
+        from pipefuse.sim import load_scenario
+
+        text = SCENARIO.read_text(encoding="utf-8")
+        for name in ("fusion", "detection", "energy"):
+            text = re.sub(rf"^{name}:\n(  .*\n)*", f"{name}:\n", text, flags=re.M)
+        config = tmp_path / "baseline_10node.yaml"
+        config.write_text(text, encoding="utf-8")
+        assert main(["validate", "--config", str(config)]) == 0
+        assert "ok" in capsys.readouterr().out
+        assert load_scenario(config) == load_scenario(SCENARIO)
 
     def test_invalid_exits_2(self, tmp_path):
         bad = tmp_path / "bad.yaml"

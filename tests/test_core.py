@@ -1,4 +1,7 @@
 import csv
+import math
+import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ from pipefuse.core import (
     SensorKind,
     Trace,
     TraceError,
+    left_sum,
     load_trace,
     merge_traces,
     save_trace,
@@ -22,6 +26,19 @@ def write_csv(tmp_path, text, name="trace.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+class TestLeftSum:
+    def test_adds_left_to_right_from_zero(self):
+        # a compensated sum gives 1.0; a sum that starts from -0.0 keeps its sign
+        assert left_sum([1e16, 1.0, -1e16]) == 0.0
+        assert math.copysign(1.0, left_sum([-0.0])) == 1.0
+
+    @pytest.mark.skipif(sys.version_info >= (3, 12),
+                        reason="the builtin sum() of floats compensates from Python 3.12")
+    @given(st.lists(st.floats(allow_subnormal=True), min_size=1))
+    def test_equals_the_builtin_sum_up_to_3_11(self, values):
+        assert struct.pack("<d", left_sum(values)) == struct.pack("<d", sum(values))
 
 
 class TestSensorKind:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pipefuse import ekf
-from pipefuse.core import SensorKind, merge_traces, trace_from_pairs
+from pipefuse.core import SensorKind, left_sum, merge_traces, trace_from_pairs
 from pipefuse.fusvaf import (
     DegenerateDenominatorError,
     EkfPredictor,
@@ -397,7 +397,7 @@ def reference_fusvaf(traces, params, predictor, adaptation, adaptive_alpha):
     for ticks_seen, (tick, slots, values) in enumerate(merge_traces(traces)):
         predicted = predictor.predict()
         if predicted is None:
-            predicted = sum(values) / len(values)
+            predicted = left_sum(values) / len(values)
         if not math.isfinite(predicted):
             raise ekf.NumericFailureError(f"tick {tick}: prediction {predicted} is not finite")
         warmup = ticks_seen < adaptation.window
@@ -426,7 +426,7 @@ def reference_fusvaf(traces, params, predictor, adaptation, adaptive_alpha):
             raise ekf.NumericFailureError(f"tick {tick}: fused value {fused} is not finite")
         residual_window.append([abs(z - fused) for z in values])
         if adaptive_alpha:
-            alpha = sum(sigma for _, sigma in pairs)
+            alpha = left_sum(sigma for _, sigma in pairs)
         readings = tuple((traces[slot].node_id, z, sigma) for slot, (z, sigma) in zip(slots, pairs))
         out.append((tick, fused, predicted, readings, warmup, gate))
     return out

@@ -11,7 +11,9 @@ case.
 do that only when a change to those outputs is intended.
 """
 
+import builtins
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -191,6 +193,32 @@ def test_run_outputs_match_golden(tmp_path, pipeline, seed):
     for rel in produced:
         digest = hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest()
         assert digest == expected[rel], f"{rel} differs from the golden tree"
+
+
+REAL_SUM = builtins.sum
+
+
+def fsum_for_floats(iterable, /, start=0):
+    """sum() with math.fsum for an all-float iterable: a stand-in for Python
+    3.12's compensated sum() of floats. Anything else goes to the real sum."""
+    items = list(iterable)
+    if start == 0 and items and all(isinstance(x, float) for x in items):
+        return math.fsum(items)
+    return REAL_SUM(items, start)
+
+
+@pytest.mark.parametrize("seed,pipeline", [
+    (0, "fused"), (0, "raw"), (42, "fused"), (42, "raw"), (42, "fused_adaptive"),
+])
+def test_run_outputs_do_not_depend_on_the_sum_rule(tmp_path, monkeypatch, pipeline, seed):
+    # every float sum that reaches an output adds left to right, whatever sum() does
+    monkeypatch.setattr(builtins, "sum", fsum_for_floats)
+    test_run_outputs_match_golden(tmp_path, pipeline, seed)
+
+
+def test_library_paths_do_not_depend_on_the_sum_rule(tmp_path, monkeypatch):
+    monkeypatch.setattr(builtins, "sum", fsum_for_floats)
+    test_library_paths_match_golden(tmp_path)
 
 
 if __name__ == "__main__":

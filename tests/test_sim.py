@@ -7,7 +7,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from pipefuse import fusvaf
-from pipefuse.core import SensorKind, TraceError, check_stream, trace_from_pairs
+from pipefuse.core import SensorKind, TraceError, check_stream, left_sum, trace_from_pairs
 from pipefuse.ekf import NumericFailureError
 from pipefuse.fusvaf import (
     DegenerateDenominatorError,
@@ -302,6 +302,65 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="fusion.gate_w_min: must not exceed gate_w_max"):
             make_config(fusion={"gate_w_min": 200.0})
 
+    def test_gate_floor_set_by_the_deadband_names_report_delta(self):
+        # noise_std 0: the node filter's deadband alone sets the floor
+        with pytest.raises(ConfigError) as exc:
+            make_config(fusion={"report_delta": 150.0})
+        assert exc.value.errors == [
+            "fusion.report_delta: implies a pressure gate floor of 150.0, "
+            "above fusion.gate_w_max 100.0"
+        ]
+
+    def test_gate_floor_reported_with_other_errors(self):
+        with pytest.raises(ConfigError) as exc:
+            make_config(fusion={"report_delta": 150.0}, energy={"ops_per_bit": 500})
+        assert exc.value.errors == [
+            "energy.ops_per_bit: must be in [1000, 3000], got 500",
+            "fusion.report_delta: implies a pressure gate floor of 150.0, "
+            "above fusion.gate_w_max 100.0",
+        ]
+        # a failed fusion section or signal spec brings no floor error after it
+        for data, error in [
+            ({"fusion": {"report_delta": 150.0, "ekf_q": 0}}, "fusion.ekf_q: must be > 0, got 0.0"),
+            ({"fusion": {"report_delta": 150.0},
+              "signals": {"pressure": {"baseline": 500.0, "noise_std": -1}}},
+             "signals.pressure.noise_std: must be >= 0, got -1.0"),
+        ]:
+            with pytest.raises(ConfigError) as exc:
+                make_config(**data)
+            assert exc.value.errors == [error]
+
+    @pytest.mark.parametrize("path", [
+        ("fusion",), ("detection",), ("energy",), ("events",),
+        ("topology", "uav"), ("topology", "uav", "patrol"),
+    ], ids=".".join)
+    def test_null_section_means_its_defaults(self, path):
+        # an empty YAML section header reads as null
+        data = base_config_dict()
+        section_at(data, path[:-1])[path[-1]] = None
+        expected = base_config_dict()
+        section_at(expected, path[:-1]).pop(path[-1], None)
+        assert scenario_from_dict(data) == scenario_from_dict(expected)
+
+    def test_null_signals_mean_none_declared(self):
+        with pytest.raises(ConfigError) as exc:
+            make_config(signals=None)
+        assert exc.value.errors == ["signals.pressure: required (kind appears in topology)"]
+
+    @pytest.mark.parametrize("path, value, error", [
+        (("topology", "uav"), 0, "topology.uav: expected a mapping"),
+        (("topology", "uav"), False, "topology.uav: expected a mapping"),
+        (("topology", "uav", "patrol"), 0, "topology.uav.patrol: expected a list, got 0"),
+        (("topology", "cluster_heads", 0, "peers"), 0,
+         "topology.cluster_heads[0].peers: expected a list, got 0"),
+    ], ids=repr)
+    def test_falsy_section_of_the_wrong_type_named(self, path, value, error):
+        data = base_config_dict()
+        section_at(data, path[:-1])[path[-1]] = value
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict(data)
+        assert exc.value.errors == [error]
+
     @pytest.mark.parametrize("section", SECTION_PATHS, ids=lambda cls: cls.__name__)
     def test_bound_table_names_fields_and_known_bounds(self, section):
         assert set(section.BOUNDS) <= set(section._fields)
@@ -355,6 +414,10 @@ class TestOverrides:
         assert out["energy"]["ops_per_bit"] == 3000
         config = scenario_from_dict(out)
         assert config.energy.ops_per_bit == 3000
+
+    def test_nested_override_fills_a_null_section(self):
+        out = apply_overrides(base_config_dict(energy=None), ["energy.ops_per_bit=3000"])
+        assert scenario_from_dict(out).energy == EnergyConfig(ops_per_bit=3000)
 
     def test_unknown_key_rejected_at_validation(self):
         out = apply_overrides(base_config_dict(), ["energy.nope=1"])
@@ -588,32 +651,64 @@ class TestClusterStage:
         result = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
         assert result.messages[("c0", "gw", FUSED)] == (200 // 10, 200 // 10 * 32)
 
-    @given(data=st.data(), window=st.integers(1, 12), n_windows=st.integers(1, 8))
+    @given(data=st.data(), window=st.integers(1, 12), n_windows=st.integers(1, 8),
+           fuse=st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_windows_equal_brute_force_scan(self, data, window, n_windows):
+    def test_windows_equal_brute_force_scan(self, data, window, n_windows, fuse):
         # config validation requires the window to divide the horizon
         horizon = window * n_windows
         config = make_config(horizon=horizon, detection={"window": window},
-                             fusion={"node_ekf": False, "cluster_fusvaf": False})
-        # any tick, window edges included; members may be silent for whole
-        # windows or altogether
+                             fusion={"node_ekf": False, "cluster_fusvaf": fuse})
+        # any tick, window edges included; in relay mode members may be
+        # silent for whole windows or altogether, under FUSVAF every member
+        # reports tick 0, as node_stage does
         tick_sets = st.sets(st.integers(0, horizon - 1), max_size=horizon)
         reports = {
             node_id: [(t, data.draw(st.floats(-1e3, 1e3)))
-                      for t in sorted(data.draw(tick_sets))]
+                      for t in sorted(data.draw(tick_sets) | ({0} if fuse else set()))]
             for node_id in data.draw(st.sets(st.sampled_from("abcd"), min_size=1))
         }
         result = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
         assert len(result.windows) == horizon // window
+        received = summaries = 0
         for s in result.windows:
             values = [v for node_id in sorted(reports) for t, v in reports[node_id]
                       if s.start_tick <= t <= s.end_tick]
             assert s.count == len(values)
             if values:
-                assert (s.avg, s.max, s.min) == (sum(values) / len(values),
+                assert (s.avg, s.max, s.min) == (left_sum(values) / len(values),
                                                  max(values), min(values))
             else:
                 assert (s.avg, s.max, s.min) == (None, None, None)
+            received += len(values)
+            summaries += bool(values)
+        energy, bits = config.energy, config.energy.sample_bits
+        if fuse:
+            sent = {FUSED: (n_windows, n_windows * bits),
+                    MessageKind.AGGREGATED: (summaries, summaries * 4 * bits)}
+            assert result.ops == (energy.fusvaf_ops_per_value * horizon * len(reports)
+                                  + energy.aggregation_ops_per_value * received)
+        else:
+            sent = {RAW: (received, received * bits)}
+            assert result.ops == 0
+        assert result.messages == {("c0", "gw", k): v for k, v in sent.items() if v[0]}
+
+    def test_window_average_adds_member_by_member(self):
+        # in tick order the 1.0 would be lost against 1e16 and the average be 0.0
+        config = make_config(fusion={"cluster_fusvaf": False})
+        reports = {"a": [(0, 1e16), (1, -1e16)], "b": [(0, 1.0)]}
+        window = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw").windows[0]
+        assert (window.count, window.avg) == (3, 1.0 / 3)
+
+    def test_reports_outside_the_horizon_rejected(self):
+        # relay mode: such a report would be counted as relayed yet fall in no window
+        config = make_config(fusion={"cluster_fusvaf": False})
+        for tick in (200, -1):
+            reports = {"n0": [(0, 1.0), (50, 2.0)], "n1": sorted([(10, 3.0), (tick, 4.0)])}
+            with pytest.raises(ValueError) as got:
+                cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
+            assert str(got.value) == (
+                f"cluster c0: report of n1 at tick {tick} is outside ticks 0..199")
 
     @given(data=st.data(), gate_window=st.integers(1, 12), adaptive=st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -671,7 +766,7 @@ class TestClusterStage:
         for s in result.windows:
             ticks = range(s.start_tick, s.end_tick + 1)
             fused = [fused_by_tick[t] for t in ticks if t in fused_by_tick]
-            assert s.fused == (sum(fused) / len(fused) if fused else None)
+            assert s.fused == (left_sum(fused) / len(fused) if fused else None)
             for node_id in member_order:
                 sigmas = [sigma_by_tick[t][node_id] for t in ticks
                           if node_id in sigma_by_tick.get(t, {})]
