@@ -109,12 +109,15 @@ def confidence(gate: ValidationGate, z: float) -> float:
     return _bell(x_hat - z, gate.a_r, _edge(x_hat - gate.v_r, gate.a_r))
 
 
-def _fuse_weighted(pairs, x_hat: float, alpha: float, omega: float) -> float:
-    # pairs sorted for exact permutation invariance of the running sums.
+def _fuse_weighted(values, sigmas, order, x_hat: float, alpha: float, omega: float) -> float:
+    # summed in `order`, which sorts the values: the sums are exactly permutation
+    # invariant, and as over sorted (value, sigma) pairs, since equal values
+    # have equal confidences under one gate
     num = 0.0
     den = 0.0
-    for z, sigma in sorted(pairs):
-        num += z * sigma
+    for k in order:
+        sigma = sigmas[k]
+        num += values[k] * sigma
         den += sigma
     if den == 0.0:
         if alpha == 0.0:
@@ -132,8 +135,10 @@ def fuse(gate: ValidationGate, params: FusionParams, measurements: Iterable[floa
     With no surviving measurement and alpha > 0 the prediction is returned
     unchanged; with alpha = 0 as well, DegenerateDenominatorError is raised.
     """
-    pairs = [(z, confidence(gate, z)) for z in measurements]
-    return _fuse_weighted(pairs, gate.x_hat, params.alpha, params.omega)
+    values = list(measurements)
+    sigmas = [confidence(gate, z) for z in values]
+    order = sorted(range(len(values)), key=values.__getitem__)
+    return _fuse_weighted(values, sigmas, order, gate.x_hat, params.alpha, params.omega)
 
 
 @dataclass(frozen=True)
@@ -300,15 +305,19 @@ def _fusvaf_kernel(
     # the last `window` ticks' absolute residuals, per tick and as one sorted list
     residual_window: deque = deque()
     window_sorted: list = []
-    alpha = params.alpha
+    alpha, omega = params.alpha, params.omega
+    window, warmup_half_width = adaptation.window, adaptation.warmup_half_width
+    isfinite, expm1 = math.isfinite, math.expm1
+    predict, observe = predictor.predict, predictor.observe
+    previous = order = None  # held series repeat their values; order depends on them alone
     for i, (tick, slots, values) in enumerate(groups):
-        predicted = predictor.predict()
+        predicted = predict()
         if predicted is None:
             predicted = left_sum(values) / len(values)
-        if not math.isfinite(predicted):  # e.g. the first-tick mean overflowed
+        if not isfinite(predicted):  # e.g. the first-tick mean overflowed
             raise ekf.NumericFailureError(f"tick {tick}: prediction {predicted} is not finite")
-        if i < adaptation.window:
-            half_width = adaptation.warmup_half_width
+        if i < window:
+            half_width = warmup_half_width
         else:  # as adapt_gate, over residuals that are already absolute
             half_width = adaptation.half_width(_median(window_sorted))
         v_l, v_r, a = predicted - half_width, predicted + half_width, half_width / 2.0
@@ -321,29 +330,37 @@ def _fusvaf_kernel(
                 raise ekf.NumericFailureError(f"tick {tick}: {exc}") from None
         # as confidence() for the gate, with each flank's edge term computed once
         edge_l, edge_r = _edge(predicted - v_l, a), _edge(predicted - v_r, a)
-        sigmas = [
-            0.0 if z <= v_l or z > v_r
-            else _bell(predicted - z, a, edge_l if z <= predicted else edge_r)
-            for z in values
-        ]
+        sigmas = []
+        for slot, z in zip(slots, values):
+            if z <= v_l or z > v_r:
+                sigma = 0.0
+            else:  # _bell, with min(1.0, max(0.0, sigma)) spelled out
+                edge = edge_l if z <= predicted else edge_r
+                sigma = (expm1(-(((predicted - z) / a) ** 2)) - edge) / -edge
+                sigma = (sigma if sigma < 1.0 else 1.0) if sigma > 0.0 else 0.0
+            sigmas.append(sigma)
+            value_cols[slot][i] = z
+            sigma_cols[slot][i] = sigma
+        if values != previous:
+            previous, order = values, sorted(range(len(values)), key=values.__getitem__)
         if adaptive_alpha and i > 0 and not any(sigmas):
             fused = predicted  # alpha, the last tick's total confidence, may be 0 too
         else:
             try:
-                fused = _fuse_weighted(zip(values, sigmas), predicted, alpha, params.omega)
+                fused = _fuse_weighted(values, sigmas, order, predicted, alpha, omega)
             except DegenerateDenominatorError as exc:
                 raise DegenerateDenominatorError(f"tick {tick}: {exc}") from None
         try:
-            predictor.observe(fused)
+            observe(fused)
         except ekf.NumericFailureError as exc:
             raise ekf.NumericFailureError(f"tick {tick}: {exc}") from None
-        if not math.isfinite(fused):  # after observe: a predictor that refuses it words the error
+        if not isfinite(fused):  # after observe: a predictor that refuses it words the error
             raise ekf.NumericFailureError(f"tick {tick}: fused value {fused} is not finite")
         residuals = [abs(z - fused) for z in values]
         residual_window.append(residuals)
         for r in residuals:
             insort(window_sorted, r)
-        if len(residual_window) > adaptation.window:
+        if len(residual_window) > window:
             for r in residual_window.popleft():
                 del window_sorted[bisect_left(window_sorted, r)]
         if adaptive_alpha:
@@ -352,9 +369,6 @@ def _fusvaf_kernel(
         fused_col.append(fused)
         predicted_col.append(predicted)
         half_widths.append(half_width)
-        for slot, z, sigma in zip(slots, values, sigmas):
-            value_cols[slot][i] = z
-            sigma_cols[slot][i] = sigma
     return FusionColumns(ticks, fused_col, predicted_col, half_widths, value_cols, sigma_cols)
 
 

@@ -224,7 +224,7 @@ def _build_section(cls, data, prefix, errors, converters=None):
     them become floats."""
     converters = converters or {}
     if not isinstance(data, dict):
-        errors.append(f"{prefix}: expected a mapping, got {type(data).__name__}")
+        errors.append(f"{prefix}: expected a mapping, got {data!r}")
         return None
     # under postponed evaluation the annotations are ForwardRefs of their text
     types = {name: ref.__forward_arg__ for name, ref in cls.__annotations__.items()}
@@ -282,7 +282,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
     """Build and validate a ScenarioConfig; raises ConfigError on any problem."""
     errors: list[str] = []
     if not isinstance(data, dict):
-        raise ConfigError(["top level: expected a mapping"])
+        raise ConfigError([f"top level: expected a mapping, got {data!r}"])
 
     for key in data:
         if key not in ScenarioConfig._fields:
@@ -308,10 +308,10 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
     if not horizon_ok:
         horizon = None  # reported once here; the checks against it are skipped
 
-    topology, entries = _parse_topology(data.get("topology"), errors)
+    topology, entries, head_ids = _parse_topology(data.get("topology"), errors)
     declared_signals = _at(data, "signals", {})
     signals = _parse_signals(declared_signals, errors)
-    events = _parse_events(_at(data, "events", []), horizon, errors)
+    events = _parse_events(_list_at(data, "events", "events", errors), horizon, errors)
     fusion = _build_section(
         FusionConfig,
         _at(data, "fusion", {}),
@@ -332,7 +332,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         )
     node_kinds = {k for _, kinds in entries for k in kinds}
     if topology is not None:
-        _check_topology(topology, entries, errors)
+        _check_topology(topology, entries, head_ids, errors)
         _check_cross(node_kinds, declared_signals, events, errors)
         _check_gate_floors(fusion, signals, node_kinds, errors)
 
@@ -343,22 +343,22 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
     )
 
 
-def _parse_topology(data, errors) -> tuple[Optional[Topology], list]:
-    """The topology, and the (raw cluster_id, sensor kinds) of every node
-    entry, also those dropped for an error, so that the later checks see
-    them."""
+def _parse_topology(data, errors) -> tuple[Optional[Topology], list, list]:
+    """The topology, the (raw cluster_id, sensor kinds) of every node entry
+    and the raw cluster_id of every cluster head entry, also of those
+    dropped for an error, so that the later checks see them."""
     if data is None:
         errors.append("topology: required")
-        return None, []
+        return None, [], []
     if not isinstance(data, dict):
-        errors.append("topology: expected a mapping")
-        return None, []
+        errors.append(f"topology: expected a mapping, got {data!r}")
+        return None, [], []
     nodes = []
     entries = []
     for i, raw in enumerate(_list_at(data, "nodes", "topology.nodes", errors)):
         prefix = f"topology.nodes[{i}]"
         if not isinstance(raw, dict):
-            errors.append(f"{prefix}: expected a mapping")
+            errors.append(f"{prefix}: expected a mapping, got {raw!r}")
             continue
         kinds = []
         for s in _list_at(raw, "sensors", f"{prefix}.sensors", errors):
@@ -371,28 +371,28 @@ def _parse_topology(data, errors) -> tuple[Optional[Topology], list]:
         node = _build_section(NodeSpec, {**raw, "sensors": tuple(kinds)}, prefix, errors)
         if node is not None:
             nodes.append(node)
-    heads = []
+    heads, head_ids = [], []
     for i, raw in enumerate(_list_at(data, "cluster_heads", "topology.cluster_heads", errors)):
         prefix = f"topology.cluster_heads[{i}]"
         if not isinstance(raw, dict):
-            errors.append(f"{prefix}: expected a mapping")
+            errors.append(f"{prefix}: expected a mapping, got {raw!r}")
             continue
+        head_ids.append(raw.get("cluster_id"))
         peers = tuple(_list_at(raw, "peers", f"{prefix}.peers", errors))
         head = _build_section(ClusterSpec, {**raw, "peers": peers}, prefix, errors)
-        if head is not None:
-            heads.append(head)
+        if head is not None and isinstance(_at(raw, "peers", []), list):
+            heads.append(head)  # a head whose peers are not a list drops out too
     patrol = []
     uav = _at(data, "uav", {})
     if not isinstance(uav, dict):
-        errors.append("topology.uav: expected a mapping")
+        errors.append(f"topology.uav: expected a mapping, got {uav!r}")
         uav = {}
-    cluster_ids = {c.cluster_id for c in heads}
     for i, raw in enumerate(_list_at(uav, "patrol", "topology.uav.patrol", errors)):
         prefix = f"topology.uav.patrol[{i}]"
         visit = _build_section(UavVisit, raw, prefix, errors)
         if visit is None:
             continue
-        if visit.cluster_id not in cluster_ids:
+        if visit.cluster_id not in head_ids:
             errors.append(f"{prefix}.cluster_id: unknown cluster {visit.cluster_id!r}")
         if visit.end < visit.start:
             errors.append(f"{prefix}.end: must be >= start")
@@ -405,13 +405,13 @@ def _parse_topology(data, errors) -> tuple[Optional[Topology], list]:
     for key in data:
         if key not in known:
             errors.append(f"topology.{key}: unknown key")
-    return Topology(tuple(nodes), tuple(heads), gateway_id, tuple(patrol)), entries
+    return Topology(tuple(nodes), tuple(heads), gateway_id, tuple(patrol)), entries, head_ids
 
 
 def _parse_signals(data, errors) -> dict:
     signals = {}
     if not isinstance(data, dict):
-        errors.append("signals: expected a mapping")
+        errors.append(f"signals: expected a mapping, got {data!r}")
         return signals
     for key, raw in data.items():
         kind = _parse_kind(key, "signals", errors)
@@ -428,9 +428,6 @@ def _parse_signals(data, errors) -> dict:
 
 def _parse_events(data, horizon, errors) -> list[Optional[EventSpec]]:
     events = []
-    if not isinstance(data, list):
-        errors.append("events: expected a list")
-        return events
     for i, raw in enumerate(data):
         prefix = f"events[{i}]"
         event = _build_section(EventSpec, raw, prefix, errors)
@@ -448,10 +445,14 @@ def _parse_events(data, horizon, errors) -> list[Optional[EventSpec]]:
     return events
 
 
-def _check_topology(topology: Topology, entries, errors) -> None:
+def _check_topology(topology: Topology, entries, head_ids, errors) -> None:
+    """Checks across the topology. A cluster id is known if any head entry
+    names it, dropped ones included, as a cluster's members are counted over
+    every node entry, so a dropped entry brings no error beyond its own.
+    Both compare with `==`, since a raw id may be an unhashable YAML value."""
     if not entries:
         errors.append("topology.nodes: at least one node required")
-    if not topology.cluster_heads:
+    if not head_ids:
         errors.append("topology.cluster_heads: at least one cluster head required")
     # nodes, cluster heads and the gateway share one id space
     ids = [("topology.nodes", n.node_id) for n in topology.nodes]
@@ -461,11 +462,10 @@ def _check_topology(topology: Topology, entries, errors) -> None:
         if id_ in owners:
             errors.append(f"{where}: id {id_!r} is already used in {owners[id_]}")
         owners.setdefault(id_, where)
-    cluster_ids = {c.cluster_id for c in topology.cluster_heads}
     for n in topology.nodes:
         if not n.sensors:
             errors.append(f"topology.nodes[{n.node_id}].sensors: at least one sensor required")
-        if n.cluster_id not in cluster_ids:
+        if n.cluster_id not in head_ids:
             errors.append(
                 f"topology.nodes[{n.node_id}].cluster_id: unknown cluster {n.cluster_id!r}"
             )
@@ -473,11 +473,13 @@ def _check_topology(topology: Topology, entries, errors) -> None:
         if not any(cluster_id == c.cluster_id for cluster_id, _ in entries):
             errors.append(f"topology.cluster_heads[{c.cluster_id}]: cluster has no member nodes")
         for p in c.peers:
-            if p not in cluster_ids:
+            if p not in head_ids:
                 errors.append(f"topology.cluster_heads[{c.cluster_id}].peers: unknown cluster {p!r}")
             if p == c.cluster_id:
                 errors.append(f"topology.cluster_heads[{c.cluster_id}].peers: self link")
-    if len(cluster_ids) > 1 and not topology.peer_graph(cluster_ids).is_connected():
+    cluster_ids = {c.cluster_id for c in topology.cluster_heads}
+    if (len(topology.cluster_heads) == len(head_ids) and len(cluster_ids) > 1
+            and not topology.peer_graph(cluster_ids).is_connected()):
         errors.append("topology.cluster_heads: peer graph must be connected")
 
 
@@ -557,7 +559,7 @@ def load_scenario(path, overrides=(), seed: Optional[int] = None) -> ScenarioCon
     except yaml.YAMLError as exc:
         raise ConfigError([f"{path}: invalid YAML: {exc}"]) from None
     if not isinstance(data, dict):
-        raise ConfigError([f"{path}: top level must be a mapping"])
+        raise ConfigError([f"{path}: expected a mapping, got {data!r}"])
     if overrides:
         data = apply_overrides(data, overrides)
     if seed is not None:

@@ -1,6 +1,7 @@
 import math
 import re
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from pipefuse.fusvaf import (
     GateAdaptation,
     SmoothingPredictor,
     ValidationGate,
-    _fuse_weighted,
     adapt_gate,
     confidence,
     fuse,
@@ -92,6 +92,23 @@ class TestConfidence:
         assert confidence(gate, gate.v_r + eps) == 0.0
 
 
+def sorted_pairs_fusion(pairs, x_hat, alpha, omega):
+    """fuse()'s weighted mean, summed over the sorted (value, confidence)
+    pairs: the oracle of every fused value, whatever order fusvaf sums in."""
+    num = 0.0
+    den = 0.0
+    for z, sigma in sorted(pairs):
+        num += z * sigma
+        den += sigma
+    if den == 0.0:
+        if alpha == 0.0:
+            raise DegenerateDenominatorError(
+                "all measurements invalidated and alpha = 0: no information to fuse"
+            )
+        return x_hat
+    return (num + alpha * x_hat / omega) / (den + alpha / omega)
+
+
 class TestFuse:
     def test_prediction_is_fixed_point(self):
         gate = ValidationGate(0.0, -10.0, 10.0, 4.0, 4.0)
@@ -136,6 +153,23 @@ class TestFuse:
         shuffled = list(zs)
         rng.shuffle(shuffled)
         assert fuse(gate, params, shuffled) == forward
+
+    @given(gate=gates(), data=st.data(), alpha=st.floats(0, 10), omega=st.floats(0.1, 10))
+    def test_tied_readings_sum_as_sorted_pairs(self, gate, data, alpha, omega):
+        """Any order of tied readings (0.0 and -0.0, nan included) fuses to
+        the sum over sorted (value, confidence) pairs, to the bit."""
+        pool = data.draw(st.lists(st.floats(-60, 60), min_size=2, max_size=4)) + [0.0, -0.0]
+        zs = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=8))
+        zs = data.draw(st.permutations(zs + [math.nan] * data.draw(st.integers(0, 1))))
+        pairs = [(z, confidence(gate, z)) for z in zs]
+        params = FusionParams(alpha, omega)
+        fused = lambda: fuse(gate, params, zs)
+        try:
+            expected = sorted_pairs_fusion(pairs, gate.x_hat, alpha, omega)
+        except DegenerateDenominatorError:
+            raise_alike(fused, lambda: sorted_pairs_fusion(pairs, gate.x_hat, alpha, omega))
+            return
+        assert repr(fused()) == repr(expected)
 
     @given(gate=gates(), zs=st.lists(st.floats(-60, 60), min_size=1, max_size=6))
     def test_alpha_pulls_toward_prediction(self, gate, zs):
@@ -388,7 +422,7 @@ class TestFusvafStream:
 def reference_fusvaf(traces, params, predictor, adaptation, adaptive_alpha):
     """The per-tick gate-validate-fuse loop, built only from the public
     ValidationGate.symmetric, adapt_gate and confidence and from
-    _fuse_weighted: the oracle of fusvaf_stream's float kernel. Returns one
+    sorted_pairs_fusion: the oracle of fusvaf_stream's float kernel. Returns one
     (tick, fused, predicted, readings, warmup, gate) per tick."""
     residual_window = deque(maxlen=adaptation.window)
     alpha = params.alpha
@@ -411,7 +445,7 @@ def reference_fusvaf(traces, params, predictor, adaptation, adaptive_alpha):
             raise ekf.NumericFailureError(f"tick {tick}: {exc}") from None
         pairs = [(z, confidence(gate, z)) for z in values]
         try:
-            fused = _fuse_weighted(pairs, predicted, alpha, params.omega)
+            fused = sorted_pairs_fusion(pairs, predicted, alpha, params.omega)
         except DegenerateDenominatorError as exc:
             # adaptive alpha is 0 after a fully-rejected tick: the prediction
             # is all there is to fuse
@@ -527,6 +561,50 @@ def nan_fused_case():
             adaptation, False)
 
 
+class UncheckedTrace(NamedTuple):
+    """A Trace without its reading checks, for kernel inputs that a Trace
+    refuses, such as nan."""
+
+    node_id: str
+    sensor_kind: SensorKind
+    timestamps: tuple
+    values: tuple
+
+
+def held_trace(node_id, runs, run_length):
+    """Each value of runs held for run_length ticks, from tick 0."""
+    values = tuple(v for v in runs for _ in range(run_length))
+    return UncheckedTrace(node_id, SensorKind.TEMPERATURE, tuple(range(len(values))), values)
+
+
+def held_series_case():
+    """Zero-order-held members, as the simulator fuses them: most ticks
+    repeat the last tick's values and reuse their sort order. The members
+    change value on different ticks, tie with each other, and read 0.0
+    and -0.0 at once; an order kept after any one member changes fails."""
+    traces = [
+        held_trace("s0", [0.01, 0.0, -1.35, 1.28, 0.0, 1.28, -0.0, -0.0], 6),
+        held_trace("s1", [0.0, 0.0, -0.0, -1.35, 0.0, -0.0, -1.35, 1.28, -1.35, 1.28, -0.0,
+                          -1.03], 4),
+        held_trace("s2", [-1.03, -1.03, 0.0, -1.35, -1.03, 1.28, -0.0, 0.01, -1.35, 0.0], 5),
+        held_trace("s3", [-1.35, -1.35, 1.28, -0.0, 0.01, -1.03, 1.28], 7),
+    ]
+    adaptation = GateAdaptation(k_sigma=3.0, w_min=0.5, w_max=5.0, window=3)
+    return traces, FusionParams(1.0, 1.0), EkfPredictor, adaptation, False
+
+
+def held_nan_case():
+    """A held nan reading: a values list holding nan equals the last tick's
+    only through the identity of that nan. The other member is outside the
+    gate meanwhile, so the tick fuses to its prediction; the whole run is in
+    warm-up, since a nan residual breaks the sorted residual window."""
+    nan = float("nan")
+    traces = [held_trace("s0", [0.3, 0.7, 500.0, 500.0, 0.3], 4),
+              held_trace("s1", [0.7, 0.7, nan, nan, -0.0], 4)]
+    adaptation = GateAdaptation(w_max=5.0, window=20)
+    return traces, FusionParams(1.0, 1.0), EkfPredictor, adaptation, False
+
+
 def assert_same_outcome(traces, params, predictor, adaptation, adaptive_alpha):
     """fusvaf_stream returns what the reference loop returns, or raises the
     exception it raises; `predictor()` makes a fresh predictor."""
@@ -548,6 +626,8 @@ class TestKernelOracle:
     @example(case=tied_residuals_case())
     @example(case=nan_fused_case())
     @example(case=first_tick_rejected_case())
+    @example(case=held_series_case())
+    @example(case=held_nan_case())
     @settings(max_examples=300, deadline=None)
     def test_equals_reference_loop(self, case):
         assert_same_outcome(*case)

@@ -25,6 +25,7 @@ from pipefuse.sim import (
     cluster_stage,
     consensus_stage,
     generate_world,
+    load_scenario,
     node_stage,
     run_simulation,
     scenario_from_dict,
@@ -348,8 +349,8 @@ class TestConfigValidation:
         assert exc.value.errors == ["signals.pressure: required (kind appears in topology)"]
 
     @pytest.mark.parametrize("path, value, error", [
-        (("topology", "uav"), 0, "topology.uav: expected a mapping"),
-        (("topology", "uav"), False, "topology.uav: expected a mapping"),
+        (("topology", "uav"), 0, "topology.uav: expected a mapping, got 0"),
+        (("topology", "uav"), False, "topology.uav: expected a mapping, got False"),
         (("topology", "uav", "patrol"), 0, "topology.uav.patrol: expected a list, got 0"),
         (("topology", "cluster_heads", 0, "peers"), 0,
          "topology.cluster_heads[0].peers: expected a list, got 0"),
@@ -360,6 +361,62 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as exc:
             scenario_from_dict(data)
         assert exc.value.errors == [error]
+
+    @pytest.mark.parametrize("override, error", [
+        ("fusion=5", "fusion: expected a mapping, got 5"),
+        ("signals=5", "signals: expected a mapping, got 5"),
+        ("signals.pressure=5", "signals.pressure: expected a mapping, got 5"),
+        ("events=5", "events: expected a list, got 5"),
+        ("topology=5", "topology: expected a mapping, got 5"),
+        ("topology.uav=5", "topology.uav: expected a mapping, got 5"),
+        ("topology.uav.patrol=5", "topology.uav.patrol: expected a list, got 5"),
+        ("topology.uav.patrol=[5]", "topology.uav.patrol[0]: expected a mapping, got 5"),
+    ])
+    def test_section_of_the_wrong_type_worded_one_way(self, override, error):
+        data = apply_overrides(yaml.safe_load(BUNDLED.read_text(encoding="utf-8")), [override])
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict(data)
+        assert exc.value.errors == [error]
+
+    def test_entry_of_the_wrong_type_worded_one_way(self):
+        data = base_config_dict()
+        data["topology"]["nodes"].append([1])
+        data["topology"]["cluster_heads"].append("c9")
+        data["events"] = [{"kind": "leak", "start": 10, "end": 20, "location": 0.0,
+                           "magnitude": 30.0}, None]
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict(data)
+        assert exc.value.errors == [
+            "topology.nodes[4]: expected a mapping, got [1]",
+            "topology.cluster_heads[2]: expected a mapping, got 'c9'",
+            "events[1]: expected a mapping, got None",
+        ]
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict([1])
+        assert exc.value.errors == ["top level: expected a mapping, got [1]"]
+
+    def test_document_of_the_wrong_type_worded_one_way(self, tmp_path):
+        path = tmp_path / "s.yaml"
+        path.write_text("[1, 2]\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            load_scenario(path)
+        assert exc.value.errors == [f"{path}: expected a mapping, got [1, 2]"]
+
+    @pytest.mark.parametrize("heads, errors", [
+        # without its id, c1 would also be an unknown cluster for n5-n9, for
+        # the UAV patrol entry and for c0's peers
+        ("[{cluster_id: c0, peers: [c1]}, {cluster_id: c1, peers: [c0, 7]}]",
+         ["topology.cluster_heads[1].peers: expected a list of strings, got ('c0', 7)"]),
+        # heads with unread peers leave the peer graph unchecked
+        ("[{cluster_id: c0, peers: 0}, {cluster_id: c1, peers: 0}]",
+         [f"topology.cluster_heads[{i}].peers: expected a list, got 0" for i in (0, 1)]),
+    ])
+    def test_dropped_heads_keep_their_ids(self, heads, errors):
+        data = apply_overrides(yaml.safe_load(BUNDLED.read_text(encoding="utf-8")),
+                               [f"topology.cluster_heads={heads}"])
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict(data)
+        assert exc.value.errors == errors
 
     @pytest.mark.parametrize("section", SECTION_PATHS, ids=lambda cls: cls.__name__)
     def test_bound_table_names_fields_and_known_bounds(self, section):
