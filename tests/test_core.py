@@ -38,7 +38,14 @@ class TestLeftSum:
                         reason="the builtin sum() of floats compensates from Python 3.12")
     @given(st.lists(st.floats(allow_subnormal=True), min_size=1))
     def test_equals_the_builtin_sum_up_to_3_11(self, values):
-        assert struct.pack("<d", left_sum(values)) == struct.pack("<d", sum(values))
+        got, want = left_sum(values), sum(values)
+        if math.isnan(want):
+            # when two NaNs meet, IEEE 754 leaves open whose payload the sum
+            # keeps, and the C compiler's operand order decides it; the
+            # program's sums never see a NaN (every value is checked finite)
+            assert math.isnan(got)
+        else:
+            assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 class TestSensorKind:
