@@ -9,6 +9,7 @@ once and reports them with dotted field paths.
 from __future__ import annotations
 
 import math
+import reprlib
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -216,6 +217,12 @@ _SCALAR_TYPES = {
 }
 
 
+def _wrong_type(where, expected: str, value) -> str:
+    """The one wording for a section or entry of the wrong type. The value's
+    repr is cut short: a CSV passed as the scenario reads as one long string."""
+    return f"{where}: expected {expected}, got {reprlib.repr(value)}"
+
+
 def _build_section(cls, data, prefix, errors, converters=None):
     """Build section `cls` from a mapping. Keys must be fields of `cls`,
     fields without a default must be present, and after the converters,
@@ -224,7 +231,7 @@ def _build_section(cls, data, prefix, errors, converters=None):
     them become floats."""
     converters = converters or {}
     if not isinstance(data, dict):
-        errors.append(f"{prefix}: expected a mapping, got {data!r}")
+        errors.append(_wrong_type(prefix, "a mapping", data))
         return None
     # under postponed evaluation the annotations are ForwardRefs of their text
     types = {name: ref.__forward_arg__ for name, ref in cls.__annotations__.items()}
@@ -265,7 +272,7 @@ def _at(data: dict, key: str, default):
 def _list_at(data: dict, key: str, where: str, errors) -> list:
     value = _at(data, key, [])
     if not isinstance(value, list):
-        errors.append(f"{where}: expected a list, got {value!r}")
+        errors.append(_wrong_type(where, "a list", value))
         return []
     return value
 
@@ -282,7 +289,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
     """Build and validate a ScenarioConfig; raises ConfigError on any problem."""
     errors: list[str] = []
     if not isinstance(data, dict):
-        raise ConfigError([f"top level: expected a mapping, got {data!r}"])
+        raise ConfigError([_wrong_type("top level", "a mapping", data)])
 
     for key in data:
         if key not in ScenarioConfig._fields:
@@ -351,14 +358,14 @@ def _parse_topology(data, errors) -> tuple[Optional[Topology], list, list]:
         errors.append("topology: required")
         return None, [], []
     if not isinstance(data, dict):
-        errors.append(f"topology: expected a mapping, got {data!r}")
+        errors.append(_wrong_type("topology", "a mapping", data))
         return None, [], []
     nodes = []
     entries = []
     for i, raw in enumerate(_list_at(data, "nodes", "topology.nodes", errors)):
         prefix = f"topology.nodes[{i}]"
         if not isinstance(raw, dict):
-            errors.append(f"{prefix}: expected a mapping, got {raw!r}")
+            errors.append(_wrong_type(prefix, "a mapping", raw))
             continue
         kinds = []
         for s in _list_at(raw, "sensors", f"{prefix}.sensors", errors):
@@ -375,17 +382,19 @@ def _parse_topology(data, errors) -> tuple[Optional[Topology], list, list]:
     for i, raw in enumerate(_list_at(data, "cluster_heads", "topology.cluster_heads", errors)):
         prefix = f"topology.cluster_heads[{i}]"
         if not isinstance(raw, dict):
-            errors.append(f"{prefix}: expected a mapping, got {raw!r}")
+            errors.append(_wrong_type(prefix, "a mapping", raw))
             continue
         head_ids.append(raw.get("cluster_id"))
+        n_errors = len(errors)
         peers = tuple(_list_at(raw, "peers", f"{prefix}.peers", errors))
+        peers_read = len(errors) == n_errors
         head = _build_section(ClusterSpec, {**raw, "peers": peers}, prefix, errors)
-        if head is not None and isinstance(_at(raw, "peers", []), list):
+        if head is not None and peers_read:
             heads.append(head)  # a head whose peers are not a list drops out too
     patrol = []
     uav = _at(data, "uav", {})
     if not isinstance(uav, dict):
-        errors.append(f"topology.uav: expected a mapping, got {uav!r}")
+        errors.append(_wrong_type("topology.uav", "a mapping", uav))
         uav = {}
     for i, raw in enumerate(_list_at(uav, "patrol", "topology.uav.patrol", errors)):
         prefix = f"topology.uav.patrol[{i}]"
@@ -411,7 +420,7 @@ def _parse_topology(data, errors) -> tuple[Optional[Topology], list, list]:
 def _parse_signals(data, errors) -> dict:
     signals = {}
     if not isinstance(data, dict):
-        errors.append(f"signals: expected a mapping, got {data!r}")
+        errors.append(_wrong_type("signals", "a mapping", data))
         return signals
     for key, raw in data.items():
         kind = _parse_kind(key, "signals", errors)
@@ -559,7 +568,7 @@ def load_scenario(path, overrides=(), seed: Optional[int] = None) -> ScenarioCon
     except yaml.YAMLError as exc:
         raise ConfigError([f"{path}: invalid YAML: {exc}"]) from None
     if not isinstance(data, dict):
-        raise ConfigError([f"{path}: expected a mapping, got {data!r}"])
+        raise ConfigError([_wrong_type(path, "a mapping", data)])
     if overrides:
         data = apply_overrides(data, overrides)
     if seed is not None:

@@ -402,6 +402,15 @@ class TestConfigValidation:
             load_scenario(path)
         assert exc.value.errors == [f"{path}: expected a mapping, got [1, 2]"]
 
+    def test_trace_passed_as_the_scenario_reported_briefly(self, tmp_path):
+        # YAML reads a CSV as one plain string; the error must not print it whole
+        path = tmp_path / "trace.csv"
+        path.write_text("timestamp,value\n" + "".join(f"{t},20.5\n" for t in range(10_000)),
+                        encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            load_scenario(path)
+        assert exc.value.errors == [f"{path}: expected a mapping, got 'timestamp,va...0.5 9999,20.5'"]
+
     @pytest.mark.parametrize("heads, errors", [
         # without its id, c1 would also be an unknown cluster for n5-n9, for
         # the UAV patrol entry and for c0's peers
