@@ -2,8 +2,10 @@
 
 A scenario is a YAML document with nested sections (topology, signals,
 events, fusion, detection, energy). Every field has a default except the
-topology, the seed, and the horizon; validation collects all problems at
-once and reports them with dotted field paths.
+topology, the seed, and the horizon. Validation runs in two passes, each
+reporting all of its problems with dotted field paths: every field and
+entry first, then, on a scenario whose fields all pass, the checks that
+relate two sections.
 """
 
 from __future__ import annotations
@@ -217,10 +219,14 @@ _SCALAR_TYPES = {
 }
 
 
+# a value echoed in an error, its repr cut short: a CSV passed as the
+# scenario reads as one long string, and an override may hold a long list
+_short = reprlib.repr
+
+
 def _wrong_type(where, expected: str, value) -> str:
-    """The one wording for a section or entry of the wrong type. The value's
-    repr is cut short: a CSV passed as the scenario reads as one long string."""
-    return f"{where}: expected {expected}, got {reprlib.repr(value)}"
+    """The one wording for a value of the wrong type."""
+    return f"{where}: expected {expected}, got {_short(value)}"
 
 
 def _build_section(cls, data, prefix, errors, converters=None):
@@ -249,14 +255,14 @@ def _build_section(cls, data, prefix, errors, converters=None):
             value = converters[key](value)
         accepts, expected = _SCALAR_TYPES.get(types[key], (None, None))
         if accepts is not None and not accepts(value):
-            errors.append(f"{prefix}.{key}: expected {expected}, got {value!r}")
+            errors.append(_wrong_type(f"{prefix}.{key}", expected, value))
             valid = False
             continue
         if value is not None and types[key] in ("float", "Optional[float]"):
             value = float(value)
         bound = cls.BOUNDS.get(key)
         if bound and value is not None and not _BOUNDS[bound](value):
-            errors.append(f"{prefix}.{key}: must be {bound}, got {value!r}")
+            errors.append(f"{prefix}.{key}: must be {bound}, got {_short(value)}")
             valid = False
         kwargs[key] = value
     return cls(**kwargs) if valid else None
@@ -281,87 +287,66 @@ def _parse_kind(value, where, errors):
     try:
         return SensorKind(value)
     except ValueError:
-        errors.append(f"{where}: unknown sensor kind {value!r}")
+        errors.append(f"{where}: unknown sensor kind {_short(value)}")
         return None
 
 
 def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
-    """Build and validate a ScenarioConfig; raises ConfigError on any problem."""
-    errors: list[str] = []
+    """Build and validate a ScenarioConfig; raises ConfigError on any problem.
+
+    Validation runs in two passes. The first checks every field and entry
+    on its own: its type, its bound and the rules within one entry. Only a
+    scenario that passes it is built, and the second pass, `_check_cross`,
+    checks how its sections relate. Each pass reports all of its problems
+    at once, so a scenario with problems of both kinds reports its field
+    errors first and its cross-section errors on the next run."""
     if not isinstance(data, dict):
         raise ConfigError([_wrong_type("top level", "a mapping", data)])
-
-    for key in data:
-        if key not in ScenarioConfig._fields:
-            errors.append(f"{key}: unknown key")
-
+    errors = [f"{key}: unknown key" for key in data if key not in ScenarioConfig._fields]
     name = data.get("name", name)
     if not isinstance(name, str):
-        errors.append(f"name: expected a string, got {name!r}")
+        errors.append(_wrong_type("name", "a string", name))
     seed = data.get("seed")
     if seed is None:
         errors.append("seed: required for reproducibility")
-        seed = 0
     elif not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        errors.append(f"seed: expected a non-negative integer, got {seed!r}")
-        seed = 0
+        errors.append(_wrong_type("seed", "a non-negative integer", seed))
     horizon = data.get("horizon")
-    horizon_ok = isinstance(horizon, int) and not isinstance(horizon, bool) and horizon >= 1
-    if not horizon_ok:
-        errors.append(f"horizon: expected a positive integer, got {horizon!r}")
+    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
+        errors.append(_wrong_type("horizon", "a positive integer", horizon))
     elif horizon > MAX_HORIZON:
         errors.append(f"horizon: {horizon} ticks exceeds the maximum of {MAX_HORIZON:,}")
-        horizon_ok = False
-    if not horizon_ok:
-        horizon = None  # reported once here; the checks against it are skipped
 
-    topology, entries, head_ids = _parse_topology(data.get("topology"), errors)
-    declared_signals = _at(data, "signals", {})
-    signals = _parse_signals(declared_signals, errors)
-    events = _parse_events(_list_at(data, "events", "events", errors), horizon, errors)
-    fusion = _build_section(
-        FusionConfig,
-        _at(data, "fusion", {}),
-        "fusion",
-        errors,
-        # YAML 1.1 reads a bare `off` as boolean False
-        converters={"consensus_policy": lambda v: "off" if v is False else v},
-    )
+    # a section or entry that fails is None; the config is built only when none did
+    topology = _parse_topology(data.get("topology"), errors)
+    signals = _parse_signals(_at(data, "signals", {}), errors)
+    events = _parse_events(_list_at(data, "events", "events", errors), errors)
+    # YAML 1.1 reads a bare `off` as boolean False
+    fusion = _build_section(FusionConfig, _at(data, "fusion", {}), "fusion", errors,
+                            converters={"consensus_policy": lambda v: "off" if v is False else v})
     detection = _build_section(DetectionConfig, _at(data, "detection", {}), "detection", errors)
     energy = _build_section(EnergyConfig, _at(data, "energy", {}), "energy", errors)
-
     if fusion is not None and (fusion.gate_w_min or 0.0) > fusion.gate_w_max:
         errors.append("fusion.gate_w_min: must not exceed gate_w_max")
-    if detection is not None and horizon_ok and horizon % detection.window:
-        errors.append(
-            f"detection.window: {detection.window} must divide the horizon "
-            f"{horizon}, so that every tick falls in a reporting window"
-        )
-    node_kinds = {k for _, kinds in entries for k in kinds}
-    if topology is not None:
-        _check_topology(topology, entries, head_ids, errors)
-        _check_cross(node_kinds, declared_signals, events, errors)
-        _check_gate_floors(fusion, signals, node_kinds, errors)
-
     if errors:
         raise ConfigError(errors)
-    return ScenarioConfig(
-        name, seed, horizon, topology, signals, tuple(events), fusion, detection, energy
-    )
+
+    config = ScenarioConfig(name, seed, horizon, topology, signals, events,
+                            fusion, detection, energy)
+    _check_cross(config, errors)
+    if errors:
+        raise ConfigError(errors)
+    return config
 
 
-def _parse_topology(data, errors) -> tuple[Optional[Topology], list, list]:
-    """The topology, the (raw cluster_id, sensor kinds) of every node entry
-    and the raw cluster_id of every cluster head entry, also of those
-    dropped for an error, so that the later checks see them."""
+def _parse_topology(data, errors) -> Optional[Topology]:
     if data is None:
         errors.append("topology: required")
-        return None, [], []
+        return None
     if not isinstance(data, dict):
         errors.append(_wrong_type("topology", "a mapping", data))
-        return None, [], []
+        return None
     nodes = []
-    entries = []
     for i, raw in enumerate(_list_at(data, "nodes", "topology.nodes", errors)):
         prefix = f"topology.nodes[{i}]"
         if not isinstance(raw, dict):
@@ -374,47 +359,31 @@ def _parse_topology(data, errors) -> tuple[Optional[Topology], list, list]:
                 errors.append(f"{prefix}.sensors: {kind.value} listed twice")
             elif kind is not None:
                 kinds.append(kind)
-        entries.append((raw.get("cluster_id"), kinds))
-        node = _build_section(NodeSpec, {**raw, "sensors": tuple(kinds)}, prefix, errors)
-        if node is not None:
-            nodes.append(node)
-    heads, head_ids = [], []
+        nodes.append(_build_section(NodeSpec, {**raw, "sensors": tuple(kinds)}, prefix, errors))
+    heads = []
     for i, raw in enumerate(_list_at(data, "cluster_heads", "topology.cluster_heads", errors)):
         prefix = f"topology.cluster_heads[{i}]"
         if not isinstance(raw, dict):
             errors.append(_wrong_type(prefix, "a mapping", raw))
             continue
-        head_ids.append(raw.get("cluster_id"))
-        n_errors = len(errors)
         peers = tuple(_list_at(raw, "peers", f"{prefix}.peers", errors))
-        peers_read = len(errors) == n_errors
-        head = _build_section(ClusterSpec, {**raw, "peers": peers}, prefix, errors)
-        if head is not None and peers_read:
-            heads.append(head)  # a head whose peers are not a list drops out too
+        heads.append(_build_section(ClusterSpec, {**raw, "peers": peers}, prefix, errors))
     patrol = []
     uav = _at(data, "uav", {})
     if not isinstance(uav, dict):
         errors.append(_wrong_type("topology.uav", "a mapping", uav))
         uav = {}
     for i, raw in enumerate(_list_at(uav, "patrol", "topology.uav.patrol", errors)):
-        prefix = f"topology.uav.patrol[{i}]"
-        visit = _build_section(UavVisit, raw, prefix, errors)
-        if visit is None:
-            continue
-        if visit.cluster_id not in head_ids:
-            errors.append(f"{prefix}.cluster_id: unknown cluster {visit.cluster_id!r}")
-        if visit.end < visit.start:
-            errors.append(f"{prefix}.end: must be >= start")
+        visit = _build_section(UavVisit, raw, f"topology.uav.patrol[{i}]", errors)
+        if visit is not None and visit.end < visit.start:
+            errors.append(f"topology.uav.patrol[{i}].end: must be >= start")
         patrol.append(visit)
     gateway_id = data.get("gateway_id", "gw")
     if not isinstance(gateway_id, str):
-        errors.append(f"topology.gateway_id: expected a string, got {gateway_id!r}")
-        gateway_id = None  # reported; no id can collide with it
-    known = {"nodes", "cluster_heads", "uav", "gateway_id"}
-    for key in data:
-        if key not in known:
-            errors.append(f"topology.{key}: unknown key")
-    return Topology(tuple(nodes), tuple(heads), gateway_id, tuple(patrol)), entries, head_ids
+        errors.append(_wrong_type("topology.gateway_id", "a string", gateway_id))
+    known = ("nodes", "cluster_heads", "uav", "gateway_id")
+    errors += [f"topology.{key}: unknown key" for key in data if key not in known]
+    return Topology(tuple(nodes), tuple(heads), gateway_id, tuple(patrol))
 
 
 def _parse_signals(data, errors) -> dict:
@@ -429,39 +398,48 @@ def _parse_signals(data, errors) -> dict:
         if kind.is_binary:
             errors.append(f"signals.{key}: binary kinds take no signal spec")
             continue
-        spec = _build_section(SignalSpec, raw, f"signals.{key}", errors)
-        if spec is not None:
-            signals[kind] = spec
+        signals[kind] = _build_section(SignalSpec, raw, f"signals.{key}", errors)
     return signals
 
 
-def _parse_events(data, horizon, errors) -> list[Optional[EventSpec]]:
+def _parse_events(data, errors) -> tuple[EventSpec, ...]:
     events = []
     for i, raw in enumerate(data):
         prefix = f"events[{i}]"
         event = _build_section(EventSpec, raw, prefix, errors)
-        events.append(event)  # None, already reported, keeps later events' indices
+        events.append(event)
         if event is None:
             continue
         if event.end < event.start:
             errors.append(f"{prefix}.end: must be >= start")
-        if horizon is not None and event.end >= horizon:
-            errors.append(f"{prefix}.end: tick {event.end} outside horizon {horizon}")
         if event.kind == "leak" and event.magnitude <= 0:
             errors.append(f"{prefix}.magnitude: leak needs a positive magnitude")
         if event.kind == "leak" and event.radius <= 0:
             errors.append(f"{prefix}.radius: must be positive")
-    return events
+    return tuple(events)
 
 
-def _check_topology(topology: Topology, entries, head_ids, errors) -> None:
-    """Checks across the topology. A cluster id is known if any head entry
-    names it, dropped ones included, as a cluster's members are counted over
-    every node entry, so a dropped entry brings no error beyond its own.
-    Both compare with `==`, since a raw id may be an unhashable YAML value."""
-    if not entries:
+def _check_cross(config: ScenarioConfig, errors) -> None:
+    """The checks that relate two sections of a scenario whose every field
+    passed: the UAV patrol, the events and the reporting window against
+    the clusters and the horizon; the topology's ids and links; and the
+    sensor kinds the nodes carry against the signal specs, the events and
+    the gate floors."""
+    topology, horizon, fusion = config.topology, config.horizon, config.fusion
+    head_ids = {c.cluster_id for c in topology.cluster_heads}
+    errors += [f"topology.uav.patrol[{i}].cluster_id: unknown cluster {_short(v.cluster_id)}"
+               for i, v in enumerate(topology.uav_patrol) if v.cluster_id not in head_ids]
+    errors += [f"events[{i}].end: tick {e.end} outside horizon {horizon}"
+               for i, e in enumerate(config.events) if e.end >= horizon]
+    if horizon % config.detection.window:
+        errors.append(
+            f"detection.window: {config.detection.window} must divide the horizon "
+            f"{horizon}, so that every tick falls in a reporting window"
+        )
+
+    if not topology.nodes:
         errors.append("topology.nodes: at least one node required")
-    if not head_ids:
+    if not topology.cluster_heads:
         errors.append("topology.cluster_heads: at least one cluster head required")
     # nodes, cluster heads and the gateway share one id space
     ids = [("topology.nodes", n.node_id) for n in topology.nodes]
@@ -469,56 +447,45 @@ def _check_topology(topology: Topology, entries, head_ids, errors) -> None:
     owners = {}
     for where, id_ in ids + [("topology.gateway_id", topology.gateway_id)]:
         if id_ in owners:
-            errors.append(f"{where}: id {id_!r} is already used in {owners[id_]}")
+            errors.append(f"{where}: id {_short(id_)} is already used in {owners[id_]}")
         owners.setdefault(id_, where)
     for n in topology.nodes:
         if not n.sensors:
             errors.append(f"topology.nodes[{n.node_id}].sensors: at least one sensor required")
         if n.cluster_id not in head_ids:
             errors.append(
-                f"topology.nodes[{n.node_id}].cluster_id: unknown cluster {n.cluster_id!r}"
+                f"topology.nodes[{n.node_id}].cluster_id: unknown cluster {_short(n.cluster_id)}"
             )
+    with_members = {n.cluster_id for n in topology.nodes}
     for c in topology.cluster_heads:
-        if not any(cluster_id == c.cluster_id for cluster_id, _ in entries):
+        if c.cluster_id not in with_members:
             errors.append(f"topology.cluster_heads[{c.cluster_id}]: cluster has no member nodes")
         for p in c.peers:
             if p not in head_ids:
-                errors.append(f"topology.cluster_heads[{c.cluster_id}].peers: unknown cluster {p!r}")
+                errors.append(
+                    f"topology.cluster_heads[{c.cluster_id}].peers: unknown cluster {_short(p)}"
+                )
             if p == c.cluster_id:
                 errors.append(f"topology.cluster_heads[{c.cluster_id}].peers: self link")
-    cluster_ids = {c.cluster_id for c in topology.cluster_heads}
-    if (len(topology.cluster_heads) == len(head_ids) and len(cluster_ids) > 1
-            and not topology.peer_graph(cluster_ids).is_connected()):
+    if len(head_ids) > 1 and not topology.peer_graph(head_ids).is_connected():
         errors.append("topology.cluster_heads: peer graph must be connected")
 
-
-def _check_cross(node_kinds, declared_signals, events, errors) -> None:
-    """Cross-section checks against the sensor kinds the nodes carry; a
-    signal spec that is present but invalid has already been reported, so
-    only an absent one is reported here."""
-    used_analog = {k for k in node_kinds if not k.is_binary}
-    for kind in sorted(used_analog):
-        if isinstance(declared_signals, dict) and kind.value not in declared_signals:
+    node_kinds = {k for n in topology.nodes for k in n.sensors}
+    for kind in sorted(k for k in node_kinds if not k.is_binary):
+        if kind not in config.signals:
             errors.append(f"signals.{kind.value}: required (kind appears in topology)")
     has_binary = any(k.is_binary for k in node_kinds)
-    for i, e in enumerate(events):
-        if e is None:
-            continue
-        if e.kind == "intrusion" and not has_binary:
+    for i, event in enumerate(config.events):
+        if event.kind == "intrusion" and not has_binary:
             errors.append(f"events[{i}]: intrusion needs a node with pir/magnetic sensors")
-        if e.kind == "leak" and SensorKind.PRESSURE not in node_kinds:
+        if event.kind == "leak" and SensorKind.PRESSURE not in node_kinds:
             errors.append(f"events[{i}]: leak needs a node with a pressure sensor")
-
-
-def _check_gate_floors(fusion, signals, node_kinds, errors) -> None:
-    """Under FUSVAF, the gate floor derived for each analog kind the nodes
-    carry must not exceed gate_w_max; the error names the field whose term
-    sets the floor. A failed fusion section or signal spec has already been
-    reported, so it is skipped here."""
-    if fusion is None or not fusion.cluster_fusvaf or fusion.gate_w_min is not None:
+    # under FUSVAF, the floor derived for each analog kind must not exceed
+    # gate_w_max; the error names the field whose term sets the floor
+    if not fusion.cluster_fusvaf or fusion.gate_w_min is not None:
         return
-    for kind in sorted(k for k in node_kinds if k in signals):  # binary kinds have no spec
-        floor, deadband = _derived_floor(fusion, signals[kind].noise_std)
+    for kind in sorted(node_kinds & config.signals.keys()):
+        floor, deadband = _derived_floor(fusion, config.signals[kind].noise_std)
         if floor > fusion.gate_w_max:
             where = (f"fusion.report_delta: implies a {kind.value} gate floor" if deadband
                      else f"signals.{kind.value}.noise_std: implies a gate floor")

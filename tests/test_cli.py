@@ -152,6 +152,13 @@ class TestRun:
         ("signals.pressure.noise_std=1.0e+308",
          "signals.pressure.noise_std: implies a gate floor of inf, "
          "above fusion.gate_w_max 100.0"),
+        # a topology list or entry of the wrong type leaves no node or head
+        # for the cross-section checks to miss
+        ("topology.cluster_heads=5", "topology.cluster_heads: expected a list, got 5"),
+        ("topology.cluster_heads=[5, {cluster_id: c1, peers: []}]",
+         "topology.cluster_heads[0]: expected a mapping, got 5"),
+        ("topology.nodes=[5]", "topology.nodes[0]: expected a mapping, got 5"),
+        ("topology.nodes=5", "topology.nodes: expected a list, got 5"),
     ])
     def test_invalid_field_reported_without_follow_on_errors(
         self, tmp_path, capsys, override, error
@@ -161,15 +168,38 @@ class TestRun:
         assert code == 2
         assert capsys.readouterr().err == f"pipefuse: error [config-invalid] {error}\n"
 
-    def test_gate_floor_errors_come_with_the_others(self, tmp_path, capsys):
-        # report_delta, not the 0.2-0.5 noise, sets each kind's floor
+    @pytest.mark.parametrize("path, expected", [
+        ("seed", "a non-negative integer"),
+        ("energy.sample_bits", "an integer"),
+        ("topology.gateway_id", "a string"),
+        ("name", "a string"),
+    ])
+    def test_long_value_echoed_short(self, tmp_path, capsys, path, expected):
+        value = "[" + ", ".join(["1"] * 3000) + "]"
         code = main(["--quiet", "run", "--config", str(SCENARIO), "--out", str(tmp_path / "o"),
-                     "--override", "fusion.report_delta=150",
-                     "--override", "energy.ops_per_bit=500"])
+                     "--override", f"{path}={value}"])
+        err = capsys.readouterr().err
         assert code == 2
-        assert capsys.readouterr().err == "".join(
+        assert err == (f"pipefuse: error [config-invalid] {path}: expected {expected}, "
+                       "got [1, 1, 1, 1, 1, 1, ...]\n")
+        assert len(err) < 200
+
+    def test_gate_floor_errors_come_with_the_others(self, tmp_path, capsys):
+        # report_delta, not the 0.2-0.5 noise, sets each kind's floor; the
+        # field error comes first, the cross-section ones once it is fixed
+        def run(ops_per_bit):
+            code = main(["--quiet", "run", "--config", str(SCENARIO), "--out", str(tmp_path / "o"),
+                         "--override", "fusion.report_delta=150", "--override", "horizon=605",
+                         "--override", f"energy.ops_per_bit={ops_per_bit}"])
+            assert code == 2
+            return capsys.readouterr().err
+
+        assert run(500) == ("pipefuse: error [config-invalid] "
+                            "energy.ops_per_bit: must be in [1000, 3000], got 500\n")
+        assert run(1000) == "".join(
             f"pipefuse: error [config-invalid] {error}\n" for error in [
-                "energy.ops_per_bit: must be in [1000, 3000], got 500",
+                "detection.window: 10 must divide the horizon 605, "
+                "so that every tick falls in a reporting window",
                 "fusion.report_delta: implies a humidity gate floor of 152.0, "
                 "above fusion.gate_w_max 100.0",
                 "fusion.report_delta: implies a pressure gate floor of 152.0, "

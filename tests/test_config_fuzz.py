@@ -101,6 +101,8 @@ mutations = st.lists(
 @example([(("topology", "gateway_id"), "n3")])
 @example([(("topology", "gateway_id"), None)])
 @example([(("topology", "nodes", 0, "sensors"), ["pressure", "pressure"])])
+@example([(("topology", "cluster_heads"), 5)])
+@example([(("topology", "nodes"), 5)])
 @settings(max_examples=80, deadline=None)
 def test_mutated_scenario_exits_cleanly(changes):
     data = small_baseline()

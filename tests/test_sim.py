@@ -227,7 +227,15 @@ class TestConfigValidation:
             node["sensors"] = ["pressure"]
         with pytest.raises(ConfigError) as exc:
             scenario_from_dict(data)
-        assert exc.value.errors[1:] == [
+        assert exc.value.errors == [{
+            -1: "events[0].start: must be >= 0, got -1",
+            "abc": "events[0].start: expected an integer, got 'abc'",
+        }[start]]
+        # the cross-section checks run once every field passes
+        data["events"][0]["start"] = 10
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict(data)
+        assert exc.value.errors == [
             "events[1]: intrusion needs a node with pir/magnetic sensors"
         ]
 
@@ -313,10 +321,17 @@ class TestConfigValidation:
         ]
 
     def test_gate_floor_reported_with_other_errors(self):
+        # a field error first; the floor with the other cross-section errors
+        # once every field passes
+        noisy = {"horizon": 205, "fusion": {"report_delta": 150.0}}
         with pytest.raises(ConfigError) as exc:
-            make_config(fusion={"report_delta": 150.0}, energy={"ops_per_bit": 500})
+            make_config(energy={"ops_per_bit": 500}, **noisy)
+        assert exc.value.errors == ["energy.ops_per_bit: must be in [1000, 3000], got 500"]
+        with pytest.raises(ConfigError) as exc:
+            make_config(energy={"ops_per_bit": 1000}, **noisy)
         assert exc.value.errors == [
-            "energy.ops_per_bit: must be in [1000, 3000], got 500",
+            "detection.window: 10 must divide the horizon 205, "
+            "so that every tick falls in a reporting window",
             "fusion.report_delta: implies a pressure gate floor of 150.0, "
             "above fusion.gate_w_max 100.0",
         ]
@@ -411,12 +426,25 @@ class TestConfigValidation:
             load_scenario(path)
         assert exc.value.errors == [f"{path}: expected a mapping, got 'timestamp,va...0.5 9999,20.5'"]
 
+    @pytest.mark.parametrize("edit, error", [
+        (lambda t: t["nodes"][0].update(sensors=["pressure", "x" * 3000]),
+         "topology.nodes[0].sensors: unknown sensor kind 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+        (lambda t: t["nodes"][0].update(cluster_id="x" * 3000),
+         "topology.nodes[n0].cluster_id: unknown cluster 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    ], ids=["kind", "cluster"])
+    def test_long_kind_or_cluster_echoed_short(self, edit, error):
+        data = base_config_dict()
+        edit(data["topology"])
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict(data)
+        assert exc.value.errors == [error]
+
     @pytest.mark.parametrize("heads, errors", [
-        # without its id, c1 would also be an unknown cluster for n5-n9, for
-        # the UAV patrol entry and for c0's peers
+        # a field error stops the cross-section checks: c1 is no unknown
+        # cluster for n5-n9, the UAV patrol entry or c0's peers
         ("[{cluster_id: c0, peers: [c1]}, {cluster_id: c1, peers: [c0, 7]}]",
          ["topology.cluster_heads[1].peers: expected a list of strings, got ('c0', 7)"]),
-        # heads with unread peers leave the peer graph unchecked
+        # nor is the peer graph of heads with unread peers checked
         ("[{cluster_id: c0, peers: 0}, {cluster_id: c1, peers: 0}]",
          [f"topology.cluster_heads[{i}].peers: expected a list, got 0" for i in (0, 1)]),
     ])
@@ -462,9 +490,14 @@ class TestConfigValidation:
             scenario_from_dict(data)
         assert exc.value.errors == [
             "topology.uav.patrol[0].start: expected an integer, got 'x'",
-            "topology.uav.patrol[1].cluster_id: unknown cluster 'c9'",
             "topology.uav.patrol[2].end: must be >= start",
         ]
+        # the unknown cluster, a cross-section error, once every field passes
+        data["topology"]["uav"]["patrol"][0]["start"] = 0
+        data["topology"]["uav"]["patrol"][2]["end"] = 40
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict(data)
+        assert exc.value.errors == ["topology.uav.patrol[1].cluster_id: unknown cluster 'c9'"]
 
     def test_errors_collected_not_first_only(self):
         data = base_config_dict(energy={"ops_per_bit": 10}, horizon=-5)
