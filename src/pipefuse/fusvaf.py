@@ -296,7 +296,7 @@ def _fusvaf_kernel(
 
     groups holds one (tick, slots, values) per tick, in tick order: the
     slots (in 0..n_slots-1, increasing) that have a reading at the tick and
-    their values. Every group is non-empty. Errors carry a `tick N:` prefix.
+    their values. Every group is non-empty; nan raises. Errors carry a `tick N:` prefix.
     """
     n = len(groups)
     ticks, fused_col, predicted_col, half_widths = [], [], [], []
@@ -307,7 +307,7 @@ def _fusvaf_kernel(
     window_sorted: list = []
     alpha, omega = params.alpha, params.omega
     window, warmup_half_width = adaptation.window, adaptation.warmup_half_width
-    isfinite, expm1 = math.isfinite, math.expm1
+    isfinite, isnan, expm1 = math.isfinite, math.isnan, math.expm1
     predict, observe = predictor.predict, predictor.observe
     previous = order = None  # held series repeat their values; order depends on them alone
     for i, (tick, slots, values) in enumerate(groups):
@@ -341,7 +341,9 @@ def _fusvaf_kernel(
             sigmas.append(sigma)
             value_cols[slot][i] = z
             sigma_cols[slot][i] = sigma
-        if values != previous:
+        if values != previous:  # a nan reading would corrupt window_sorted
+            if any(map(isnan, values)):
+                raise ekf.NumericFailureError(f"tick {tick}: reading nan is not finite")
             previous, order = values, sorted(range(len(values)), key=values.__getitem__)
         if adaptive_alpha and i > 0 and not any(sigmas):
             fused = predicted  # alpha, the last tick's total confidence, may be 0 too
@@ -392,7 +394,7 @@ def fusvaf_columns(
     On the very first tick, before the predictor has seen anything, the
     prediction falls back to the mean of that tick's measurements. A
     prediction that is not finite or too large for the gate's half-width to
-    register, and a fused value that is not finite, raise
+    register, a fused value that is not finite, and a nan reading raise
     ekf.NumericFailureError. Traces must have distinct node_ids.
     """
     if not traces:

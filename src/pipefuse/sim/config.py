@@ -373,6 +373,7 @@ def _parse_topology(data, errors) -> Optional[Topology]:
     if not isinstance(uav, dict):
         errors.append(_wrong_type("topology.uav", "a mapping", uav))
         uav = {}
+    errors += [f"topology.uav.{key}: unknown key" for key in uav if key != "patrol"]
     for i, raw in enumerate(_list_at(uav, "patrol", "topology.uav.patrol", errors)):
         visit = _build_section(UavVisit, raw, f"topology.uav.patrol[{i}]", errors)
         if visit is not None and visit.end < visit.start:
@@ -522,6 +523,8 @@ def apply_overrides(data: dict, overrides) -> dict:
             target[keys[-1]] = yaml.load(raw_value, Loader=_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigError([f"override {item!r}: invalid YAML value: {exc}"]) from None
+        except ValueError as exc:  # an integer of more than 4,300 digits
+            raise ConfigError([f"override {path!r}: cannot read the value: {exc}"]) from None
     return result
 
 
@@ -534,6 +537,8 @@ def load_scenario(path, overrides=(), seed: Optional[int] = None) -> ScenarioCon
         raise ConfigError([f"{path}: {exc}"]) from None
     except yaml.YAMLError as exc:
         raise ConfigError([f"{path}: invalid YAML: {exc}"]) from None
+    except ValueError as exc:  # not UTF-8, or an integer of more than 4,300 digits
+        raise ConfigError([f"{path}: cannot read: {exc}"]) from None
     if not isinstance(data, dict):
         raise ConfigError([_wrong_type(path, "a mapping", data)])
     if overrides:

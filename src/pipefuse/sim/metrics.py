@@ -158,8 +158,7 @@ def write_detections_csv(detections, path) -> None:
 
 def write_stream_csv(truth, measured, held, path) -> None:
     """Per-stream estimate trail `tick,truth,measurement,reported,abs_error`
-    from the world's arrays and the value held at every tick."""
-    held = np.array(held, dtype=float)
+    from the world's arrays and the float array of the value held at every tick."""
     errors = np.abs(held - truth)  # IEEE, the bits of abs(float - float)
     if np.array_equal(held.view(np.int64), measured.view(np.int64)):
         held = measured  # a raw stream reports every measurement: format it once

@@ -7,6 +7,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from ..consensus import DisconnectedGraphError
 from ..core import SensorKind, left_sum
 from ..ekf import NumericFailureError
@@ -28,18 +30,18 @@ class SimulationResult(NamedTuple):
     config: ScenarioConfig
     world: WorldData
     cluster_results: dict
-    reported_series: dict  # (node_id, kind) -> the value held at every tick
+    reported_series: dict  # (node_id, kind) -> float array of the value held at every tick
     detections: list
     consensus_runs: list
     messages: dict  # ledger of the whole run
     metrics: RunMetrics
 
 
-def _rmse(stream: str, reported: list, truth: list) -> float:
-    total = 0.0
-    for value, true in zip(reported, truth):
-        error = value - true
-        total += error * error
+def _rmse(stream: str, reported: np.ndarray, truth: np.ndarray) -> float:
+    # the squares added left to right, as left_sum adds them
+    with np.errstate(over="ignore", invalid="ignore"):
+        error = reported - truth
+        total = float(np.add.accumulate(error * error)[-1])
     if not math.isfinite(total):
         raise NumericFailureError(f"stream {stream}: estimation error overflows")
     return math.sqrt(total / len(reported))
@@ -126,7 +128,7 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
         held = reported_series[key] = hold_series(node_results[key].reports, config.horizon)
         if not kind.is_binary:
             stream = f"{node_id}:{kind.value}"
-            rmse_per_stream[stream] = _rmse(stream, held, world.truth[key].tolist())
+            rmse_per_stream[stream] = _rmse(stream, held, world.truth[key])
 
     rmse_values = [rmse_per_stream[k] for k in sorted(rmse_per_stream)]
     rmse_mean = left_sum(rmse_values) / len(rmse_values) if rmse_values else float("nan")

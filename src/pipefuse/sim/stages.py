@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ..core import SensorKind, left_sum
+from ..core import SensorKind
 from .. import consensus as consensus_mod
 from .. import ekf, fusvaf
 from .config import ScenarioConfig
@@ -44,10 +44,13 @@ def add_messages(ledger: dict, entries: dict) -> dict:
     return ledger
 
 
+REPORT = np.dtype([("tick", np.int64), ("value", np.float64)])  # one transmitted report
+
+
 class NodeStageResult(NamedTuple):
     node_id: str
     kind: SensorKind
-    reports: list  # [(tick, value)] actually transmitted
+    reports: np.ndarray  # of REPORT, the (tick, value) actually transmitted
     messages: dict  # ledger
     ops: int
 
@@ -64,34 +67,42 @@ def node_stage(
     """
     fusion = config.fusion
     ops = 0
-    series = values.tolist()
-    if fusion.node_ekf and not kind.is_binary:
-        series = ekf.random_walk_estimates(series, fusion.ekf_q, fusion.ekf_r, series[0], 1.0)
-        ops += config.energy.ekf_ops_per_update * len(series)
-
     if fusion.node_ekf:
+        series = values.tolist()
+        if not kind.is_binary:
+            series = ekf.random_walk_estimates(series, fusion.ekf_q, fusion.ekf_r, series[0], 1.0)
+            ops += config.energy.ekf_ops_per_update * len(series)
         delta = BINARY_DELTA if kind.is_binary else fusion.report_delta
-        reports = []
-        last_sent = None
+        kept, last_sent = [], None
         for tick, value in enumerate(series):
             if last_sent is None or abs(value - last_sent) > delta:
-                reports.append((tick, value))
+                kept.append((tick, value))
                 last_sent = value
+        reports = np.array(kept, REPORT)
     else:
-        reports = list(enumerate(series))
+        reports = np.empty(len(values), REPORT)
+        reports["tick"], reports["value"] = np.arange(len(values)), values
 
     n = len(reports)
     sent = {(node_id, dst, MessageKind.RAW): (n, n * config.energy.sample_bits)}
     return NodeStageResult(node_id, kind, reports, add_messages({}, sent), ops)
 
 
-def hold_series(reports, horizon: int) -> list:
-    """Zero-order-hold reconstruction of reports that start at tick 0: the
+def hold_series(reports, horizon: int) -> np.ndarray:
+    """Zero-order-hold reconstruction of reports (a REPORT array or a list
+    of (tick, value) pairs) that start at tick 0: the float array of the
     value held at every tick from 0 to horizon-1."""
-    ticks = np.array([tick for tick, _ in reports] + [horizon])
+    reports = np.asarray(reports, REPORT)
+    ticks = np.append(reports["tick"], horizon)
     # each report holds until the next one or the horizon; a repeated tick holds for none
     held = np.clip(np.minimum(ticks[1:], horizon) - ticks[:-1], 0, None)
-    return np.repeat([value for _, value in reports], held).tolist()
+    return np.repeat(reports["value"], held)
+
+
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """Each row's left_sum, bit for bit (+0.0 padding adds nothing: no left_sum is -0.0)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan sums, as left_sum gives
+        return np.add.accumulate(np.column_stack([np.zeros(len(rows)), rows]), axis=1)[:, -1]
 
 
 class WindowSummary(NamedTuple):
@@ -120,12 +131,6 @@ class ClusterStageResult(NamedTuple):
     ops: int
 
 
-def _window_aggregates(values):
-    if not values:
-        return 0, None, None, None
-    return len(values), left_sum(values) / len(values), max(values), min(values)
-
-
 def cluster_stage(
     cluster_id: str,
     kind: SensorKind,
@@ -148,25 +153,37 @@ def cluster_stage(
     member_order = sorted(member_reports)
     fusion_cfg = config.fusion
     fuse = bool(member_order) and fusion_cfg.cluster_fusvaf and not kind.is_binary
-    # member order, then tick order: the window average is order-sensitive
-    received = [[] for _ in range(horizon // window)]
-    for node_id, reports in sorted(member_reports.items()):
-        previous = 0
-        for tick, value in reports:
-            if not previous <= tick < horizon:
-                raise ValueError(f"cluster {cluster_id}: " + (
-                    f"reports of {node_id} are not in tick order" if 0 <= tick < horizon
-                    else f"report of {node_id} at tick {tick} is outside ticks 0..{horizon - 1}"))
-            received[tick // window].append(value)
-            previous = tick
-        if fuse and not (reports and reports[0][0] == 0):  # node_stage always reports tick 0
+    n_windows = horizon // window
+    arrays = [np.asarray(member_reports[node_id], REPORT) for node_id in member_order]
+    for node_id, reports in zip(member_order, arrays):
+        ticks = reports["tick"]
+        for tick in ticks[(ticks < np.append(0, ticks[:-1])) | (ticks >= horizon)][:1]:
+            raise ValueError(f"cluster {cluster_id}: " + (  # the first offending report
+                f"reports of {node_id} are not in tick order" if 0 <= tick < horizon
+                else f"report of {node_id} at tick {tick} is outside ticks 0..{horizon - 1}"))
+        if fuse and not (ticks.size and ticks[0] == 0):  # node_stage always reports tick 0
             raise ValueError(f"cluster {cluster_id}: reports of {node_id} do not start at tick 0")
+
+    # row w holds window w's values in member order, then tick order (the
+    # sums are order-sensitive), padded with +0.0
+    received = np.concatenate([np.empty(0, REPORT), *arrays])
+    window_of = received["tick"] // window
+    order = np.argsort(window_of, kind="stable")
+    counts = np.bincount(window_of, minlength=n_windows)
+    rows = np.zeros((n_windows, counts.max(initial=1)))
+    place = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+    rows[window_of[order], place] = received["value"][order]
+    filled = np.arange(rows.shape[1]) < counts[:, None]
+    at = np.arange(n_windows)  # argmax and argmin take the first of tied values, as max() does
+    aggregates = zip(counts.tolist(), (_row_sums(rows) / np.maximum(counts, 1)).tolist(),
+                     rows[at, np.where(filled, rows, -np.inf).argmax(axis=1)].tolist(),
+                     rows[at, np.where(filled, rows, np.inf).argmin(axis=1)].tolist())
 
     fusion = None
     if fuse:
         # every held series covers ticks 0..horizon-1, so every tick has every slot
-        held = [hold_series(member_reports[node_id], horizon) for node_id in member_order]
-        groups = list(zip(range(horizon), repeat(list(range(len(held)))), zip(*held)))
+        held = np.array([hold_series(reports, horizon) for reports in arrays])
+        groups = list(zip(range(horizon), repeat(list(range(len(held)))), held.T.tolist()))
         adaptation = fusvaf.GateAdaptation(
             k_sigma=fusion_cfg.gate_k_sigma,
             w_min=config.gate_floor(kind),
@@ -181,44 +198,42 @@ def cluster_stage(
             )
         except (fusvaf.DegenerateDenominatorError, ekf.NumericFailureError) as exc:
             raise type(exc)(f"cluster {cluster_id} [{kind.value}]: {exc}") from None
+        fused_means = (_row_sums(np.reshape(fusion.fused, (n_windows, window))) / window).tolist()
 
+    # without FUSVAF the gateway takes each analog window's mean of the relayed raw values
+    relay_mean = not fusion_cfg.cluster_fusvaf and not kind.is_binary
     windows = []
-    for w, values in enumerate(received):
-        start, end = w * window, (w + 1) * window - 1
-        count, avg, mx, mn = _window_aggregates(values)
-        fused_mean = None
-        if fusion is not None:
-            fused_mean = left_sum(fusion.fused[start:end + 1]) / window
-        elif not fusion_cfg.cluster_fusvaf and not kind.is_binary:
-            fused_mean = avg  # gateway-side window mean of the relayed raw values
+    for w, (count, avg, mx, mn) in enumerate(aggregates):
+        if not count:
+            avg = mx = mn = None
+        fused_mean = fused_means[w] if fusion is not None else avg if relay_mean else None
         if fused_mean is not None and not math.isfinite(fused_mean):
             raise ekf.NumericFailureError(
                 f"cluster {cluster_id} [{kind.value}]: window {w}: mean {fused_mean} is not finite"
             )
-        windows.append(
-            WindowSummary(cluster_id, kind, w, start, end, fused_mean, count, avg, mx, mn))
+        windows.append(WindowSummary(cluster_id, kind, w, w * window, (w + 1) * window - 1,
+                                     fused_mean, count, avg, mx, mn))
 
     suspected = []
     if fusion is not None:
         for node_id, column in zip(member_order, fusion.sigma):
-            zero = [not any(column[s.start_tick:s.end_tick + 1]) for s in windows]
+            zero = ~np.reshape(column, (n_windows, window)).any(axis=1)
             onsets = persistent_onsets(zero, config.detection.fault_persistence)
             suspected.extend((node_id, w) for w in onsets[:1])
         suspected.sort(key=lambda flag: (flag[1], flag[0]))  # by window, then member
 
     bits = config.energy.sample_bits
-    received_count = sum(s.count for s in windows)
     if fusion_cfg.cluster_fusvaf:
         # per window: one fused value if any, one 4-value aggregate if any reports
         fused = sum(1 for s in windows if s.fused is not None)
         summaries = sum(1 for s in windows if s.count)
         sent = {MessageKind.FUSED: (fused, fused * bits),
                 MessageKind.AGGREGATED: (summaries, summaries * 4 * bits)}
-        ops = config.energy.aggregation_ops_per_value * received_count
+        ops = config.energy.aggregation_ops_per_value * len(received)
         if fusion is not None:
             ops += config.energy.fusvaf_ops_per_value * horizon * len(member_order)
     else:
-        sent = {MessageKind.RAW: (received_count, received_count * bits)}
+        sent = {MessageKind.RAW: (len(received), len(received) * bits)}
         ops = 0  # the mains-powered gateway summarizes the relayed reports
     messages = add_messages({}, {(cluster_id, gateway_id, k): v for k, v in sent.items()})
 

@@ -184,6 +184,34 @@ class TestRun:
                        "got [1, 1, 1, 1, 1, 1, ...]\n")
         assert len(err) < 200
 
+    def test_unknown_uav_key(self, tmp_path, capsys):
+        # a typo that would otherwise drop the patrol without a word
+        code = main(["--quiet", "run", "--config", str(SCENARIO), "--out", str(tmp_path / "o"),
+                     "--override", "topology.uav.patrl=1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "pipefuse: error [config-invalid] topology.uav.patrl: unknown key\n")
+
+    @pytest.mark.parametrize("where", ["override", "file"])
+    def test_integer_beyond_the_digit_limit(self, tmp_path, capsys, where):
+        # Python refuses to parse an integer literal of more than 4,300 digits
+        seed = "1" + "0" * 4999
+        config, overrides = SCENARIO, []
+        if where == "file":
+            config = tmp_path / "scenario.yaml"
+            config.write_text(SCENARIO.read_text(encoding="utf-8").replace(
+                "seed: 42", f"seed: {seed}"), encoding="utf-8")
+        else:
+            overrides = ["--override", f"seed={seed}"]
+        code = main(["--quiet", "run", "--config", str(config), "--out", str(tmp_path / "o"),
+                     *overrides])
+        err = capsys.readouterr().err
+        assert code == 2
+        named = f"{config}: cannot read: " if where == "file" else (
+            "override 'seed': cannot read the value: ")
+        assert err.startswith(f"pipefuse: error [config-invalid] {named}Exceeds the limit")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_gate_floor_errors_come_with_the_others(self, tmp_path, capsys):
         # report_delta, not the 0.2-0.5 noise, sets each kind's floor; the
         # field error comes first, the cross-section ones once it is fixed
@@ -263,6 +291,14 @@ class TestValidate:
         code = main(["validate", "--config", str(config)])
         assert code == 2
         assert capsys.readouterr().err == f"pipefuse: error [config-invalid] {error}\n"
+
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "scenario.yaml"
+        config.write_bytes(b"name: x\n\xff\xfe\n")
+        assert main(["validate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"pipefuse: error [config-invalid] {config}: cannot read: 'utf-8' codec can't "
+            "decode byte 0xff in position 8: invalid start byte\n")
 
     def test_empty_section_headers_mean_defaults(self, tmp_path, capsys):
         # the bundled fusion, detection and energy sections hold default values

@@ -103,6 +103,8 @@ mutations = st.lists(
 @example([(("topology", "nodes", 0, "sensors"), ["pressure", "pressure"])])
 @example([(("topology", "cluster_heads"), 5)])
 @example([(("topology", "nodes"), 5)])
+# a typo under topology.uav: rejected, as an unknown key of every other section is
+@example([(("topology", "uav"), {"patrl": [{"cluster_id": "c1", "start": 30, "end": 55}]})])
 @settings(max_examples=80, deadline=None)
 def test_mutated_scenario_exits_cleanly(changes):
     data = small_baseline()

@@ -443,6 +443,8 @@ def reference_fusvaf(traces, params, predictor, adaptation, adaptive_alpha):
                 gate = adapt_gate(gate, residuals, predicted, adaptation)
         except ValueError as exc:
             raise ekf.NumericFailureError(f"tick {tick}: {exc}") from None
+        if any(math.isnan(z) for z in values):
+            raise ekf.NumericFailureError(f"tick {tick}: reading nan is not finite")
         pairs = [(z, confidence(gate, z)) for z in values]
         try:
             fused = sorted_pairs_fusion(pairs, predicted, alpha, params.omega)
@@ -593,15 +595,15 @@ def held_series_case():
     return traces, FusionParams(1.0, 1.0), EkfPredictor, adaptation, False
 
 
-def held_nan_case():
-    """A held nan reading: a values list holding nan equals the last tick's
-    only through the identity of that nan. The other member is outside the
-    gate meanwhile, so the tick fuses to its prediction; the whole run is in
-    warm-up, since a nan residual breaks the sorted residual window."""
+def held_nan_case(window=3):
+    """A held nan reading, from tick 8, while the other member is outside
+    the gate, so a kernel that went on would fuse the tick to its
+    prediction and put a nan residual in its sorted residual window. Both
+    sides refuse it at tick 8, after warm-up or (window > 8) in it."""
     nan = float("nan")
     traces = [held_trace("s0", [0.3, 0.7, 500.0, 500.0, 0.3], 4),
               held_trace("s1", [0.7, 0.7, nan, nan, -0.0], 4)]
-    adaptation = GateAdaptation(w_max=5.0, window=20)
+    adaptation = GateAdaptation(w_max=5.0, window=window)
     return traces, FusionParams(1.0, 1.0), EkfPredictor, adaptation, False
 
 
@@ -631,6 +633,14 @@ class TestKernelOracle:
     @settings(max_examples=300, deadline=None)
     def test_equals_reference_loop(self, case):
         assert_same_outcome(*case)
+
+    @pytest.mark.parametrize("window", [3, 20])
+    def test_nan_reading_refused(self, window):
+        traces, params, predictor, adaptation, adaptive = held_nan_case(window)
+        for run in (fusvaf_stream, reference_fusvaf):
+            with pytest.raises(ekf.NumericFailureError) as got:
+                run(traces, params, predictor(), adaptation, adaptive)
+            assert str(got.value) == "tick 8: reading nan is not finite"
 
     @given(case=fusion_cases(), alpha=st.floats(0, 3, exclude_min=True))
     @example(case=([temp_trace("a", [0.0] * 12 + [500.0, 500.0])], FusionParams(), EkfPredictor,

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 from unittest import mock
 
@@ -43,6 +44,7 @@ from pipefuse.sim.config import (
     UavVisit,
 )
 from pipefuse.sim.detect import Detection, _uav_covers, detect_events, persistent_onsets
+from pipefuse.sim.runner import _rmse
 from pipefuse.sim.stages import WindowSummary, hold_series
 
 RAW, FUSED, CONSENSUS = MessageKind.RAW, MessageKind.FUSED, MessageKind.CONSENSUS
@@ -699,10 +701,10 @@ class TestNodeStage:
 
 class TestHoldSeries:
     def test_zero_order_hold(self):
-        assert hold_series([(0, 1.0), (3, 2.0)], 6) == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
+        assert hold_series([(0, 1.0), (3, 2.0)], 6).tolist() == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
 
     def test_repeated_tick_keeps_the_last_value(self):
-        assert hold_series([(0, 1.0), (0, 2.0), (2, 3.0)], 4) == [2.0, 2.0, 3.0, 3.0]
+        assert hold_series([(0, 1.0), (0, 2.0), (2, 3.0)], 4).tolist() == [2.0, 2.0, 3.0, 3.0]
 
     def test_fusvaf_rejects_a_late_start(self):
         # held series start at tick 0; a member that starts later, or never
@@ -898,6 +900,107 @@ class TestClusterStage:
         result = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
         assert result.messages == {("c0", "gw", RAW): (50, 1600)}
         assert result.ops == 0
+
+
+def loop_windows(cluster_id, member_reports, horizon, window, fuse):
+    """The cluster stage's per-report window loop before its array pass:
+    (count, avg, max, min) per window, members in sorted order and each in
+    tick order, or the ValueError the loop raised."""
+    received = [[] for _ in range(horizon // window)]
+    for node_id, reports in sorted(member_reports.items()):
+        previous = 0
+        for tick, value in reports:
+            if not previous <= tick < horizon:
+                raise ValueError(f"cluster {cluster_id}: " + (
+                    f"reports of {node_id} are not in tick order" if 0 <= tick < horizon
+                    else f"report of {node_id} at tick {tick} is outside ticks 0..{horizon - 1}"))
+            received[tick // window].append(value)
+            previous = tick
+        if fuse and not (reports and reports[0][0] == 0):
+            raise ValueError(f"cluster {cluster_id}: reports of {node_id} do not start at tick 0")
+    return [(len(v), left_sum(v) / len(v), max(v), min(v)) if v else (0, None, None, None)
+            for v in received]
+
+
+def loop_rmse(stream, reported, truth):
+    """The runner's per-sample RMSE loop before it worked on arrays."""
+    total = 0.0
+    for value, true in zip(reported, truth):
+        error = value - true
+        total += error * error
+    if not math.isfinite(total):
+        raise NumericFailureError(f"stream {stream}: estimation error overflows")
+    return math.sqrt(total / len(reported))
+
+
+# ties of 0.0 and -0.0 (max and min keep the first), 1e16 next to 1.0 (the
+# sum depends on the order of addition), and values of every size
+ORACLE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.1, 1e16, -1e16]),
+                          st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False))
+
+
+# errors of 1e8 next to errors of 1 make the sum of squares order-sensitive
+RMSE_VALUES = st.sampled_from([0.0, -0.0, 0.1, 1.0, 1e8]) | st.floats(-1e3, 1e3) | st.floats()
+
+
+class TestArrayPassOracles:
+    """The cluster stage's window pass and the runner's RMSE work on arrays;
+    the loops above are the code they replaced, compared by repr (which
+    tells 0.0 from -0.0)."""
+
+    @given(data=st.data(), window=st.integers(1, 6), n_windows=st.integers(1, 6),
+           fuse=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_windows_equal_the_per_report_loop(self, data, window, n_windows, fuse):
+        horizon = window * n_windows
+        config = make_config(horizon=horizon, detection={"window": window},
+                             fusion={"node_ekf": False, "cluster_fusvaf": fuse})
+        tick = st.integers(0, horizon - 1)
+        ticks = st.one_of(
+            st.sets(tick, max_size=3).map(sorted),                    # sparse: empty windows
+            st.just(list(range(horizon))),                           # dense
+            st.lists(tick, max_size=2 * horizon).map(sorted),        # repeated ticks
+            st.lists(st.integers(-1, horizon), max_size=4),          # out of order or range
+        )
+        # under FUSVAF a finite kernel result needs moderate readings
+        value = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0]) if fuse else ORACLE_VALUES
+        reports = {node_id: [(t, data.draw(value)) for t in data.draw(ticks)]
+                   for node_id in data.draw(st.sets(st.sampled_from("abc"), min_size=1))}
+        stage = lambda: cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
+        try:
+            expected = loop_windows("c0", reports, horizon, window, fuse)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                stage()
+            assert str(got.value) == str(exc)
+            return
+        try:
+            result = stage()
+        except NumericFailureError as exc:  # a relayed mean beyond float range
+            assert not fuse and "is not finite" in str(exc)
+            assert not all(avg is None or math.isfinite(avg) for _, avg, _, _ in expected)
+            return
+        got = [(s.count, s.avg, s.max, s.min) for s in result.windows]
+        assert repr(got) == repr(expected)
+        if fuse:
+            fused = [left_sum(result.fusion.fused[s.start_tick:s.end_tick + 1]) / window
+                     for s in result.windows]
+        else:
+            fused = [avg for _, avg, _, _ in expected]
+        assert repr([s.fused for s in result.windows]) == repr(fused)
+
+    @given(pairs=st.lists(st.tuples(RMSE_VALUES, RMSE_VALUES), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_rmse_equals_the_per_sample_loop(self, pairs):
+        reported, truth = (np.array(column) for column in zip(*pairs))
+        try:
+            expected = loop_rmse("n0:pressure", reported.tolist(), truth.tolist())
+        except NumericFailureError as exc:
+            with pytest.raises(NumericFailureError) as got:
+                _rmse("n0:pressure", reported, truth)
+            assert str(got.value) == str(exc)
+            return
+        assert repr(_rmse("n0:pressure", reported, truth)) == repr(expected)
 
 
 class TestConsensusStage:
