@@ -157,12 +157,16 @@ class GateAdaptation:
     initial_half_width: Optional[float] = None
 
     def __post_init__(self):
-        if not (0 < self.k_sigma < math.inf and 0 < self.w_min <= self.w_max < math.inf):
-            raise ValueError("require finite k_sigma > 0 and 0 < w_min <= w_max")
+        for name in "k_sigma", "w_min", "w_max":
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if self.w_min > self.w_max:
+            raise ValueError(f"w_min must not exceed w_max, got {self.w_min} > {self.w_max}")
         if not isinstance(self.window, numbers.Integral) or self.window < 1:
             raise ValueError(f"window must be an integer >= 1, got {self.window}")
         if self.initial_half_width is not None and not 0 < self.initial_half_width < math.inf:
-            raise ValueError("initial_half_width must be positive and finite")
+            raise ValueError(
+                f"initial_half_width must be finite and positive, got {self.initial_half_width}")
 
     @property
     def warmup_half_width(self) -> float:
@@ -296,7 +300,8 @@ def _fusvaf_kernel(
 
     groups holds one (tick, slots, values) per tick, in tick order: the
     slots (in 0..n_slots-1, increasing) that have a reading at the tick and
-    their values. Every group is non-empty; nan raises. Errors carry a `tick N:` prefix.
+    their values. Every group is non-empty; a reading that is not finite
+    raises. Errors carry a `tick N:` prefix.
     """
     n = len(groups)
     ticks, fused_col, predicted_col, half_widths = [], [], [], []
@@ -307,10 +312,15 @@ def _fusvaf_kernel(
     window_sorted: list = []
     alpha, omega = params.alpha, params.omega
     window, warmup_half_width = adaptation.window, adaptation.warmup_half_width
-    isfinite, isnan, expm1 = math.isfinite, math.isnan, math.expm1
+    isfinite, expm1 = math.isfinite, math.expm1
     predict, observe = predictor.predict, predictor.observe
     previous = order = None  # held series repeat their values; order depends on them alone
     for i, (tick, slots, values) in enumerate(groups):
+        if values != previous:  # a held tick's readings were checked when they changed
+            if not all(map(isfinite, values)):  # nan would corrupt window_sorted
+                bad = next(z for z in values if not isfinite(z))
+                raise ekf.NumericFailureError(f"tick {tick}: reading {bad} is not finite")
+            previous, order = values, sorted(range(len(values)), key=values.__getitem__)
         predicted = predict()
         if predicted is None:
             predicted = left_sum(values) / len(values)
@@ -341,10 +351,6 @@ def _fusvaf_kernel(
             sigmas.append(sigma)
             value_cols[slot][i] = z
             sigma_cols[slot][i] = sigma
-        if values != previous:  # a nan reading would corrupt window_sorted
-            if any(map(isnan, values)):
-                raise ekf.NumericFailureError(f"tick {tick}: reading nan is not finite")
-            previous, order = values, sorted(range(len(values)), key=values.__getitem__)
         if adaptive_alpha and i > 0 and not any(sigmas):
             fused = predicted  # alpha, the last tick's total confidence, may be 0 too
         else:
@@ -394,8 +400,8 @@ def fusvaf_columns(
     On the very first tick, before the predictor has seen anything, the
     prediction falls back to the mean of that tick's measurements. A
     prediction that is not finite or too large for the gate's half-width to
-    register, a fused value that is not finite, and a nan reading raise
-    ekf.NumericFailureError. Traces must have distinct node_ids.
+    register, a fused value that is not finite, and a reading that is not
+    finite raise ekf.NumericFailureError. Traces must have distinct node_ids.
     """
     if not traces:
         raise ValueError("at least one trace is required")

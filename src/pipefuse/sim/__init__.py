@@ -21,7 +21,6 @@ from .metrics import RunMetrics, metrics_row, write_metrics_csv
 from .runner import SimulationResult, run_simulation
 from .stages import (
     MessageKind,
-    WindowSummary,
     cluster_stage,
     consensus_stage,
     node_stage,
@@ -44,7 +43,6 @@ __all__ = [
     "SimulationResult",
     "Topology",
     "UavVisit",
-    "WindowSummary",
     "WorldData",
     "apply_overrides",
     "cluster_stage",

@@ -44,22 +44,23 @@ def _uav_covers(config: ScenarioConfig, cluster_id: str, tick: int) -> bool:
 
 
 def detect_events(window_series: dict, config: ScenarioConfig) -> list[Detection]:
-    """Scan every (cluster, kind) window series; returns detections sorted
-    by tick, then kind, then cluster."""
+    """Scan every (cluster, kind) WINDOW array (nan is "no value"); returns
+    detections sorted by tick, then kind, then cluster."""
     detections = []
     for (cluster_id, kind), windows in sorted(window_series.items()):
         if kind == SensorKind.PRESSURE and kind in config.signals:
             floor = config.signals[kind].baseline - config.detection.leak_threshold
-            below = [s.fused is not None and s.fused < floor for s in windows]
+            below = windows["fused"] < floor  # nan, no fused value, is never below
             event, onsets = "leak", persistent_onsets(below, config.detection.leak_persistence)
         elif kind.is_binary:
-            windows = [s for s in windows if s.count]  # no reports: the level holds
-            event, onsets = "intrusion", persistent_onsets([s.max == 1.0 for s in windows], 1)
+            reported = windows["count"].nonzero()[0]  # no reports: the level holds
+            onsets = reported[persistent_onsets(windows["max"][reported] == 1.0, 1)].tolist()
+            event = "intrusion"
         else:
             continue
         for w in onsets:
-            s = windows[w]
-            detections.append(Detection(event, s.end_tick, cluster_id, kind, s.index,
-                                        _uav_covers(config, cluster_id, s.end_tick)))
+            tick = (w + 1) * config.detection.window - 1
+            detections.append(Detection(event, tick, cluster_id, kind, w,
+                                        _uav_covers(config, cluster_id, tick)))
     detections.sort(key=lambda d: (d.tick, d.kind, d.cluster_id, d.sensor_kind))
     return detections

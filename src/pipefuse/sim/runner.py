@@ -78,7 +78,6 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
 
     # level 2: cluster-head fusion and aggregation
     cluster_results: dict = {}
-    window_series: dict = {}
     suspected = []
     cluster_kinds = sorted({(n.cluster_id, kind) for n in topology.nodes for kind in n.sensors})
     for cluster_id, kind in cluster_kinds:
@@ -89,7 +88,6 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
         }
         result = cluster_stage(cluster_id, kind, member_reports, config, gateway)
         cluster_results[(cluster_id, kind)] = result
-        window_series[(cluster_id, kind)] = result.windows
         add_messages(messages, result.messages)
         ops += result.ops
         suspected.extend(
@@ -97,6 +95,7 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
         )
 
     # level 3: detection at the gateway, consensus on demand
+    window_series = {key: result.windows for key, result in cluster_results.items()}
     detections = detect_events(window_series, config)
     consensus_runs = []
     if config.fusion.consensus_policy == "on_detection":
@@ -181,9 +180,8 @@ def _latest_pressure_estimates(window_series: dict, window_index: int) -> dict:
     given window; clusters without one are left out."""
     estimates = {}
     for (cluster_id, kind), windows in window_series.items():
-        if kind != SensorKind.PRESSURE:
-            continue
-        fused = [s.fused for s in windows[:window_index + 1] if s.fused is not None]
-        if fused:
-            estimates[cluster_id] = fused[-1]
+        fused = windows["fused"][:window_index + 1]
+        known = np.flatnonzero(~np.isnan(fused))
+        if kind == SensorKind.PRESSURE and known.size:
+            estimates[cluster_id] = float(fused[known[-1]])
     return estimates

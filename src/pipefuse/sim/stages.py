@@ -9,7 +9,6 @@ report means "valid until superseded".
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from itertools import repeat
 from typing import NamedTuple, Optional
@@ -45,6 +44,11 @@ def add_messages(ledger: dict, entries: dict) -> dict:
 
 
 REPORT = np.dtype([("tick", np.int64), ("value", np.float64)])  # one transmitted report
+# one reporting window of one (cluster, kind) stream: entry w covers ticks
+# w*window..(w+1)*window-1; avg, max and min are nan without reports, and
+# fused, the window mean the gateway reads, is nan where it has none
+WINDOW = np.dtype([("count", np.int64), ("avg", np.float64), ("max", np.float64),
+                   ("min", np.float64), ("fused", np.float64)])
 
 
 class NodeStageResult(NamedTuple):
@@ -105,25 +109,12 @@ def _row_sums(rows: np.ndarray) -> np.ndarray:
         return np.add.accumulate(np.column_stack([np.zeros(len(rows)), rows]), axis=1)[:, -1]
 
 
-class WindowSummary(NamedTuple):
-    """One reporting window of one (cluster, kind) stream."""
-
-    cluster_id: str
-    kind: SensorKind
-    index: int
-    start_tick: int
-    end_tick: int
-    fused: Optional[float]  # window mean of per-tick fused values
-    count: int  # reports received in the window
-    avg: Optional[float]
-    max: Optional[float]
-    min: Optional[float]
-
-
 class ClusterStageResult(NamedTuple):
+    """One (cluster, kind) stream at its cluster head, one WINDOW entry per window."""
+
     cluster_id: str
     kind: SensorKind
-    windows: list
+    windows: np.ndarray  # of WINDOW
     fusion: Optional[fusvaf.FusionColumns]  # slot i is member_order[i]; None without FUSVAF
     member_order: list
     suspected_faulty: list  # [(node_id, window_index)] first flagged
@@ -138,7 +129,8 @@ def cluster_stage(
     config: ScenarioConfig,
     gateway_id: str,
 ) -> ClusterStageResult:
-    """Fuse and aggregate the co-located same-kind streams of one cluster.
+    """Fuse and aggregate the co-located same-kind streams of one cluster
+    into WINDOW entries.
 
     Emits one fused message per reporting window (analog kinds under
     FUSVAF) plus one aggregate message per window that received reports;
@@ -146,7 +138,7 @@ def cluster_stage(
     A member is flagged suspected-faulty at the first window where its
     confidence has been zero for fault_persistence consecutive windows.
     Reports must lie in ticks 0..horizon-1, in tick order, and under FUSVAF
-    start at tick 0.
+    start at tick 0. A window mean that is not finite raises NumericFailureError.
     """
     horizon = config.horizon
     window = config.detection.window
@@ -175,9 +167,11 @@ def cluster_stage(
     rows[window_of[order], place] = received["value"][order]
     filled = np.arange(rows.shape[1]) < counts[:, None]
     at = np.arange(n_windows)  # argmax and argmin take the first of tied values, as max() does
-    aggregates = zip(counts.tolist(), (_row_sums(rows) / np.maximum(counts, 1)).tolist(),
-                     rows[at, np.where(filled, rows, -np.inf).argmax(axis=1)].tolist(),
-                     rows[at, np.where(filled, rows, np.inf).argmin(axis=1)].tolist())
+    windows = np.empty(n_windows, WINDOW)
+    windows["count"] = counts
+    windows["avg"] = _row_sums(rows) / np.maximum(counts, 1)
+    windows["max"] = rows[at, np.where(filled, rows, -np.inf).argmax(axis=1)]
+    windows["min"] = rows[at, np.where(filled, rows, np.inf).argmin(axis=1)]
 
     fusion = None
     if fuse:
@@ -198,21 +192,19 @@ def cluster_stage(
             )
         except (fusvaf.DegenerateDenominatorError, ekf.NumericFailureError) as exc:
             raise type(exc)(f"cluster {cluster_id} [{kind.value}]: {exc}") from None
-        fused_means = (_row_sums(np.reshape(fusion.fused, (n_windows, window))) / window).tolist()
 
-    # without FUSVAF the gateway takes each analog window's mean of the relayed raw values
+    # the mean the gateway reads: FUSVAF's window mean or, without FUSVAF,
+    # each analog window's mean of the relayed raw values
     relay_mean = not fusion_cfg.cluster_fusvaf and not kind.is_binary
-    windows = []
-    for w, (count, avg, mx, mn) in enumerate(aggregates):
-        if not count:
-            avg = mx = mn = None
-        fused_mean = fused_means[w] if fusion is not None else avg if relay_mean else None
-        if fused_mean is not None and not math.isfinite(fused_mean):
-            raise ekf.NumericFailureError(
-                f"cluster {cluster_id} [{kind.value}]: window {w}: mean {fused_mean} is not finite"
-            )
-        windows.append(WindowSummary(cluster_id, kind, w, w * window, (w + 1) * window - 1,
-                                     fused_mean, count, avg, mx, mn))
+    has_mean = np.full(n_windows, fuse) | relay_mean & (counts > 0)
+    windows["fused"] = (_row_sums(np.reshape(fusion.fused, (n_windows, window))) / window
+                        if fuse else windows["avg"])
+    # checked before nan marks "no value": an overflowed inf - inf sum is nan too
+    for w in np.flatnonzero(has_mean & ~np.isfinite(windows["fused"]))[:1]:
+        raise ekf.NumericFailureError(f"cluster {cluster_id} [{kind.value}]: window {w}: "
+                                      f"mean {windows['fused'][w]} is not finite")
+    windows["fused"][~has_mean] = np.nan
+    windows[["avg", "max", "min"]][counts == 0] = np.nan  # every field of the view
 
     suspected = []
     if fusion is not None:
@@ -225,8 +217,8 @@ def cluster_stage(
     bits = config.energy.sample_bits
     if fusion_cfg.cluster_fusvaf:
         # per window: one fused value if any, one 4-value aggregate if any reports
-        fused = sum(1 for s in windows if s.fused is not None)
-        summaries = sum(1 for s in windows if s.count)
+        fused = n_windows if fuse else 0
+        summaries = int(np.count_nonzero(counts))
         sent = {MessageKind.FUSED: (fused, fused * bits),
                 MessageKind.AGGREGATED: (summaries, summaries * 4 * bits)}
         ops = config.energy.aggregation_ops_per_value * len(received)

@@ -579,6 +579,8 @@ class TestLibraryCommandFlags:
         ("consensus", "--tol", "nan", "tol must be positive, got nan"),
         ("fusvaf", "--alpha", "nan", "alpha must be finite and non-negative, got nan"),
         ("fusvaf", "--omega", "inf", "omega must be finite and positive, got inf"),
+        ("fusvaf", "--w-max", "0", "w_max must be finite and positive, got 0.0"),
+        ("fusvaf", "--w-min", "200", "w_min must not exceed w_max, got 200.0 > 100.0"),
         ("consensus", "--values", "nan", "estimates must be finite, got nan at index 0"),
         ("consensus", "--values", "1,inf", "estimates must be finite, got inf at index 1"),
         ("ekf", "--x0", "nan", "x0 must be finite, got nan"),

@@ -392,8 +392,15 @@ class TestFusvafStream:
         {"initial_half_width": float("inf")}, {"initial_half_width": float("nan")},
     ])
     def test_adaptation_rejects_non_finite_widths(self, kwargs):
-        with pytest.raises(ValueError):
+        (name, value), = kwargs.items()
+        with pytest.raises(ValueError) as got:
             GateAdaptation(**kwargs)
+        assert str(got.value) == f"{name} must be finite and positive, got {value}"
+
+    def test_adaptation_rejects_w_min_above_w_max(self):
+        with pytest.raises(ValueError) as got:
+            GateAdaptation(w_min=5.0, w_max=1.0)
+        assert str(got.value) == "w_min must not exceed w_max, got 5.0 > 1.0"
 
     @pytest.mark.parametrize("window", [2.5, 3.0, "3", None])
     def test_adaptation_rejects_non_integer_window(self, window):
@@ -429,6 +436,9 @@ def reference_fusvaf(traces, params, predictor, adaptation, adaptive_alpha):
     gate = None
     out = []
     for ticks_seen, (tick, slots, values) in enumerate(merge_traces(traces)):
+        for z in values:
+            if not math.isfinite(z):
+                raise ekf.NumericFailureError(f"tick {tick}: reading {z} is not finite")
         predicted = predictor.predict()
         if predicted is None:
             predicted = left_sum(values) / len(values)
@@ -443,8 +453,6 @@ def reference_fusvaf(traces, params, predictor, adaptation, adaptive_alpha):
                 gate = adapt_gate(gate, residuals, predicted, adaptation)
         except ValueError as exc:
             raise ekf.NumericFailureError(f"tick {tick}: {exc}") from None
-        if any(math.isnan(z) for z in values):
-            raise ekf.NumericFailureError(f"tick {tick}: reading nan is not finite")
         pairs = [(z, confidence(gate, z)) for z in values]
         try:
             fused = sorted_pairs_fusion(pairs, predicted, alpha, params.omega)
@@ -607,6 +615,14 @@ def held_nan_case(window=3):
     return traces, FusionParams(1.0, 1.0), EkfPredictor, adaptation, False
 
 
+def non_finite_reading_case(value, tick):
+    """A reading of value (nan or inf) at tick, the only one of its member
+    there; at tick 0 it would reach the first-tick mean, later the filter."""
+    traces = [held_trace("s0", [0.5, 0.5, 0.5], 1),
+              UncheckedTrace("s1", SensorKind.TEMPERATURE, (tick,), (value,))]
+    return traces, FusionParams(1.0, 1.0), EkfPredictor, GateAdaptation(w_max=5.0), False
+
+
 def assert_same_outcome(traces, params, predictor, adaptation, adaptive_alpha):
     """fusvaf_stream returns what the reference loop returns, or raises the
     exception it raises; `predictor()` makes a fresh predictor."""
@@ -630,9 +646,22 @@ class TestKernelOracle:
     @example(case=first_tick_rejected_case())
     @example(case=held_series_case())
     @example(case=held_nan_case())
+    @example(case=non_finite_reading_case(float("nan"), 0))
+    @example(case=non_finite_reading_case(float("inf"), 1))
     @settings(max_examples=300, deadline=None)
     def test_equals_reference_loop(self, case):
         assert_same_outcome(*case)
+
+    @pytest.mark.parametrize("value, tick", [
+        (float("nan"), 0), (float("inf"), 1), (float("-inf"), 2), (float("nan"), 2)])
+    def test_non_finite_reading_worded_one_way(self, value, tick):
+        # not "prediction nan" from the first-tick mean, nor "filter state"
+        # from the predictor that later observes the fused value
+        traces, params, predictor, adaptation, adaptive = non_finite_reading_case(value, tick)
+        for run in (fusvaf_stream, reference_fusvaf):
+            with pytest.raises(ekf.NumericFailureError) as got:
+                run(traces, params, predictor(), adaptation, adaptive)
+            assert str(got.value) == f"tick {tick}: reading {value} is not finite"
 
     @pytest.mark.parametrize("window", [3, 20])
     def test_nan_reading_refused(self, window):

@@ -1,5 +1,7 @@
 import math
+import warnings
 from pathlib import Path
+from typing import NamedTuple, Optional
 from unittest import mock
 
 import numpy as np
@@ -45,7 +47,7 @@ from pipefuse.sim.config import (
 )
 from pipefuse.sim.detect import Detection, _uav_covers, detect_events, persistent_onsets
 from pipefuse.sim.runner import _rmse
-from pipefuse.sim.stages import WindowSummary, hold_series
+from pipefuse.sim.stages import WINDOW, hold_series
 
 RAW, FUSED, CONSENSUS = MessageKind.RAW, MessageKind.FUSED, MessageKind.CONSENSUS
 BUNDLED = Path(__file__).resolve().parent.parent / "scenarios" / "baseline_10node.yaml"
@@ -717,7 +719,7 @@ class TestHoldSeries:
             assert str(got.value) == "cluster c0: reports of b do not start at tick 0"
             relay = make_config(fusion={"cluster_fusvaf": False})
             result = cluster_stage("c0", SensorKind.PRESSURE, reports, relay, "gw")
-            assert sum(s.count for s in result.windows) == 200 + len(late)
+            assert result.windows["count"].sum() == 200 + len(late)
 
 
 class TestClusterStage:
@@ -725,15 +727,14 @@ class TestClusterStage:
         config = make_config()
         reports = {"n0": [(t, 500.0 + 0.0 * t) for t in range(0, 200, 1)]}
         result = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
-        for s in result.windows:
-            assert s.fused == pytest.approx(500.0, abs=0.01)
+        fused = result.windows["fused"].tolist()
+        assert fused == pytest.approx([500.0] * len(fused), abs=0.01)
 
     def test_window_aggregates(self):
         config = make_config(detection={"window": 10})
         reports = {"n0": [(0, 1.0), (2, 2.0), (5, 3.0), (9, 4.0)]}
         result = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
-        s = result.windows[0]
-        assert (s.count, s.avg, s.max, s.min) == (4, 2.5, 4.0, 1.0)
+        assert result.windows[["count", "avg", "max", "min"]][0].tolist() == (4, 2.5, 4.0, 1.0)
 
     def test_stuck_member_flagged_suspected_faulty(self):
         config = make_config(fusion={"node_ekf": False},
@@ -772,15 +773,15 @@ class TestClusterStage:
         result = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
         assert len(result.windows) == horizon // window
         received = summaries = 0
-        for s in result.windows:
+        for w, (count, avg, high, low, _) in enumerate(result.windows.tolist()):
             values = [v for node_id in sorted(reports) for t, v in reports[node_id]
-                      if s.start_tick <= t <= s.end_tick]
-            assert s.count == len(values)
+                      if w * window <= t < (w + 1) * window]
+            assert count == len(values)
             if values:
-                assert (s.avg, s.max, s.min) == (left_sum(values) / len(values),
-                                                 max(values), min(values))
+                assert (avg, high, low) == (left_sum(values) / len(values),
+                                            max(values), min(values))
             else:
-                assert (s.avg, s.max, s.min) == (None, None, None)
+                assert all(math.isnan(x) for x in (avg, high, low))
             received += len(values)
             summaries += bool(values)
         energy, bits = config.energy, config.energy.sample_bits
@@ -799,7 +800,7 @@ class TestClusterStage:
         config = make_config(fusion={"cluster_fusvaf": False})
         reports = {"a": [(0, 1e16), (1, -1e16)], "b": [(0, 1.0)]}
         window = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw").windows[0]
-        assert (window.count, window.avg) == (3, 1.0 / 3)
+        assert (window["count"], window["avg"]) == (3, 1.0 / 3)
 
     def test_reports_outside_the_horizon_rejected(self):
         # relay mode: such a report would be counted as relayed yet fall in no window
@@ -864,10 +865,10 @@ class TestClusterStage:
         fused_by_tick = {p.tick: p.fused for p in points}
         sigma_by_tick = {p.tick: {r.node_id: r.sigma for r in p.readings} for p in points}
         zero_streak, flagged = dict.fromkeys(member_order, 0), []
-        for s in result.windows:
-            ticks = range(s.start_tick, s.end_tick + 1)
+        for w, got in enumerate(result.windows["fused"].tolist()):
+            ticks = range(w * window, (w + 1) * window)
             fused = [fused_by_tick[t] for t in ticks if t in fused_by_tick]
-            assert s.fused == (left_sum(fused) / len(fused) if fused else None)
+            assert repr(got) == repr(nan_for_none(left_sum(fused) / len(fused) if fused else None))
             for node_id in member_order:
                 sigmas = [sigma_by_tick[t][node_id] for t in ticks
                           if node_id in sigma_by_tick.get(t, {})]
@@ -875,19 +876,19 @@ class TestClusterStage:
                     zero_streak[node_id] += 1
                     # a member is flagged once, at the first window its streak reaches 2
                     if zero_streak[node_id] == 2 and node_id not in dict(flagged):
-                        flagged.append((node_id, s.index))
+                        flagged.append((node_id, w))
                 elif sigmas:
                     zero_streak[node_id] = 0
         assert result.suspected_faulty == flagged
         readings = sum(len(p.readings) for p in points)
-        aggregated = sum(s.count for s in result.windows)
+        aggregated = result.windows["count"].sum()
         assert result.ops == (config.energy.fusvaf_ops_per_value * readings
                               + config.energy.aggregation_ops_per_value * aggregated)
 
     def test_no_members_fuse_nothing(self):
         result = cluster_stage("c0", SensorKind.PRESSURE, {}, make_config(), "gw")
         assert result.fusion is None and result.messages == {}
-        assert all(s.fused is None and s.count == 0 for s in result.windows)
+        assert np.isnan(result.windows["fused"]).all() and not result.windows["count"].any()
 
     def test_unordered_reports_rejected(self):
         reports = {"n0": [(5, 1.0), (2, 2.0)]}
@@ -900,6 +901,30 @@ class TestClusterStage:
         result = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
         assert result.messages == {("c0", "gw", RAW): (50, 1600)}
         assert result.ops == 0
+
+
+class OracleWindow(NamedTuple):
+    """One reporting window as the loop oracles read it; None is "no value"."""
+
+    index: int
+    start_tick: int
+    end_tick: int
+    fused: Optional[float] = None
+    count: int = 0
+    avg: Optional[float] = None
+    max: Optional[float] = None
+    min: Optional[float] = None
+
+
+def nan_for_none(value):
+    """An oracle's value as a WINDOW array holds it: nan for None."""
+    return math.nan if value is None else value
+
+
+def window_array(windows):
+    """OracleWindows as the WINDOW array cluster_stage returns."""
+    return np.array([(s.count, *map(nan_for_none, (s.avg, s.max, s.min, s.fused)))
+                     for s in windows], WINDOW)
 
 
 def loop_windows(cluster_id, member_reports, horizon, window, fuse):
@@ -980,14 +1005,14 @@ class TestArrayPassOracles:
             assert not fuse and "is not finite" in str(exc)
             assert not all(avg is None or math.isfinite(avg) for _, avg, _, _ in expected)
             return
-        got = [(s.count, s.avg, s.max, s.min) for s in result.windows]
-        assert repr(got) == repr(expected)
+        got = result.windows[["count", "avg", "max", "min"]].tolist()
+        assert repr(got) == repr([tuple(map(nan_for_none, row)) for row in expected])
         if fuse:
-            fused = [left_sum(result.fusion.fused[s.start_tick:s.end_tick + 1]) / window
-                     for s in result.windows]
+            fused = [left_sum(result.fusion.fused[w * window:(w + 1) * window]) / window
+                     for w in range(n_windows)]
         else:
             fused = [avg for _, avg, _, _ in expected]
-        assert repr([s.fused for s in result.windows]) == repr(fused)
+        assert repr(result.windows["fused"].tolist()) == repr(list(map(nan_for_none, fused)))
 
     @given(pairs=st.lists(st.tuples(RMSE_VALUES, RMSE_VALUES), min_size=1, max_size=40))
     @settings(max_examples=300, deadline=None)
@@ -1184,9 +1209,11 @@ class TestPersistence:
                     values = (None, count, level, level, level)
                 else:
                     values = (data.draw(fused), 0, None, None, None)
-                windows.append(WindowSummary(cluster_id, kind, w, 10 * w, 10 * w + 9, *values))
+                windows.append(OracleWindow(w, 10 * w, 10 * w + 9, *values))
             series[(cluster_id, kind)] = windows
-        assert detect_events(series, config) == streak_detect_events(series, config)
+        got = detect_events({key: window_array(w) for key, w in series.items()}, config)
+        assert got == streak_detect_events(series, config)
+        assert all(type(d.tick) is int and type(d.window_index) is int for d in got)
 
     @given(data=st.data(), persistence=st.integers(1, 5), window=st.integers(1, 4),
            n_windows=st.integers(1, 12))
@@ -1216,7 +1243,8 @@ class TestPersistence:
         with mock.patch.object(fusvaf, "_fusvaf_kernel", kernel):
             result = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
         assert result.suspected_faulty == zero_streak_flags(
-            members, sigma, result.windows, persistence)
+            members, sigma, [OracleWindow(w, w * window, (w + 1) * window - 1)
+                             for w in range(len(result.windows))], persistence)
 
 
 class TestDetection:
@@ -1275,6 +1303,15 @@ class TestDetection:
 
 
 class TestRunSimulation:
+    @pytest.mark.parametrize("override", [
+        None, "fusion.fusvaf_adaptive_alpha=true", "fusion.cluster_fusvaf=false"])
+    def test_bundled_scenario_runs_without_numpy_warnings(self, override):
+        data = yaml.safe_load(BUNDLED.read_text(encoding="utf-8"))
+        config = scenario_from_dict(apply_overrides(data, [override] if override else []))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning (say, nan cast to int) fails
+            run_simulation(config)
+
     def test_zero_noise_no_event_minimal_traffic(self):
         result = run_simulation(make_config())
         m = result.metrics
