@@ -13,8 +13,13 @@ without it and a function rebound in a module is the one that runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import math
+import os
+import pickle
 import sys
+import warnings
 from pathlib import Path
 
 from . import consensus as consensus_mod
@@ -68,25 +73,93 @@ def _write_run_outputs(result, out: Path) -> list:
     write_detections_csv(result.detections, record(out / "detections.csv"))
     write_consensus_runs_csv(result.consensus_runs, record(out / "consensus_mse.csv"))
 
+    jobs = []  # (cells, write, args), in the order their paths are recorded
     streams_dir = out / "streams"
     streams_dir.mkdir(exist_ok=True)
     for key in result.world.stream_keys():
         node_id, kind = key
-        write_stream_csv(
-            result.world.truth[key],
+        truth = result.world.truth[key]
+        jobs.append((5 * len(truth), write_stream_csv, (
+            truth,
             result.world.traces[key],
             result.reported_series[key],
             record(streams_dir / f"{node_id}_{kind.value}.csv"),
-        )
+        )))
 
     fused_dir = out / "fused"
     fused_dir.mkdir(exist_ok=True)
     for (cluster_id, kind), stage in sorted(result.cluster_results.items()):
         if stage.fusion is not None:
-            fusvaf.write_fusion_columns(
-                stage.fusion, record(fused_dir / f"{cluster_id}_{kind.value}.csv")
-            )
+            columns = stage.fusion
+            jobs.append(((3 + 2 * len(columns.value)) * len(columns.tick),
+                         fusvaf.write_fusion_columns,
+                         (columns, record(fused_dir / f"{cluster_id}_{kind.value}.csv"))))
+    _run_in_two_processes(jobs)
     return files
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        return os.cpu_count() or 1
+
+
+def _run_in_two_processes(jobs: list) -> None:
+    """Run (cells, function, args) jobs, each args ending with the path it
+    writes: those up to the split nearest half the cells in this process
+    and the rest, at the same time, in a forked child that shares their
+    arguments copy-on-write. Where there is no fork, no second CPU or no
+    process to spare, all of them run in order in this process. Either way
+    an exception of the first half wins, as it would in order, and one of
+    the second half is raised next; the child sends it back pickled."""
+    pid = None
+    if hasattr(os, "fork") and _usable_cpus() > 1 and len(jobs) > 1:
+        done = list(itertools.accumulate(cells for cells, _, _ in jobs))
+        split = min(range(1, len(jobs)), key=lambda i: abs(2 * done[i - 1] - done[-1]))
+        read_end, write_end = os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12 warns on fork in any process with a second OS
+                # thread, as numpy's BLAS pool is; the child only formats and
+                # writes, takes no lock such a thread holds, and leaves
+                # through os._exit
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        except OSError:  # a process limit or no memory to fork with
+            os.close(read_end)
+            os.close(write_end)
+    if pid is None:
+        for _, write, args in jobs:
+            write(*args)
+        return
+    if pid == 0:  # the child never returns
+        code = 1
+        try:
+            os.close(read_end)
+            for _, write, args in jobs[split:]:
+                write(*args)
+            code = 0
+        except BaseException as exc:  # the parent raises it
+            with contextlib.suppress(Exception), os.fdopen(write_end, "wb") as pipe:
+                pipe.write(pickle.dumps(exc))
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    try:
+        for _, write, args in jobs[:split]:
+            write(*args)
+    finally:
+        with os.fdopen(read_end, "rb") as pipe:
+            payload = pipe.read()
+        _, wait_status = os.waitpid(pid, 0)
+    if wait_status:
+        try:
+            error = pickle.loads(payload)
+        except Exception:  # no payload, or an exception that does not unpickle
+            error = OSError(f"the process writing {jobs[split][2][-1]} and the files after it "
+                            f"exited with code {os.waitstatus_to_exitcode(wait_status)}")
+        raise error
 
 
 def write_summary(result, out_dir: Path, files: list) -> Path:

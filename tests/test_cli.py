@@ -3,10 +3,12 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+from pipefuse import cli
 from pipefuse.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,6 +62,44 @@ class TestRun:
         for rel in listed:
             path = out / rel
             assert path.exists() and path.stat().st_size > 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_leaves_no_child_process(self, tmp_path, monkeypatch, capsys, fails):
+        # the fork warns as Python 3.12's does in a process with a second
+        # thread, as numpy's BLAS pool is: in the parent, after the fork
+        forks = []
+        fork = os.fork
+
+        def warning_fork():
+            forks.append(1)
+            pid = fork()
+            if pid:
+                warnings.warn("This process is multi-threaded, use of fork() may lead "
+                              "to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        out = tmp_path / "out"
+        if fails:
+            (out / "fused" / "c1_temperature.csv").mkdir(parents=True)
+        code = main(["--quiet", "run", "--config", str(small_scenario(tmp_path)),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert (code, forks, err.count("\n")) == ((3, [1], 1) if fails else (0, [1], 0))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_child_that_dies_without_an_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        # the child writes every fused file; os._exit leaves it no exception to send
+        monkeypatch.setattr(cli.fusvaf, "write_fusion_columns", lambda *args: os._exit(7))
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        out = tmp_path / "out"
+        assert main(["--quiet", "run", "--config", str(SCENARIO), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "pipefuse: error [runtime-failure] the process writing "
+            f"{out / 'streams' / 'n8_pir.csv'} and the files after it exited with code 7\n")
 
     def test_invalid_config_exits_2_and_names_field(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
@@ -518,6 +558,20 @@ def unusable_path(tmp_path, case):
     afile.write_text("", encoding="utf-8")
     missing = tmp_path / "missing.csv"
     trace = str(FIXTURES / "ekf_20_samples.csv")
+    # the bundled scenario writes its last four stream files and every fused
+    # file from the child process; the first stream file's error comes
+    # first, whichever process meets it
+    directories = {
+        "run last stream is a directory": ["streams/n9_pressure.csv"],
+        "run fused file is a directory": ["fused/c0_humidity.csv"],
+        "run first stream and last fused file are directories": [
+            "streams/n0_pressure.csv", "fused/c1_temperature.csv"],
+    }
+    if case in directories:
+        out = tmp_path / "out"
+        for name in directories[case]:
+            (out / name).mkdir(parents=True)
+        return ["run", "--config", str(SCENARIO), "--out", str(out)], out / directories[case][0]
     return {
         "ekf missing trace": (["ekf", "--trace", str(missing)], missing),
         "ekf out below a file": (["ekf", "--trace", trace, "--out", str(afile / "x")],
@@ -535,13 +589,19 @@ class TestUnusablePaths:
     @pytest.mark.parametrize("case", [
         "ekf missing trace", "ekf out below a file", "fusvaf trace is a directory",
         "consensus missing edges", "run out is a file", "sweep out is a file",
+        "run last stream is a directory", "run fused file is a directory",
+        "run first stream and last fused file are directories",
     ])
-    def test_exits_3_and_names_the_path(self, tmp_path, capsys, case):
+    def test_exits_3_and_names_the_path(self, tmp_path, capsys, monkeypatch, case):
         args, path = unusable_path(tmp_path, case)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # a child writes, even on one CPU
         assert main(["--quiet", *args]) == 3
         err = capsys.readouterr().err
         assert err.startswith("pipefuse: error [runtime-failure] [Errno ")
-        assert f"'{path}'" in err and "Traceback" not in err
+        assert f"'{path}'" in err and "Traceback" not in err and err.count("\n") == 1
+        monkeypatch.delattr(os, "fork")  # every file from this process
+        assert main(["--quiet", *args]) == 3
+        assert capsys.readouterr().err == err
 
     def test_missing_config_still_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "missing.yaml"

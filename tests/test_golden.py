@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pipefuse import consensus, ekf, fusvaf
+from pipefuse import cli, consensus, ekf, fusvaf
 from pipefuse.cli import main
 from pipefuse.core import SensorKind, trace_from_pairs, write_csv
 
@@ -193,6 +193,22 @@ def test_run_outputs_match_golden(tmp_path, pipeline, seed):
     for rel in produced:
         digest = hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest()
         assert digest == expected[rel], f"{rel} differs from the golden tree"
+
+
+@pytest.mark.parametrize("seed,pipeline", [(42, "fused"), (42, "raw")])
+def test_run_outputs_match_golden_from_one_process(tmp_path, monkeypatch, pipeline, seed):
+    # without fork every stream and fused file is written in order by this process
+    monkeypatch.delattr(os, "fork")
+    test_run_outputs_match_golden(tmp_path, pipeline, seed)
+
+
+def test_run_outputs_match_golden_when_fork_fails(tmp_path, monkeypatch):
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    test_run_outputs_match_golden(tmp_path, "fused", 42)
 
 
 REAL_SUM = builtins.sum
