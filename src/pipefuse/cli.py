@@ -13,11 +13,9 @@ without it and a function rebound in a module is the one that runs.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import itertools
 import math
 import os
-import pickle
 import sys
 import warnings
 from pathlib import Path
@@ -106,18 +104,17 @@ def _usable_cpus() -> int:
 
 
 def _run_in_two_processes(jobs: list) -> None:
-    """Run (cells, function, args) jobs, each args ending with the path it
-    writes: those up to the split nearest half the cells in this process
-    and the rest, at the same time, in a forked child that shares their
-    arguments copy-on-write. Where there is no fork, no second CPU or no
-    process to spare, all of them run in order in this process. Either way
-    an exception of the first half wins, as it would in order, and one of
-    the second half is raised next; the child sends it back pickled."""
+    """Run (cells, function, args) jobs: those up to the split nearest half
+    the cells in this process and the rest, at the same time, in a forked
+    child that shares their arguments copy-on-write. Where there is no fork,
+    no second CPU or no process to spare, all of them run in order in this
+    process. Either way an exception of the first half wins, as it would in
+    order; if the child fails, its half runs again here, in order, and
+    raises what it raises in one process."""
     pid = None
     if hasattr(os, "fork") and _usable_cpus() > 1 and len(jobs) > 1:
         done = list(itertools.accumulate(cells for cells, _, _ in jobs))
         split = min(range(1, len(jobs)), key=lambda i: abs(2 * done[i - 1] - done[-1]))
-        read_end, write_end = os.pipe()
         try:
             with warnings.catch_warnings():
                 # Python 3.12 warns on fork in any process with a second OS
@@ -127,8 +124,7 @@ def _run_in_two_processes(jobs: list) -> None:
                 warnings.simplefilter("ignore", DeprecationWarning)
                 pid = os.fork()
         except OSError:  # a process limit or no memory to fork with
-            os.close(read_end)
-            os.close(write_end)
+            pass
     if pid is None:
         for _, write, args in jobs:
             write(*args)
@@ -136,30 +132,19 @@ def _run_in_two_processes(jobs: list) -> None:
     if pid == 0:  # the child never returns
         code = 1
         try:
-            os.close(read_end)
             for _, write, args in jobs[split:]:
                 write(*args)
             code = 0
-        except BaseException as exc:  # the parent raises it
-            with contextlib.suppress(Exception), os.fdopen(write_end, "wb") as pipe:
-                pipe.write(pickle.dumps(exc))
         finally:
             os._exit(code)
-    os.close(write_end)
     try:
         for _, write, args in jobs[:split]:
             write(*args)
     finally:
-        with os.fdopen(read_end, "rb") as pipe:
-            payload = pipe.read()
         _, wait_status = os.waitpid(pid, 0)
     if wait_status:
-        try:
-            error = pickle.loads(payload)
-        except Exception:  # no payload, or an exception that does not unpickle
-            error = OSError(f"the process writing {jobs[split][2][-1]} and the files after it "
-                            f"exited with code {os.waitstatus_to_exitcode(wait_status)}")
-        raise error
+        for _, write, args in jobs[split:]:
+            write(*args)
 
 
 def write_summary(result, out_dir: Path, files: list) -> Path:

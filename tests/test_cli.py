@@ -91,15 +91,31 @@ class TestRun:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_a_child_that_dies_without_an_error_exits_3(self, tmp_path, monkeypatch, capsys):
-        # the child writes every fused file; os._exit leaves it no exception to send
-        monkeypatch.setattr(cli.fusvaf, "write_fusion_columns", lambda *args: os._exit(7))
+    def test_a_child_that_dies_has_its_files_written_again(self, tmp_path, monkeypatch):
+        # the child writes every fused file and dies at the first of them;
+        # this process writes them all again, to the bytes one process writes
+        parent, write = os.getpid(), cli.fusvaf.write_fusion_columns
+        rewritten = []
+
+        def die_in_child(columns, path):
+            if os.getpid() != parent:
+                os._exit(7)
+            rewritten.append(path.name)
+            write(columns, path)
+
+        monkeypatch.setattr(cli.fusvaf, "write_fusion_columns", die_in_child)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        out = tmp_path / "out"
-        assert main(["--quiet", "run", "--config", str(SCENARIO), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == (
-            "pipefuse: error [runtime-failure] the process writing "
-            f"{out / 'streams' / 'n8_pir.csv'} and the files after it exited with code 7\n")
+        run = ["--quiet", "run", "--config", str(SCENARIO), "--out"]
+        assert main([*run, str(tmp_path / "rerun")]) == 0
+        fused = sorted(p.name for p in (tmp_path / "rerun" / "fused").iterdir())
+        assert sorted(rewritten) == fused and fused
+        monkeypatch.delattr(os, "fork")
+        assert main([*run, str(tmp_path / "one")]) == 0
+        files = sorted(p.relative_to(tmp_path / "one") for p in (tmp_path / "one").rglob("*.csv"))
+        assert files == sorted(p.relative_to(tmp_path / "rerun")
+                               for p in (tmp_path / "rerun").rglob("*.csv"))
+        for rel in files:
+            assert (tmp_path / "rerun" / rel).read_bytes() == (tmp_path / "one" / rel).read_bytes()
 
     def test_invalid_config_exits_2_and_names_field(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
