@@ -54,7 +54,6 @@ def _out_dir(args) -> Path:
 
 def _write_run_outputs(result, out: Path) -> list:
     from .sim.metrics import (
-        metrics_row,
         write_consensus_runs_csv,
         write_detections_csv,
         write_metrics_csv,
@@ -67,7 +66,7 @@ def _write_run_outputs(result, out: Path) -> list:
         files.append(str(path.relative_to(out)))
         return path
 
-    write_metrics_csv([metrics_row(result.metrics)], record(out / "metrics.csv"))
+    write_metrics_csv([result.metrics._asdict()], record(out / "metrics.csv"))
     write_detections_csv(result.detections, record(out / "detections.csv"))
     write_consensus_runs_csv(result.consensus_runs, record(out / "consensus_mse.csv"))
 
@@ -155,18 +154,17 @@ def write_summary(result, out_dir: Path, files: list) -> Path:
         f"seed: {m.seed}",
         f"horizon: {m.horizon} ticks",
         "",
-        f"messages: node={m.node.messages} cluster={m.cluster.messages} "
-        f"consensus={m.consensus.messages} alert={m.alert.messages} "
+        f"messages: node={m.node_messages} cluster={m.cluster_messages} "
+        f"consensus={m.consensus_messages} alert={m.alert_messages} "
         f"total={m.total_messages}",
         f"bits: total={m.total_bits}",
         f"energy: radio={m.radio_energy} compute={m.compute_energy} "
         f"total={m.total_energy}",
         f"estimation rmse: mean={m.rmse_mean:.6g} max={m.rmse_max:.6g}",
-        f"events: {len(m.event_outcomes)} injected, "
-        f"{sum(1 for o in m.event_outcomes if o.latency is not None)} detected, "
+        f"events: {m.events} injected, {m.detected_events} detected, "
         f"{m.false_positives} false positives",
     ]
-    for o in m.event_outcomes:
+    for o in result.event_outcomes:
         status = (
             f"detected at tick {o.detected_tick} (latency {o.latency})"
             if o.latency is not None
@@ -174,9 +172,9 @@ def write_summary(result, out_dir: Path, files: list) -> Path:
         )
         validated = " [validated]" if o.validated else ""
         lines.append(f"  event {o.index} ({o.kind} @ {o.start}): {status}{validated}")
-    if m.suspected_faulty:
+    if result.suspected_faulty:
         lines.append("suspected faulty nodes:")
-        for cluster_id, kind, node_id, window in m.suspected_faulty:
+        for cluster_id, kind, node_id, window in result.suspected_faulty:
             lines.append(
                 f"  {node_id} ({kind.value}) in {cluster_id}, window {window}"
             )
@@ -216,7 +214,7 @@ def cmd_sweep(args) -> int:
     if not key or not values:
         raise ConfigError([f"--param {args.param!r}: expected key=v1,v2,..."])
     from .sim import load_scenario
-    from .sim.metrics import metrics_row, write_metrics_csv
+    from .sim.metrics import write_metrics_csv
 
     configs = []  # every value is checked before any of them runs
     for value in values:
@@ -230,9 +228,7 @@ def cmd_sweep(args) -> int:
         args.error_prefix = f"{key}={value}: "
         sub = out / f"{key.replace('/', '_')}={value.replace('/', '_')}"
         result, _ = _simulate(config, sub)
-        row = {"param": key, "value": value}
-        row.update(metrics_row(result.metrics))
-        rows.append(row)
+        rows.append({"param": key, "value": value, **result.metrics._asdict()})
         _say(args, f"{key}={value}: total_bits={result.metrics.total_bits} "
                    f"rmse_mean={result.metrics.rmse_mean:.6g}")
     sweep_path = out / "sweep_metrics.csv"

@@ -163,7 +163,7 @@ def numeric_jacobian(fn, x, eps=None) -> np.ndarray:
     # Probe j is x +- row j of diag(steps), not x with component j stepped in
     # place: the other components are x_k +- 0.0, which turns -0.0 into 0.0.
     probes = np.diag(steps)
-    with np.errstate(invalid="ignore"):  # divergent probes are caught below
+    with np.errstate(all="ignore"):  # divergent probes are caught below
         hi = np.array([fn(p) for p in x + probes], dtype=float).reshape(n, -1)
         lo = np.array([fn(p) for p in x - probes], dtype=float).reshape(n, -1)
         # Row j of hi - lo is column j. The Jacobian stays in C order: BLAS
@@ -248,7 +248,7 @@ class FilterPoint(NamedTuple):
         return float(self.state.P[0, 0])
 
 
-@np.errstate(over="ignore", invalid="ignore")  # predict and update check each state
+@np.errstate(all="ignore")  # predict and update check each state
 def run_filter(model: ProcessModel, init: FilterState, measurements: Trace) -> list[FilterPoint]:
     """Filter a scalar-measurement trace, one predict+update per reading.
 

@@ -17,7 +17,7 @@ from .config import (
     scenario_from_dict,
 )
 from .detect import Detection, detect_events
-from .metrics import RunMetrics, metrics_row, write_metrics_csv
+from .metrics import RunMetrics, write_metrics_csv
 from .runner import SimulationResult, run_simulation
 from .stages import (
     MessageKind,
@@ -50,7 +50,6 @@ __all__ = [
     "detect_events",
     "generate_world",
     "load_scenario",
-    "metrics_row",
     "node_stage",
     "run_simulation",
     "scenario_from_dict",

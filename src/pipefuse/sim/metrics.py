@@ -18,11 +18,6 @@ from .config import ScenarioConfig
 from .stages import MessageKind
 
 
-class LevelTally(NamedTuple):
-    messages: int = 0
-    bits: int = 0
-
-
 class EventOutcome(NamedTuple):
     """How one injected event fared: matched detection and its latency."""
 
@@ -35,40 +30,50 @@ class EventOutcome(NamedTuple):
 
 
 class RunMetrics(NamedTuple):
+    """One run's `metrics.csv` row: the fields, in order, are its columns.
+    A figure with no value (no stream to score, no event detected) is
+    `math.nan`, so that two runs' records compare equal."""
+
     scenario: str
     seed: int
     horizon: int
-    node: LevelTally
-    cluster: LevelTally
-    consensus: LevelTally
-    alert: LevelTally
+    node_messages: int
+    node_bits: int
+    cluster_messages: int
+    cluster_bits: int
+    consensus_messages: int
+    consensus_bits: int
+    alert_messages: int
+    alert_bits: int
     total_messages: int
     total_bits: int
     compute_ops: int
     radio_energy: float
     compute_energy: float
     total_energy: float
-    rmse_per_stream: dict
     rmse_mean: float
     rmse_max: float
-    detections: tuple
-    event_outcomes: tuple
+    events: int
+    detections: int
+    detected_events: int
     false_positives: int
-    suspected_faulty: tuple
+    mean_detection_latency: float
+    validated_detections: int
 
 
 def tally_messages(ledger, node_ids) -> dict:
     """Split a message ledger {(src, dst, kind): (messages, bits)} into the
-    architecture's levels."""
-    levels = {"node": [0, 0], "cluster": [0, 0], "consensus": [0, 0], "alert": [0, 0]}
+    architecture's levels: {"<level>_messages": n, "<level>_bits": n}."""
+    tally = {f"{level}_{unit}": 0 for level in ("node", "cluster", "consensus", "alert")
+             for unit in ("messages", "bits")}
     for (src, _, kind), (messages, bits) in ledger.items():
         if kind in (MessageKind.CONSENSUS, MessageKind.ALERT):
             level = kind.value
         else:
             level = "node" if src in node_ids else "cluster"
-        levels[level][0] += messages
-        levels[level][1] += bits
-    return {k: LevelTally(messages=v[0], bits=v[1]) for k, v in levels.items()}
+        tally[f"{level}_messages"] += messages
+        tally[f"{level}_bits"] += bits
+    return tally
 
 
 def match_events(config: ScenarioConfig, detections) -> tuple[list, int]:
@@ -105,39 +110,6 @@ def match_events(config: ScenarioConfig, detections) -> tuple[list, int]:
         ))
     false_positives = len(detections) - len(explained)
     return outcomes, false_positives
-
-
-def metrics_row(m: RunMetrics) -> dict:
-    """One run's `metrics.csv` row; the keys, in order, are the columns."""
-    latencies = [o.latency for o in m.event_outcomes if o.latency is not None]
-    mean_latency = sum(latencies) / len(latencies) if latencies else float("nan")
-    return {
-        "scenario": m.scenario,
-        "seed": m.seed,
-        "horizon": m.horizon,
-        "node_messages": m.node.messages,
-        "node_bits": m.node.bits,
-        "cluster_messages": m.cluster.messages,
-        "cluster_bits": m.cluster.bits,
-        "consensus_messages": m.consensus.messages,
-        "consensus_bits": m.consensus.bits,
-        "alert_messages": m.alert.messages,
-        "alert_bits": m.alert.bits,
-        "total_messages": m.total_messages,
-        "total_bits": m.total_bits,
-        "compute_ops": m.compute_ops,
-        "radio_energy": m.radio_energy,
-        "compute_energy": m.compute_energy,
-        "total_energy": m.total_energy,
-        "rmse_mean": m.rmse_mean,
-        "rmse_max": m.rmse_max,
-        "events": len(m.event_outcomes),
-        "detections": len(m.detections),
-        "detected_events": sum(1 for o in m.event_outcomes if o.latency is not None),
-        "false_positives": m.false_positives,
-        "mean_detection_latency": mean_latency,
-        "validated_detections": sum(1 for d in m.detections if d.validated),
-    }
 
 
 def write_metrics_csv(rows, path) -> None:

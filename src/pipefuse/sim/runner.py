@@ -31,7 +31,10 @@ class SimulationResult(NamedTuple):
     world: WorldData
     cluster_results: dict
     reported_series: dict  # (node_id, kind) -> float array of the value held at every tick
+    rmse_per_stream: dict  # "node_id:kind" -> rmse of each continuous stream
     detections: list
+    event_outcomes: list  # one EventOutcome per injected event
+    suspected_faulty: list  # [(cluster_id, kind, node_id, window_index)]
     consensus_runs: list
     messages: dict  # ledger of the whole run
     metrics: RunMetrics
@@ -130,10 +133,6 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
             rmse_per_stream[stream] = _rmse(stream, held, world.truth[key])
 
     rmse_values = [rmse_per_stream[k] for k in sorted(rmse_per_stream)]
-    rmse_mean = left_sum(rmse_values) / len(rmse_values) if rmse_values else float("nan")
-    rmse_max = max(rmse_values) if rmse_values else float("nan")
-
-    levels = tally_messages(messages, {n.node_id for n in topology.nodes})
     total_bits = sum(bits for _, bits in messages.values())
     energy = config.energy
     radio_energy = _energy("radio_energy", total_bits * energy.ops_per_bit, energy.per_op_cost)
@@ -141,34 +140,36 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
     total_energy = _energy("total_energy", radio_energy + compute_energy)
 
     event_outcomes, false_positives = match_events(config, detections)
+    latencies = [o.latency for o in event_outcomes if o.latency is not None]
     metrics = RunMetrics(
         scenario=config.name,
         seed=config.seed,
         horizon=config.horizon,
-        node=levels["node"],
-        cluster=levels["cluster"],
-        consensus=levels["consensus"],
-        alert=levels["alert"],
+        **tally_messages(messages, {n.node_id for n in topology.nodes}),
         total_messages=sum(n for n, _ in messages.values()),
         total_bits=total_bits,
         compute_ops=ops,
         radio_energy=radio_energy,
         compute_energy=compute_energy,
         total_energy=total_energy,
-        rmse_per_stream=rmse_per_stream,
-        rmse_mean=rmse_mean,
-        rmse_max=rmse_max,
-        detections=tuple(detections),
-        event_outcomes=tuple(event_outcomes),
+        rmse_mean=left_sum(rmse_values) / len(rmse_values) if rmse_values else math.nan,
+        rmse_max=max(rmse_values) if rmse_values else math.nan,
+        events=len(event_outcomes),
+        detections=len(detections),
+        detected_events=len(latencies),
         false_positives=false_positives,
-        suspected_faulty=tuple(suspected),
+        mean_detection_latency=sum(latencies) / len(latencies) if latencies else math.nan,
+        validated_detections=sum(1 for d in detections if d.validated),
     )
     return SimulationResult(
         config=config,
         world=world,
         cluster_results=cluster_results,
         reported_series=reported_series,
+        rmse_per_stream=rmse_per_stream,
         detections=detections,
+        event_outcomes=event_outcomes,
+        suspected_faulty=suspected,
         consensus_runs=consensus_runs,
         messages=messages,
         metrics=metrics,

@@ -262,7 +262,7 @@ def test_criterion_7_detection_soundness_and_latency():
     config = result.config
     h = config.detection.leak_persistence
     window = config.detection.window
-    outcomes = {o.kind: o for o in result.metrics.event_outcomes}
+    outcomes = {o.kind: o for o in result.event_outcomes}
     leak = outcomes["leak"]
     assert config.events[0].magnitude == 2 * config.detection.leak_threshold
     assert leak.latency is not None

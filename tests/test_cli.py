@@ -659,6 +659,7 @@ class TestLibraryCommandFlags:
         ("fusvaf", "--w-min", "200", "w_min must not exceed w_max, got 200.0 > 100.0"),
         ("consensus", "--values", "nan", "estimates must be finite, got nan at index 0"),
         ("consensus", "--values", "1,inf", "estimates must be finite, got inf at index 1"),
+        ("consensus", "--values", ",", "--values: at least one value required"),
         ("ekf", "--x0", "nan", "x0 must be finite, got nan"),
         ("ekf", "--x0", "inf", "x0 must be finite, got inf"),
     ])
@@ -685,6 +686,13 @@ class TestSweep:
         assert [row["scenario"] for row in rows] == ["a,b", "a,b"]
         ratio = float(rows[1]["radio_energy"]) / float(rows[0]["radio_energy"])
         assert ratio == pytest.approx(3.0)
+        # param,value, then each value's own metrics.csv row, column for column
+        header = (out / "sweep_metrics.csv").read_text(encoding="utf-8").splitlines()[0]
+        for row, value in zip(rows, ["1000", "3000"]):
+            path = out / f"energy.ops_per_bit={value}" / "metrics.csv"
+            single = path.read_text(encoding="utf-8").splitlines()[0]
+            assert header == "param,value," + single
+            assert row == {"param": "energy.ops_per_bit", "value": value, **read_csv(path)[0]}
 
     def test_runtime_failure_names_the_value(self, tmp_path, capsys):
         code = main(["--quiet", "sweep", "--config", str(SCENARIO),

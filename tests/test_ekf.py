@@ -122,10 +122,15 @@ class TestNumericJacobianOracle:
         assert got.shape == want.shape == (1, 1)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.filterwarnings("error")  # a numpy warning must not escape first
     def test_non_finite_probe_message(self):
-        with pytest.raises(NumericFailureError,
-                           match="^numeric Jacobian produced non-finite values$"):
-            numeric_jacobian(lambda v: np.log(v), np.array([1.0, -0.0, 3.0]))
+        for fn, x in [
+            (np.log, [1.0, -0.0, 3.0]),  # log(0.0) divides by zero, log(-step) is invalid
+            (np.exp, [800.0]),  # overflows
+        ]:
+            with pytest.raises(NumericFailureError,
+                               match="^numeric Jacobian produced non-finite values$"):
+                numeric_jacobian(fn, np.array(x))
 
 
 class TestPredict:
@@ -215,6 +220,14 @@ class TestRunFilter:
         points = run_filter(random_walk_model(0.1, 0.1), init, trace)
         estimates = [p.estimate for p in points]
         assert np.var(estimates) <= np.var(values)
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning must not escape first
+    def test_divergent_transition_raises_without_warning(self):
+        model = scalar_model(0.0, 1.0, f=lambda x: np.log(x - 1.0))  # log(0) at x = 1
+        trace = trace_from_pairs([(1, 1.0)], "n0", SensorKind.TEMPERATURE)
+        with pytest.raises(NumericFailureError,
+                           match="^tick 1: state transition produced non-finite values$"):
+            run_filter(model, FilterState([1.0], [[1.0]]), trace)
 
     def test_error_carries_failing_tick(self):
         model = scalar_model(0.0, 1.0, f=lambda x: np.full_like(x, np.nan))

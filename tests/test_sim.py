@@ -10,6 +10,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from pipefuse import fusvaf
+from pipefuse.cli import main
 from pipefuse.core import SensorKind, TraceError, check_stream, left_sum, trace_from_pairs
 from pipefuse.ekf import NumericFailureError
 from pipefuse.fusvaf import (
@@ -46,6 +47,7 @@ from pipefuse.sim.config import (
     UavVisit,
 )
 from pipefuse.sim.detect import Detection, _uav_covers, detect_events, persistent_onsets
+from pipefuse.sim.metrics import match_events
 from pipefuse.sim.runner import _rmse
 from pipefuse.sim.stages import WINDOW, hold_series
 
@@ -209,6 +211,12 @@ class TestConfigValidation:
         assert type(config.fusion.gate_w_min) is float
         assert config.fusion.gate_w_min == 2.0
         assert make_config().fusion.gate_w_min is None
+
+    def test_explicit_gate_w_min_is_every_kinds_floor(self):
+        # the noise implies a floor of 121.0; an explicit gate_w_min overrides it
+        config = make_config(signals={"pressure": {"baseline": 500.0, "noise_std": 30.0}},
+                             fusion={"gate_w_min": 2.5})
+        assert {config.gate_floor(kind) for kind in SensorKind} == {2.5}
 
     def test_invalid_signal_spec_not_also_missing(self):
         # YAML 1.1 reads `1e308` as a string
@@ -547,6 +555,41 @@ class TestOverrides:
         data = base_config_dict()
         apply_overrides(data, ["seed=99"])
         assert data["seed"] == 1
+
+    @pytest.mark.parametrize("override, errors", [
+        ("events=[{kind: leak, start: 30, end: 20, location: 60.0, magnitude: 40.0}]",
+         ["events[0].end: must be >= start"]),
+        ("events=[{kind: leak, start: 10, end: 20, location: 60.0, magnitude: 0}]",
+         ["events[0].magnitude: leak needs a positive magnitude"]),
+        ("events=[{kind: leak, start: 10, end: 20, location: 60.0, magnitude: 40.0, radius: 0}]",
+         ["events[0].radius: must be positive"]),
+        ("signals.pir={baseline: 1.0}", ["signals.pir: binary kinds take no signal spec"]),
+        ("topology.nodes=[]", [
+            "topology.nodes: at least one node required",
+            "topology.cluster_heads[c0]: cluster has no member nodes",
+            "topology.cluster_heads[c1]: cluster has no member nodes",
+            "events[0]: leak needs a node with a pressure sensor",
+            "events[1]: intrusion needs a node with pir/magnetic sensors",
+        ]),
+        ("topology.cluster_heads=[]", [
+            "topology.uav.patrol[0].cluster_id: unknown cluster 'c1'",
+            "topology.cluster_heads: at least one cluster head required",
+        ] + [f"topology.nodes[n{i}].cluster_id: unknown cluster 'c{i // 5}'" for i in range(10)]),
+        ("topology.cluster_heads=[{cluster_id: c0, peers: [c0, c1]}, {cluster_id: c1, peers: [c0]}]",
+         ["topology.cluster_heads[c0].peers: self link"]),
+        ("topology.nodes=[{node_id: n0, cluster_id: c0, position: 0.0, sensors: [pir]},"
+         " {node_id: n1, cluster_id: c1, position: 100.0, sensors: [magnetic]}]",
+         ["events[0]: leak needs a node with a pressure sensor"]),
+        ("a..b=1", ["override 'a..b': malformed key path"]),
+        ("seed.x=1", ["override 'seed.x': seed is not a section"]),
+    ])
+    def test_override_errors_exit_2_and_are_named(self, tmp_path, capsys, override, errors):
+        code = main(["--quiet", "run", "--config", str(BUNDLED), "--override", override,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"pipefuse: error [config-invalid] {e}" for e in errors]
+        assert not (tmp_path / "out").exists()
 
 
 class TestGenerateWorld:
@@ -1106,7 +1149,7 @@ class TestConsensusStage:
         result = run_simulation(scenario_from_dict(data, "single"))
         assert any(d.kind == "leak" for d in result.detections)
         assert result.consensus_runs == []
-        assert result.metrics.consensus.messages == 0
+        assert result.metrics.consensus_messages == 0
 
 
 def streak_onsets(flags, persistence):
@@ -1272,9 +1315,23 @@ class TestDetection:
         leaks = [d for d in result.detections if d.kind == "leak"]
         assert leaks
         h, window = 2, 10
-        outcome = result.metrics.event_outcomes[0]
+        outcome = result.event_outcomes[0]
         assert outcome.latency is not None
         assert outcome.latency <= (h + 1) * window
+
+    def test_intrusion_detected_past_one_window_is_a_false_positive(self):
+        config = make_config(
+            events=[{"kind": "intrusion", "start": 100, "end": 120, "location": 20.0}])
+        window = config.detection.window
+        late = config.events[0].end + window
+
+        def detection(tick):
+            return Detection("intrusion", tick, "c0", SensorKind.PIR, tick // window, False)
+
+        outcomes, false_positives = match_events(config, [detection(late), detection(late + 1)])
+        assert (outcomes[0].detected_tick, false_positives) == (late, 1)
+        outcomes, false_positives = match_events(config, [detection(late + 1)])
+        assert (outcomes[0].detected_tick, false_positives) == (None, 1)
 
     def test_leak_carries_consensus_value(self):
         result = run_simulation(self.noisy_leak_config())
@@ -1316,9 +1373,9 @@ class TestRunSimulation:
         result = run_simulation(make_config())
         m = result.metrics
         assert m.rmse_mean == 0.0
-        assert m.alert.messages == 0
+        assert m.alert_messages == 0
         # one report-on-change message per stream, one fused+agg window message set
-        assert m.node.messages == 6  # 4 pressure + 2 binary streams
+        assert m.node_messages == 6  # 4 pressure + 2 binary streams
 
     def test_message_conservation(self):
         result = run_simulation(run_config := make_config(
@@ -1347,10 +1404,10 @@ class TestRunSimulation:
         m = result.metrics
         assert m.total_messages == sent(ledger)
         assert m.total_bits == sum(bits for _, bits in ledger.values())
-        level_sum = (m.node.messages + m.cluster.messages
-                     + m.consensus.messages + m.alert.messages)
+        level_sum = (m.node_messages + m.cluster_messages
+                     + m.consensus_messages + m.alert_messages)
         assert level_sum == m.total_messages
-        assert (m.node.bits + m.cluster.bits + m.consensus.bits + m.alert.bits
+        assert (m.node_bits + m.cluster_bits + m.consensus_bits + m.alert_bits
                 == m.total_bits)
 
     def test_fused_values_respect_member_envelope(self):
@@ -1367,12 +1424,17 @@ class TestRunSimulation:
                 assert lo - 1e-9 <= fused <= hi + 1e-9
 
     def test_identical_config_identical_metrics(self):
-        config = make_config(
-            signals={"pressure": {"baseline": 500.0, "noise_std": 0.5}},
-        )
-        m1 = run_simulation(config).metrics
-        m2 = run_simulation(config).metrics
-        assert m1 == m2
+        binary = base_config_dict(signals={})  # pir and magnetic only: no rmse to take
+        for node in binary["topology"]["nodes"]:
+            node["sensors"] = ["pir", "magnetic"]
+        for config in [
+            make_config(signals={"pressure": {"baseline": 500.0, "noise_std": 0.5}}),
+            scenario_from_dict(binary, "binary"),
+        ]:
+            m1 = run_simulation(config).metrics
+            m2 = run_simulation(config).metrics
+            assert m1 == m2
+        assert math.isnan(m1.rmse_mean) and math.isnan(m1.mean_detection_latency)
 
     def test_radio_energy_linear_in_ops_per_bit(self):
         base = base_config_dict(
