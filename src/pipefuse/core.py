@@ -86,6 +86,14 @@ def left_sum(values) -> float:
     return total
 
 
+def left_sums(rows: np.ndarray) -> np.ndarray:
+    """left_sum along a float array's last axis, bit for bit: add.accumulate adds
+    in order from a +0.0 put in front, and inf and nan sums pass silently."""
+    padded = np.concatenate([np.zeros(rows.shape[:-1] + (1,)), rows], axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.add.accumulate(padded, axis=-1)[..., -1]
+
+
 @dataclass(frozen=True)
 class Trace:
     """One sensor's readings: values[i] at tick timestamps[i], stored as

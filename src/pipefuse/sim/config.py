@@ -44,7 +44,7 @@ class NodeSpec(NamedTuple):
     node_id: str
     cluster_id: str
     position: float
-    sensors: tuple[SensorKind, ...]
+    sensors: tuple[SensorKind, ...] = ()
 
     BOUNDS = {"position": ">= 0"}
 
@@ -62,6 +62,7 @@ class UavVisit(NamedTuple):
     cluster_id: str
 
     BOUNDS = {}
+    RULES = (("end", lambda v: v.end >= v.start, "must be >= start"),)
 
     def covers(self, tick: int, cluster_id: str) -> bool:
         return self.cluster_id == cluster_id and self.start <= tick <= self.end
@@ -114,6 +115,10 @@ class EventSpec(NamedTuple):
     radius: float = 50.0
 
     BOUNDS = {"kind": "'leak' or 'intrusion'", "start": ">= 0", "location": ">= 0"}
+    RULES = (("end", lambda e: e.end >= e.start, "must be >= start"),
+             ("magnitude", lambda e: e.kind != "leak" or e.magnitude > 0,
+              "leak needs a positive magnitude"),
+             ("radius", lambda e: e.kind != "leak" or e.radius > 0, "must be positive"))
 
 
 class FusionConfig(NamedTuple):
@@ -144,6 +149,8 @@ class FusionConfig(NamedTuple):
               "gate_w_min": "> 0", "gate_w_max": "> 0", "gate_window": ">= 1",
               "consensus_policy": "'off' or 'on_detection'",
               "consensus_tol": "> 0", "consensus_max_iter": ">= 1"}
+    RULES = (("gate_w_min", lambda f: (f.gate_w_min or 0.0) <= f.gate_w_max,
+              "must not exceed gate_w_max"),)
 
 
 class DetectionConfig(NamedTuple):
@@ -232,9 +239,10 @@ def _wrong_type(where, expected: str, value) -> str:
 def _build_section(cls, data, prefix, errors, converters=None):
     """Build section `cls` from a mapping. Keys must be fields of `cls`,
     fields without a default must be present, and after the converters,
-    values of scalar fields must have the field's type and lie within its
-    bound in `cls.BOUNDS`; floats must be finite, and integers given for
-    them become floats."""
+    called as (value, where, errors), values of scalar fields must have the
+    field's type and lie within its bound in `cls.BOUNDS`; floats must be
+    finite, and integers given for them become floats. A section whose
+    fields all pass must then pass each (field, test, text) of its RULES."""
     converters = converters or {}
     if not isinstance(data, dict):
         errors.append(_wrong_type(prefix, "a mapping", data))
@@ -252,7 +260,7 @@ def _build_section(cls, data, prefix, errors, converters=None):
             errors.append(f"{prefix}.{key}: unknown key")
             continue
         if key in converters:
-            value = converters[key](value)
+            value = converters[key](value, f"{prefix}.{key}", errors)
         accepts, expected = _SCALAR_TYPES.get(types[key], (None, None))
         if accepts is not None and not accepts(value):
             errors.append(_wrong_type(f"{prefix}.{key}", expected, value))
@@ -265,22 +273,32 @@ def _build_section(cls, data, prefix, errors, converters=None):
             errors.append(f"{prefix}.{key}: must be {bound}, got {_short(value)}")
             valid = False
         kwargs[key] = value
-    return cls(**kwargs) if valid else None
+    if not valid:
+        return None
+    section = cls(**kwargs)
+    errors += [f"{prefix}.{field}: {text}"
+               for field, test, text in getattr(cls, "RULES", ()) if not test(section)]
+    return section
 
 
 def _at(data: dict, key: str, default):
-    """data[key], or `default` where the key is absent or null: an empty
-    YAML section or list reads as null."""
+    """data[key], or `default` where the key is absent or null (an empty YAML section)."""
     value = data.get(key)
     return default if value is None else value
 
 
-def _list_at(data: dict, key: str, where: str, errors) -> list:
-    value = _at(data, key, [])
-    if not isinstance(value, list):
-        errors.append(_wrong_type(where, "a list", value))
-        return []
-    return value
+def _as_list(value, where, errors) -> list:
+    """value as a list; null, an empty YAML list, is []."""
+    if value is None or isinstance(value, list):
+        return value or []
+    errors.append(_wrong_type(where, "a list", value))
+    return []
+
+
+def _entries(data: dict, key: str, where: str, cls, errors, converters=None) -> tuple:
+    """Each entry of the list at data[key], built as section `cls`."""
+    return tuple(_build_section(cls, raw, f"{where}[{i}]", errors, converters)
+                 for i, raw in enumerate(_as_list(data.get(key), where, errors)))
 
 
 def _parse_kind(value, where, errors):
@@ -289,6 +307,17 @@ def _parse_kind(value, where, errors):
     except ValueError:
         errors.append(f"{where}: unknown sensor kind {_short(value)}")
         return None
+
+
+def _parse_sensors(value, where, errors) -> tuple[SensorKind, ...]:
+    kinds = []
+    for s in _as_list(value, where, errors):
+        kind = _parse_kind(s, where, errors)
+        if kind in kinds:
+            errors.append(f"{where}: {kind.value} listed twice")
+        elif kind is not None:
+            kinds.append(kind)
+    return tuple(kinds)
 
 
 def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
@@ -320,14 +349,12 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
     # a section or entry that fails is None; the config is built only when none did
     topology = _parse_topology(data.get("topology"), errors)
     signals = _parse_signals(_at(data, "signals", {}), errors)
-    events = _parse_events(_list_at(data, "events", "events", errors), errors)
+    events = _entries(data, "events", "events", EventSpec, errors)
     # YAML 1.1 reads a bare `off` as boolean False
     fusion = _build_section(FusionConfig, _at(data, "fusion", {}), "fusion", errors,
-                            converters={"consensus_policy": lambda v: "off" if v is False else v})
+                            {"consensus_policy": lambda v, *_: "off" if v is False else v})
     detection = _build_section(DetectionConfig, _at(data, "detection", {}), "detection", errors)
     energy = _build_section(EnergyConfig, _at(data, "energy", {}), "energy", errors)
-    if fusion is not None and (fusion.gate_w_min or 0.0) > fusion.gate_w_max:
-        errors.append("fusion.gate_w_min: must not exceed gate_w_max")
     if errors:
         raise ConfigError(errors)
 
@@ -346,45 +373,22 @@ def _parse_topology(data, errors) -> Optional[Topology]:
     if not isinstance(data, dict):
         errors.append(_wrong_type("topology", "a mapping", data))
         return None
-    nodes = []
-    for i, raw in enumerate(_list_at(data, "nodes", "topology.nodes", errors)):
-        prefix = f"topology.nodes[{i}]"
-        if not isinstance(raw, dict):
-            errors.append(_wrong_type(prefix, "a mapping", raw))
-            continue
-        kinds = []
-        for s in _list_at(raw, "sensors", f"{prefix}.sensors", errors):
-            kind = _parse_kind(s, f"{prefix}.sensors", errors)
-            if kind in kinds:
-                errors.append(f"{prefix}.sensors: {kind.value} listed twice")
-            elif kind is not None:
-                kinds.append(kind)
-        nodes.append(_build_section(NodeSpec, {**raw, "sensors": tuple(kinds)}, prefix, errors))
-    heads = []
-    for i, raw in enumerate(_list_at(data, "cluster_heads", "topology.cluster_heads", errors)):
-        prefix = f"topology.cluster_heads[{i}]"
-        if not isinstance(raw, dict):
-            errors.append(_wrong_type(prefix, "a mapping", raw))
-            continue
-        peers = tuple(_list_at(raw, "peers", f"{prefix}.peers", errors))
-        heads.append(_build_section(ClusterSpec, {**raw, "peers": peers}, prefix, errors))
-    patrol = []
+    nodes = _entries(data, "nodes", "topology.nodes", NodeSpec, errors,
+                     {"sensors": _parse_sensors})
+    heads = _entries(data, "cluster_heads", "topology.cluster_heads", ClusterSpec, errors,
+                     {"peers": lambda v, where, errors: tuple(_as_list(v, where, errors))})
     uav = _at(data, "uav", {})
     if not isinstance(uav, dict):
         errors.append(_wrong_type("topology.uav", "a mapping", uav))
         uav = {}
     errors += [f"topology.uav.{key}: unknown key" for key in uav if key != "patrol"]
-    for i, raw in enumerate(_list_at(uav, "patrol", "topology.uav.patrol", errors)):
-        visit = _build_section(UavVisit, raw, f"topology.uav.patrol[{i}]", errors)
-        if visit is not None and visit.end < visit.start:
-            errors.append(f"topology.uav.patrol[{i}].end: must be >= start")
-        patrol.append(visit)
+    patrol = _entries(uav, "patrol", "topology.uav.patrol", UavVisit, errors)
     gateway_id = data.get("gateway_id", "gw")
     if not isinstance(gateway_id, str):
         errors.append(_wrong_type("topology.gateway_id", "a string", gateway_id))
     known = ("nodes", "cluster_heads", "uav", "gateway_id")
     errors += [f"topology.{key}: unknown key" for key in data if key not in known]
-    return Topology(tuple(nodes), tuple(heads), gateway_id, tuple(patrol))
+    return Topology(nodes, heads, gateway_id, patrol)
 
 
 def _parse_signals(data, errors) -> dict:
@@ -394,42 +398,21 @@ def _parse_signals(data, errors) -> dict:
         return signals
     for key, raw in data.items():
         kind = _parse_kind(key, "signals", errors)
-        if kind is None:
-            continue
-        if kind.is_binary:
+        if kind is not None and kind.is_binary:
             errors.append(f"signals.{key}: binary kinds take no signal spec")
-            continue
-        signals[kind] = _build_section(SignalSpec, raw, f"signals.{key}", errors)
+        elif kind is not None:
+            signals[kind] = _build_section(SignalSpec, raw, f"signals.{key}", errors)
     return signals
-
-
-def _parse_events(data, errors) -> tuple[EventSpec, ...]:
-    events = []
-    for i, raw in enumerate(data):
-        prefix = f"events[{i}]"
-        event = _build_section(EventSpec, raw, prefix, errors)
-        events.append(event)
-        if event is None:
-            continue
-        if event.end < event.start:
-            errors.append(f"{prefix}.end: must be >= start")
-        if event.kind == "leak" and event.magnitude <= 0:
-            errors.append(f"{prefix}.magnitude: leak needs a positive magnitude")
-        if event.kind == "leak" and event.radius <= 0:
-            errors.append(f"{prefix}.radius: must be positive")
-    return tuple(events)
 
 
 def _check_cross(config: ScenarioConfig, errors) -> None:
     """The checks that relate two sections of a scenario whose every field
-    passed: the UAV patrol, the events and the reporting window against
-    the clusters and the horizon; the topology's ids and links; and the
-    sensor kinds the nodes carry against the signal specs, the events and
-    the gate floors."""
+    passed: the events and the reporting window against the horizon; the
+    topology's ids and links and the UAV patrol's clusters; and the sensor
+    kinds the nodes carry against the signal specs, the events and the gate
+    floors. An empty nodes or cluster-heads list stops the checks that name
+    node or cluster ids, since each of them would follow from it."""
     topology, horizon, fusion = config.topology, config.horizon, config.fusion
-    head_ids = {c.cluster_id for c in topology.cluster_heads}
-    errors += [f"topology.uav.patrol[{i}].cluster_id: unknown cluster {_short(v.cluster_id)}"
-               for i, v in enumerate(topology.uav_patrol) if v.cluster_id not in head_ids]
     errors += [f"events[{i}].end: tick {e.end} outside horizon {horizon}"
                for i, e in enumerate(config.events) if e.end >= horizon]
     if horizon % config.detection.window:
@@ -442,6 +425,11 @@ def _check_cross(config: ScenarioConfig, errors) -> None:
         errors.append("topology.nodes: at least one node required")
     if not topology.cluster_heads:
         errors.append("topology.cluster_heads: at least one cluster head required")
+    if not (topology.nodes and topology.cluster_heads):
+        return
+    head_ids = {c.cluster_id for c in topology.cluster_heads}
+    errors += [f"topology.uav.patrol[{i}].cluster_id: unknown cluster {_short(v.cluster_id)}"
+               for i, v in enumerate(topology.uav_patrol) if v.cluster_id not in head_ids]
     # nodes, cluster heads and the gateway share one id space
     ids = [("topology.nodes", n.node_id) for n in topology.nodes]
     ids += [("topology.cluster_heads", c.cluster_id) for c in topology.cluster_heads]

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..consensus import DisconnectedGraphError
-from ..core import SensorKind, left_sum
+from ..core import SensorKind, left_sum, left_sums
 from ..ekf import NumericFailureError
 from .config import ScenarioConfig
 from .detect import detect_events
@@ -41,10 +41,9 @@ class SimulationResult(NamedTuple):
 
 
 def _rmse(stream: str, reported: np.ndarray, truth: np.ndarray) -> float:
-    # the squares added left to right, as left_sum adds them
     with np.errstate(over="ignore", invalid="ignore"):
         error = reported - truth
-        total = float(np.add.accumulate(error * error)[-1])
+        total = float(left_sums(error * error))
     if not math.isfinite(total):
         raise NumericFailureError(f"stream {stream}: estimation error overflows")
     return math.sqrt(total / len(reported))

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ..core import SensorKind
+from ..core import SensorKind, left_sums
 from .. import consensus as consensus_mod
 from .. import ekf, fusvaf
 from .config import ScenarioConfig
@@ -103,12 +103,6 @@ def hold_series(reports, horizon: int) -> np.ndarray:
     return np.repeat(reports["value"], held)
 
 
-def _row_sums(rows: np.ndarray) -> np.ndarray:
-    """Each row's left_sum, bit for bit (+0.0 padding adds nothing: no left_sum is -0.0)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan sums, as left_sum gives
-        return np.add.accumulate(np.column_stack([np.zeros(len(rows)), rows]), axis=1)[:, -1]
-
-
 class ClusterStageResult(NamedTuple):
     """One (cluster, kind) stream at its cluster head, one WINDOW entry per window."""
 
@@ -169,7 +163,7 @@ def cluster_stage(
     at = np.arange(n_windows)  # argmax and argmin take the first of tied values, as max() does
     windows = np.empty(n_windows, WINDOW)
     windows["count"] = counts
-    windows["avg"] = _row_sums(rows) / np.maximum(counts, 1)
+    windows["avg"] = left_sums(rows) / np.maximum(counts, 1)
     windows["max"] = rows[at, np.where(filled, rows, -np.inf).argmax(axis=1)]
     windows["min"] = rows[at, np.where(filled, rows, np.inf).argmin(axis=1)]
 
@@ -197,7 +191,7 @@ def cluster_stage(
     # each analog window's mean of the relayed raw values
     relay_mean = not fusion_cfg.cluster_fusvaf and not kind.is_binary
     has_mean = np.full(n_windows, fuse) | relay_mean & (counts > 0)
-    windows["fused"] = (_row_sums(np.reshape(fusion.fused, (n_windows, window))) / window
+    windows["fused"] = (left_sums(np.reshape(fusion.fused, (n_windows, window))) / window
                         if fuse else windows["avg"])
     # checked before nan marks "no value": an overflowed inf - inf sum is nan too
     for w in np.flatnonzero(has_mean & ~np.isfinite(windows["fused"]))[:1]:
