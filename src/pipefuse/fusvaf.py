@@ -315,64 +315,82 @@ def _fusvaf_kernel(
     isfinite, expm1 = math.isfinite, math.expm1
     predict, observe = predictor.predict, predictor.observe
     previous = order = None  # held series repeat their values; order depends on them alone
+    # steady counts the held ticks in a row whose outputs equalled the tick before's. New
+    # readings set it to -1, so that their own tick counts for nothing; sigmas stays the
+    # last tick's.
+    steady, sigmas = 0, []
     for i, (tick, slots, values) in enumerate(groups):
         if values != previous:  # a held tick's readings were checked when they changed
             if not all(map(isfinite, values)):  # nan would corrupt window_sorted
                 bad = next(z for z in values if not isfinite(z))
                 raise ekf.NumericFailureError(f"tick {tick}: reading {bad} is not finite")
-            previous, order = values, sorted(range(len(values)), key=values.__getitem__)
+            previous, order, steady = values, sorted(range(len(values)), key=values.__getitem__), -1
         predicted = predict()
         if predicted is None:
             predicted = left_sum(values) / len(values)
         if not isfinite(predicted):  # e.g. the first-tick mean overflowed
             raise ekf.NumericFailureError(f"tick {tick}: prediction {predicted} is not finite")
-        if i < window:
-            half_width = warmup_half_width
-        else:  # as adapt_gate, over residuals that are already absolute
-            half_width = adaptation.half_width(_median(window_sorted))
-        v_l, v_r, a = predicted - half_width, predicted + half_width, half_width / 2.0
-        if not (a > 0.0 and -math.inf < v_l < predicted < v_r < math.inf):
-            # the half-width vanishes next to a huge prediction; the gate's own
-            # checks word the error
-            try:
-                ValidationGate.symmetric(predicted, half_width)
-            except ValueError as exc:
-                raise ekf.NumericFailureError(f"tick {tick}: {exc}") from None
-        # as confidence() for the gate, with each flank's edge term computed once
-        edge_l, edge_r = _edge(predicted - v_l, a), _edge(predicted - v_r, a)
-        sigmas = []
-        for slot, z in zip(slots, values):
-            if z <= v_l or z > v_r:
-                sigma = 0.0
-            else:  # _bell, with min(1.0, max(0.0, sigma)) spelled out
-                edge = edge_l if z <= predicted else edge_r
-                sigma = (expm1(-(((predicted - z) / a) ** 2)) - edge) / -edge
-                sigma = (sigma if sigma < 1.0 else 1.0) if sigma > 0.0 else 0.0
-            sigmas.append(sigma)
-            value_cols[slot][i] = z
-            sigma_cols[slot][i] = sigma
-        if adaptive_alpha and i > 0 and not any(sigmas):
-            fused = predicted  # alpha, the last tick's total confidence, may be 0 too
+        # A converged hold (so i > window): the last `window` ticks held these readings and
+        # each repeated the outputs of the tick before. The residual window then holds only
+        # their residuals and alpha their total confidence, so the same prediction gives the
+        # last tick's outputs again. == does not tell 0.0 from -0.0, whose bytes differ.
+        if steady >= window and predicted == predicted_col[-1] != 0.0 and 0.0 not in values:
+            for slot, z, sigma in zip(slots, values, sigmas):
+                value_cols[slot][i] = z
+                sigma_cols[slot][i] = sigma
         else:
-            try:
-                fused = _fuse_weighted(values, sigmas, order, predicted, alpha, omega)
-            except DegenerateDenominatorError as exc:
-                raise DegenerateDenominatorError(f"tick {tick}: {exc}") from None
+            if i < window:
+                half_width = warmup_half_width
+            else:  # as adapt_gate, over residuals that are already absolute
+                half_width = adaptation.half_width(_median(window_sorted))
+            v_l, v_r, a = predicted - half_width, predicted + half_width, half_width / 2.0
+            if not (a > 0.0 and -math.inf < v_l < predicted < v_r < math.inf):
+                # the half-width vanishes next to a huge prediction; the gate's own
+                # checks word the error
+                try:
+                    ValidationGate.symmetric(predicted, half_width)
+                except ValueError as exc:
+                    raise ekf.NumericFailureError(f"tick {tick}: {exc}") from None
+            # as confidence() for the gate, with each flank's edge term computed once
+            edge_l, edge_r = _edge(predicted - v_l, a), _edge(predicted - v_r, a)
+            sigmas = []
+            for slot, z in zip(slots, values):
+                if z <= v_l or z > v_r:
+                    sigma = 0.0
+                else:  # _bell, with min(1.0, max(0.0, sigma)) spelled out
+                    edge = edge_l if z <= predicted else edge_r
+                    sigma = (expm1(-(((predicted - z) / a) ** 2)) - edge) / -edge
+                    sigma = (sigma if sigma < 1.0 else 1.0) if sigma > 0.0 else 0.0
+                sigmas.append(sigma)
+                value_cols[slot][i] = z
+                sigma_cols[slot][i] = sigma
+            if adaptive_alpha and i > 0 and not any(sigmas):
+                fused = predicted  # alpha, the last tick's total confidence, may be 0 too
+            else:
+                try:
+                    fused = _fuse_weighted(values, sigmas, order, predicted, alpha, omega)
+                except DegenerateDenominatorError as exc:
+                    raise DegenerateDenominatorError(f"tick {tick}: {exc}") from None
+            # before observe, which may refuse a fused value that is not finite: the oldest
+            # residuals leave first, so that a nan one cannot misplace them
+            if len(residual_window) == window:
+                for r in residual_window.popleft():
+                    del window_sorted[bisect_left(window_sorted, r)]
+            residuals = [abs(z - fused) for z in values]
+            residual_window.append(residuals)
+            for r in residuals:
+                insort(window_sorted, r)
+            if adaptive_alpha:
+                alpha = left_sum(sigmas)
+            # on held readings the confidences follow from the prediction and the half-width
+            steady = (steady + 1 if steady >= 0 and predicted == predicted_col[-1]
+                      and half_width == half_widths[-1] and fused == fused_col[-1] else 0)
         try:
             observe(fused)
         except ekf.NumericFailureError as exc:
             raise ekf.NumericFailureError(f"tick {tick}: {exc}") from None
         if not isfinite(fused):  # after observe: a predictor that refuses it words the error
             raise ekf.NumericFailureError(f"tick {tick}: fused value {fused} is not finite")
-        residuals = [abs(z - fused) for z in values]
-        residual_window.append(residuals)
-        for r in residuals:
-            insort(window_sorted, r)
-        if len(residual_window) > window:
-            for r in residual_window.popleft():
-                del window_sorted[bisect_left(window_sorted, r)]
-        if adaptive_alpha:
-            alpha = left_sum(sigmas)
         ticks.append(tick)
         fused_col.append(fused)
         predicted_col.append(predicted)

@@ -11,6 +11,7 @@ relate two sections.
 from __future__ import annotations
 
 import math
+import re
 import reprlib
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -25,8 +26,17 @@ from ..core import ConfigError, SensorKind
 # for: the world holds one float per tick for every stream.
 MAX_HORIZON = 10_000_000
 
-# libyaml's parser when pyyaml was built with it; both give the same objects
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """libyaml's parser when pyyaml was built with it; both give the same
+    objects. YAML 1.1 reads an exponent without a dot (1e-12) as text, so
+    such a plain scalar is resolved as a float here, as YAML 1.2 does."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9]+(\.[0-9]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"),
+)
 
 
 # a field's bound (its section's BOUNDS entry), as the error words it -> the test a value passes
@@ -508,7 +518,7 @@ def apply_overrides(data: dict, overrides) -> dict:
             if not isinstance(target, dict):
                 raise ConfigError([f"override {path!r}: {k} is not a section"])
         try:
-            target[keys[-1]] = yaml.load(raw_value, Loader=_LOADER)
+            target[keys[-1]] = yaml.load(raw_value, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError([f"override {item!r}: invalid YAML value: {exc}"]) from None
         except ValueError as exc:  # an integer of more than 4,300 digits
@@ -520,7 +530,7 @@ def load_scenario(path, overrides=(), seed: Optional[int] = None) -> ScenarioCon
     """Load, override, and validate a scenario YAML file."""
     path = Path(path)
     try:
-        data = yaml.load(path.read_text(encoding="utf-8"), Loader=_LOADER)
+        data = yaml.load(path.read_text(encoding="utf-8"), Loader=_Loader)
     except OSError as exc:
         raise ConfigError([f"{path}: {exc}"]) from None
     except yaml.YAMLError as exc:

@@ -203,8 +203,12 @@ class TestRun:
 
     @pytest.mark.parametrize("override, error", [
         ("horizon=-3", "horizon: expected a positive integer, got -3"),
-        ("signals.pressure.noise_std=1e308",
+        # quoted, so a string; unquoted, 1e308 is a float, as 1.0e+308 is
+        ("signals.pressure.noise_std='1e308'",
          "signals.pressure.noise_std: expected a finite number, got '1e308'"),
+        ("signals.pressure.noise_std=1e308",
+         "signals.pressure.noise_std: implies a gate floor of inf, "
+         "above fusion.gate_w_max 100.0"),
         ("signals.pressure.noise_std=1.0e+308",
          "signals.pressure.noise_std: implies a gate floor of inf, "
          "above fusion.gate_w_max 100.0"),

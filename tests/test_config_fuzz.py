@@ -16,10 +16,11 @@ from pipefuse.sim.config import MAX_HORIZON
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO = ROOT / "scenarios" / "baseline_10node.yaml"
 DROP = "<drop>"
-# type swaps, non-finite, negative, tiny and huge values; "1e308" is a
-# string under YAML 1.1, 10**400 an integer too large for a float
+# type swaps, non-finite, negative, tiny and huge values; safe_dump writes
+# "1e308" plain, which the scenario loader reads as a float, while "1.5e"
+# stays a string; 10**400 is an integer too large for a float
 ODD_VALUES = [
-    None, True, "abc", "1e308", [], {}, [1], 0, -1, 2**63, 10**400, 0.0, -1.0,
+    None, True, "abc", "1e308", "1.5e", [], {}, [1], 0, -1, 2**63, 10**400, 0.0, -1.0,
     5e-324, 1.0e306, 1.0e308, 1.7e308, -1.7e308, float("inf"), float("-inf"), float("nan"),
 ]
 

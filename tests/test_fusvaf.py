@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pipefuse import ekf
+from pipefuse import ekf, fusvaf
 from pipefuse.core import SensorKind, left_sum, merge_traces, trace_from_pairs
 from pipefuse.fusvaf import (
     DegenerateDenominatorError,
@@ -623,6 +623,82 @@ def non_finite_reading_case(value, tick):
     return traces, FusionParams(1.0, 1.0), EkfPredictor, GateAdaptation(w_max=5.0), False
 
 
+@st.composite
+def long_held_cases(draw):
+    """Zero-order-held members of up to ~300 ticks, as the simulator fuses
+    them: each holds 1-4 values (near one level, far off, or +-0.0) for its
+    own run length, so holds end on different ticks. Long holds reach the
+    fixed point that the kernel repeats; fusion_cases (horizon <= 40)
+    never gets there."""
+    level = draw(st.floats(-100, 100))
+    values = st.one_of(st.floats(-2, 2).map(lambda o: level + o), st.floats(-300, 300),
+                       st.sampled_from([0.0, -0.0]))
+    traces = []
+    for i in range(draw(st.integers(1, 3))):
+        runs = draw(st.lists(values, min_size=1, max_size=4))
+        traces.append(held_trace(f"s{i}", runs, draw(st.integers(1, 300 // len(runs)))))
+    _, params, predictor, adaptation, adaptive = draw(fusion_cases())
+    return traces, params, predictor, adaptation, adaptive
+
+
+def long_hold_case(predictor=EkfPredictor):
+    """One member held at one value for 300 ticks."""
+    return ([held_trace("s0", [20.5], 300)], FusionParams(1.0, 1.0), predictor,
+            GateAdaptation(w_max=5.0), False)
+
+
+def staggered_holds_case():
+    """Three members whose holds end on different ticks, with adaptive alpha."""
+    traces = [held_trace("s0", [20.1, 20.6, 20.3], 100), held_trace("s1", [20.2, 20.5], 150),
+              held_trace("s2", [20.0, 20.4, 19.9, 20.2], 75)]
+    adaptation = GateAdaptation(k_sigma=3.0, w_min=0.2, w_max=5.0, window=4)
+    return traces, FusionParams(1.0, 1.0), EkfPredictor, adaptation, True
+
+
+def held_zero_case(zero):
+    """A reading of zero (0.0 or -0.0) held next to one of 1.0, so the
+    prediction settles away from 0 but the hold may not be repeated."""
+    traces = [held_trace("s0", [zero], 200), held_trace("s1", [1.0], 200)]
+    return traces, FusionParams(1.0, 1.0), EkfPredictor, GateAdaptation(w_max=5.0, window=3), False
+
+
+def scripted_hold_case():
+    """A hold whose prediction is repeated for 50 ticks, then changes while
+    the reading is still held."""
+    predictions = [3.2] * 50 + [2.9] * 70
+    return ([held_trace("s0", [3.0], 120)], FusionParams(1.0, 1.0),
+            lambda: ScriptedPredictor(predictions), GateAdaptation(w_max=5.0, window=5), False)
+
+
+def jump_outside_gate_case():
+    """Adaptive alpha and a constant prediction: the reading jumps from 5.0
+    to 9.0 while both lie outside the gate, so the tick of the jump gives
+    the outputs of the tick before, but not its residuals. The next tick's
+    gate is twice as wide."""
+    return ([held_trace("s0", [1.0, 5.0, 9.0, 9.0], 6)], FusionParams(1.0, 1.0),
+            lambda: ScriptedPredictor([1.0] * 24),
+            GateAdaptation(k_sigma=0.5, w_min=0.01, w_max=50.0, window=1), True)
+
+
+def alpha_settles_case():
+    """Adaptive alpha seeded with 100 and a constant prediction: tick 0
+    fuses near the prediction, later ticks nearer the reading. Tick 1
+    repeats tick 0's prediction and half-width but not its fused value, so
+    it must not count: tick 2's window still holds tick 0's larger residual
+    and is clamped to w_max too, but tick 3's gate is narrower."""
+    return ([held_trace("s0", [1.5], 30)], FusionParams(100.0, 1.0),
+            lambda: ScriptedPredictor([1.0] * 30),
+            GateAdaptation(w_min=0.01, w_max=1.0, window=2, initial_half_width=1.0), True)
+
+
+def hold_ends_at_shortcut_case():
+    """One member whose holds last 7 ticks with window 3: a constant member
+    repeats its outputs from tick 2 * window + 1 = 7 on, the very tick at
+    which its first hold ends."""
+    return ([held_trace("s0", [20.5, 21.0, 20.5, 19.75], 7)], FusionParams(1.0, 1.0),
+            EkfPredictor, GateAdaptation(w_max=5.0, window=3), False)
+
+
 def assert_same_outcome(traces, params, predictor, adaptation, adaptive_alpha):
     """fusvaf_stream returns what the reference loop returns, or raises the
     exception it raises; `predictor()` makes a fresh predictor."""
@@ -648,9 +724,43 @@ class TestKernelOracle:
     @example(case=held_nan_case())
     @example(case=non_finite_reading_case(float("nan"), 0))
     @example(case=non_finite_reading_case(float("inf"), 1))
+    @example(case=long_hold_case())
+    @example(case=staggered_holds_case())
+    @example(case=held_zero_case(0.0))
+    @example(case=held_zero_case(-0.0))
+    @example(case=scripted_hold_case())
+    @example(case=long_hold_case(lambda: SmoothingPredictor(0.3)))
+    @example(case=hold_ends_at_shortcut_case())
+    @example(case=jump_outside_gate_case())
+    @example(case=alpha_settles_case())
     @settings(max_examples=300, deadline=None)
     def test_equals_reference_loop(self, case):
         assert_same_outcome(*case)
+
+    @given(case=long_held_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_long_holds_equal_reference_loop(self, case):
+        assert_same_outcome(*case)
+
+    @pytest.mark.parametrize("case, fused_ticks", [
+        # warm-up, the first adapted tick, then `window` ticks that repeat it
+        (([held_trace("s0", [1013.25], 600)], FusionParams(), EkfPredictor, GateAdaptation(),
+          True), 2 * GateAdaptation().window + 1),
+        # each hold ends on the tick at which it would start to repeat
+        (hold_ends_at_shortcut_case(), 28),
+        # a held reading of +-0.0, or a prediction of 0.0: every tick is fused
+        (held_zero_case(0.0), 200),
+        (held_zero_case(-0.0), 200),
+        (([held_trace("s0", [1.0], 300), held_trace("s1", [-1.0], 300)], FusionParams(),
+          EkfPredictor, GateAdaptation(), False), 300),
+    ])
+    def test_converged_hold_repeats_last_outputs(self, monkeypatch, case, fused_ticks):
+        calls = []
+        weighted = fusvaf._fuse_weighted
+        monkeypatch.setattr(fusvaf, "_fuse_weighted", lambda *a: calls.append(1) or weighted(*a))
+        traces, params, predictor, adaptation, adaptive = case
+        fusvaf_columns(traces, params, predictor(), adaptation, adaptive)
+        assert len(calls) == fused_ticks
 
     @pytest.mark.parametrize("value, tick", [
         (float("nan"), 0), (float("inf"), 1), (float("-inf"), 2), (float("nan"), 2)])

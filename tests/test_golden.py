@@ -40,6 +40,8 @@ PIPELINE_OVERRIDES = {
     "raw": RAW,
     # 4,801-row stream files span many of write_csv's row blocks
     "raw_long": RAW + ["--override", "horizon=4800"],
+    # most single-member FUSVAF ticks are converged holds over this horizon
+    "fused_long": ["--override", "horizon=4800"],
 }
 
 
@@ -180,7 +182,7 @@ def read_manifest(path: Path) -> dict:
 
 @pytest.mark.parametrize("seed,pipeline", [
     (0, "fused"), (0, "raw"), (42, "fused"), (42, "raw"), (42, "fused_adaptive"),
-    (42, "raw_long"),
+    (42, "raw_long"), (42, "fused_long"),
 ])
 def test_run_outputs_match_golden(tmp_path, pipeline, seed):
     args = ["--quiet", "run", "--config", str(SCENARIO), "--seed", str(seed),

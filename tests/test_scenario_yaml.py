@@ -1,6 +1,7 @@
 """The scenario loader parses with libyaml when pyyaml has it; these tests
 check that it reads every scenario and override exactly as the pure-Python
-loader does."""
+loader with the same resolvers does, and that it reads an exponent without
+a dot as a float."""
 
 import copy
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 import yaml
 
 from pipefuse.cli import main
-from pipefuse.sim import apply_overrides, load_scenario, scenario_from_dict
+from pipefuse.core import ConfigError
+from pipefuse.sim import apply_overrides, config, load_scenario, scenario_from_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.yaml"))
@@ -20,8 +22,14 @@ needs_libyaml = pytest.mark.skipif(
 )
 
 
+class PureLoader(yaml.SafeLoader):
+    """The pure-Python parser with the scenario loader's resolvers."""
+
+    yaml_implicit_resolvers = config._Loader.yaml_implicit_resolvers
+
+
 def both_loaders(text):
-    return yaml.load(text, Loader=yaml.CSafeLoader), yaml.load(text, Loader=yaml.SafeLoader)
+    return yaml.load(text, Loader=config._Loader), yaml.load(text, Loader=PureLoader)
 
 
 def bench_style_variants():
@@ -68,6 +76,7 @@ def test_loaders_agree_on_dumped_bench_style_variants(sort_keys):
 @needs_libyaml
 @pytest.mark.parametrize("raw", [
     "1e3", ".5", "1_000", "0x1f", "yes", "null", "~", "[1, 2]", "'abc'", "-.inf",
+    "-2E+3", "1.0e5", "'1e-12'", "1.5e",
 ])
 def test_loaders_agree_on_override_scalars(raw):
     fast, pure = both_loaders(raw)
@@ -78,7 +87,7 @@ def test_loaders_agree_on_override_scalars(raw):
 
 def test_load_scenario_equals_pure_python_parse():
     path = SCENARIOS[0]
-    pure = yaml.load(path.read_text(encoding="utf-8"), Loader=yaml.SafeLoader)
+    pure = yaml.load(path.read_text(encoding="utf-8"), Loader=PureLoader)
     assert load_scenario(path) == scenario_from_dict(pure, name=path.stem)
 
 
@@ -89,3 +98,38 @@ def test_unparsable_scenario_exits_2_and_names_its_path(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"pipefuse: error [config-invalid] {path}: invalid YAML: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw, value", [
+    ("1e-12", 1e-12), ("1E3", 1000.0), ("-2e+3", -2000.0), ("1.0e5", 1e5), ("1.e-2", 0.01),
+    ("'1e-12'", "1e-12"), ("1.5e", "1.5e"), ("e5", "e5"), ("1e3.5", "1e3.5"),
+])
+def test_exponent_without_dot_is_a_float(raw, value):
+    # YAML 1.1 reads 1e-12 as text; the scenario loader reads it as YAML 1.2 does
+    got = yaml.load(raw, Loader=config._Loader)
+    assert got == value and type(got) is type(value)
+
+
+def test_override_with_exponent_without_dot():
+    path = SCENARIOS[0]
+    scenario = load_scenario(path, ["fusion.consensus_tol=1e-12"])
+    assert scenario.fusion.consensus_tol == 1e-12
+    with pytest.raises(ConfigError) as quoted:
+        load_scenario(path, ["fusion.consensus_tol='1e-12'"])
+    assert quoted.value.errors == ["fusion.consensus_tol: expected a finite number, got '1e-12'"]
+
+
+def test_scenario_file_with_exponent_without_dot(tmp_path, capsys):
+    text = SCENARIOS[0].read_text(encoding="utf-8")
+    line = "  consensus_policy: on_detection\n"
+    assert line in text
+    path = tmp_path / "tol.yaml"
+    path.write_text(text.replace(line, line + "  consensus_tol: 1e-9\n"), encoding="utf-8")
+    bundled = load_scenario(SCENARIOS[0])
+    assert bundled.fusion.consensus_tol == 1e-9  # the default, written 1e-9 in the README
+    scenario = load_scenario(path)
+    assert type(scenario.fusion.consensus_tol) is float
+    assert scenario == bundled
+    assert main(["--quiet", "validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+

@@ -219,7 +219,7 @@ class TestConfigValidation:
         assert {config.gate_floor(kind) for kind in SensorKind} == {2.5}
 
     def test_invalid_signal_spec_not_also_missing(self):
-        # YAML 1.1 reads `1e308` as a string
+        # a string, as the scenario loader reads a quoted '1e308'
         data = base_config_dict(
             signals={"pressure": {"baseline": 500.0, "noise_std": "1e308"}}
         )
