@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -75,6 +76,21 @@ class CommGraph:
                     seen.add(nb)
                     stack.append(nb)
         return len(seen) == self.n
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        """metropolis_weights(self), built on first use and held read-only.
+        A disconnected graph caches nothing and raises on every use."""
+        W = metropolis_weights(self)
+        W.flags.writeable = False
+        return W
+
+    def __getstate__(self):
+        # a copy or an unpickled graph rebuilds the weights rather than
+        # receive them writeable
+        state = vars(self).copy()
+        state.pop("_weights", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -194,8 +210,9 @@ def run_consensus(
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter}")
     if initial.n != graph.n:
         raise ValueError(f"state has {initial.n} estimates but graph has {graph.n} agents")
-    W = metropolis_weights(graph)
-    # consensus_step on plain arrays: W matches the state by construction
+    W = graph._weights
+    # consensus_step on plain arrays: W matches the state by construction.
+    # W.dot(x, out=row) is the dgemv that np.matmul calls, with less overhead.
     x = initial.estimates
     history = [float(_dispersion(x))]
     iterations = 0
@@ -204,7 +221,7 @@ def run_consensus(
     while history[-1] >= tol and iterations < max_iter:
         block = np.empty((min(rows, cap, max_iter - iterations), initial.n))
         for row in block:
-            x = np.matmul(W, x, out=row)
+            x = W.dot(x, out=row)
         dispersions = _dispersion(block)
         # keep the rounds up to the first whose dispersion is not >= tol (nan too)
         stop = np.flatnonzero(~(dispersions >= tol))

@@ -119,10 +119,12 @@ def _check_finite(x: np.ndarray, p: np.ndarray) -> None:
 
 def _check_covariance(p: np.ndarray, name: str = "P") -> None:
     """Non-negative diagonal, then PSD within tolerance."""
-    if (p.diagonal() < 0).any():
+    if p.diagonal().min() < 0:
         raise ValueError(f"{name} diagonal must be non-negative")
-    # eigvalsh returns the eigenvalues in ascending order
-    if np.linalg.eigvalsh(p)[0] < -EPS_SYM * max(1.0, float(np.abs(p).max())):
+    # eigvalsh returns the eigenvalues in ascending order. The tolerance is
+    # negative, so a smallest eigenvalue >= 0 passes it without computing it.
+    low = np.linalg.eigvalsh(p)[0]
+    if low < 0 and low < -EPS_SYM * max(1.0, float(np.abs(p).max())):
         raise ValueError(f"{name} must be positive semi-definite (within tolerance)")
 
 

@@ -26,16 +26,37 @@ from ..core import ConfigError, SensorKind
 # for: the world holds one float per tick for every stream.
 MAX_HORIZON = 10_000_000
 
+_INT = "tag:yaml.org,2002:int"
+_FLOAT = "tag:yaml.org,2002:float"
+
 
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """libyaml's parser when pyyaml was built with it; both give the same
-    objects. YAML 1.1 reads an exponent without a dot (1e-12) as text, so
-    such a plain scalar is resolved as a float here, as YAML 1.2 does."""
+    objects. Plain scalars resolve to ints and floats as in YAML 1.1 minus
+    its base-60 (1:00:00) and leading-zero octal (017) forms, which stay
+    strings, and an exponent without a dot (1e-12) is a float, as in YAML 1.2."""
+
+    yaml_implicit_resolvers = {
+        first: [(tag, regexp) for tag, regexp in resolvers if tag not in (_INT, _FLOAT)]
+        for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()
+    }
 
 
 _Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9]+(\.[0-9]*)?[eE][-+]?[0-9]+$"),
+    _INT,
+    re.compile(r"""^(?:[-+]?0b[0-1_]+
+                |[-+]?(?:0|[1-9][0-9_]*)
+                |[-+]?0x[0-9a-fA-F_]+)$""", re.X),
     list("-+0123456789"),
+)
+_Loader.add_implicit_resolver(
+    _FLOAT,
+    re.compile(r"""^(?:[-+]?(?:[0-9][0-9_]*)\.[0-9_]*(?:[eE][-+][0-9]+)?
+                |\.[0-9][0-9_]*(?:[eE][-+][0-9]+)?
+                |[-+]?\.(?:inf|Inf|INF)
+                |\.(?:nan|NaN|NAN)
+                |[-+]?[0-9]+(?:\.[0-9]*)?[eE][-+]?[0-9]+)$""", re.X),
+    list("-+0123456789."),
 )
 
 

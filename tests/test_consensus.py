@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,9 +19,9 @@ from pipefuse.consensus import (
 
 
 @st.composite
-def connected_graphs(draw, max_n=20):
+def connected_graphs(draw, max_n=20, min_n=1):
     """Random connected graph: a random spanning tree plus extra edges."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     edges = set()
     for i in range(1, n):
         j = draw(st.integers(0, i - 1))
@@ -33,6 +36,13 @@ def connected_graphs(draw, max_n=20):
 
 def ring(n):
     return CommGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def ring_with_chords(n):
+    """A ring plus a diametral chord from every sixth agent."""
+    return CommGraph.from_edges(
+        n, [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(0, n // 2, 6)]
+    )
 
 
 def block_edges(n, count=10):
@@ -308,3 +318,85 @@ class TestProperties:
             s = consensus_step(s, W)
             sp = consensus_step(sp, Wp)
             assert np.allclose(sp.estimates[perm], s.estimates, atol=1e-12)
+
+
+class TestRunConsensusOracle:
+    """run_consensus (cached weights, W.dot into a block row) against the
+    step-by-step loop, whose consensus_step is one np.matmul with a freshly
+    built metropolis_weights matrix, bit for bit."""
+
+    @given(graph=connected_graphs(max_n=64, min_n=2), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_reference_loop(self, graph, data):
+        values = data.draw(st.lists(st.floats(-1e4, 1e4), min_size=graph.n, max_size=graph.n))
+        tol = data.draw(st.sampled_from([1e-12, 1e-9, 1e-3, 1.0]) | st.floats(1e-14, 1e2))
+        max_iter = data.draw(st.integers(1, 3000))
+        assert_run_equals_step_by_step(values, graph, tol, max_iter)
+
+    @pytest.mark.parametrize("tol, max_iter, converged", [
+        (1e-12, 10_000, True),   # the library benchmark's runs
+        (1e-9, 10_000, True),
+        (1e-12, 100, False),     # stops at max_iter: a seventh block cut to 37 rounds
+        (1e-12, 127, False),     # stops at max_iter: a full seventh block of 64
+    ])
+    def test_ring_with_chords_equals_reference_loop(self, tol, max_iter, converged):
+        graph = ring_with_chords(48)
+        rng = np.random.default_rng(48)
+        for values in rng.normal(100.0, 10.0, (3, 48)):
+            run = assert_run_equals_step_by_step(values, graph, tol, max_iter)
+            assert run.converged is converged
+            if not converged:
+                assert run.iterations == max_iter
+
+
+class TestWeightCache:
+    def test_built_once_per_graph(self, monkeypatch):
+        calls = []
+        build = consensus.metropolis_weights
+        monkeypatch.setattr(consensus, "metropolis_weights", lambda g: calls.append(g) or build(g))
+        graph, other = CommGraph.path(4), CommGraph.path(4)
+        for _ in range(3):
+            run_consensus(ConsensusState([1.0, 2.0, 4.0, 8.0]), graph)
+        assert calls == [graph]
+        run_consensus(ConsensusState([1.0, 2.0, 4.0, 8.0]), other)
+        assert len(calls) == 2 and calls[1] is other
+
+    def test_disconnected_graph_raises_on_every_call(self):
+        graph = CommGraph.from_edges(4, [(0, 1), (2, 3)])
+        message = "^graph with 4 agents and 2 edges is not connected$"
+        for _ in range(3):
+            with pytest.raises(DisconnectedGraphError, match=message):
+                run_consensus(ConsensusState([1.0, 2.0, 3.0, 4.0]), graph)
+            with pytest.raises(DisconnectedGraphError, match=message):
+                metropolis_weights(graph)
+        assert "_weights" not in vars(graph)
+
+    def test_cached_matrix_is_read_only(self):
+        graph = ring_with_chords(48)
+        run_consensus(ConsensusState(np.arange(48.0)), graph)
+        cached = graph._weights
+        assert cached is graph._weights
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 2.0
+
+    def test_metropolis_weights_returns_a_fresh_writeable_array(self):
+        graph = ring_with_chords(48)
+        cached = graph._weights
+        fresh = metropolis_weights(graph)
+        assert fresh.flags.writeable and not np.shares_memory(fresh, cached)
+        assert fresh.tobytes() == cached.tobytes()
+        fresh[0, 0] = 2.0
+        assert metropolis_weights(graph).tobytes() == cached.tobytes()
+
+    @pytest.mark.parametrize("duplicate", [
+        lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy, copy.copy,
+    ], ids=["pickle", "deepcopy", "copy"])
+    def test_copies_carry_no_writeable_weights(self, duplicate):
+        graph = CommGraph.path(5)
+        cached = graph._weights
+        twin = duplicate(graph)
+        assert twin == graph and hash(twin) == hash(graph)
+        assert "_weights" not in vars(twin)
+        assert not twin._weights.flags.writeable
+        assert twin._weights.tobytes() == cached.tobytes()

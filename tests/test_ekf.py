@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pipefuse import ekf
 from pipefuse.core import SensorKind, trace_from_pairs
 from pipefuse.ekf import (
+    EPS_SYM,
     FilterState,
     NumericFailureError,
     ProcessModel,
@@ -17,6 +19,7 @@ from pipefuse.ekf import (
     random_walk_step,
     run_filter,
     update,
+    _check_covariance,
     _filter_state,
 )
 
@@ -545,3 +548,132 @@ class TestClosedFormRandomWalk:
     def test_bad_parameters_rejected(self, q, r, p0):
         with pytest.raises(ValueError):
             random_walk_estimates([1.0], q, r, 1.0, p0)
+
+
+def reference_check_covariance(p, name="P"):
+    """_check_covariance as first written: the diagonal as a test per entry,
+    and both sides of the PSD comparison computed for every matrix."""
+    if (p.diagonal() < 0).any():
+        raise ValueError(f"{name} diagonal must be non-negative")
+    if np.linalg.eigvalsh(p)[0] < -EPS_SYM * max(1.0, float(np.abs(p).max())):
+        raise ValueError(f"{name} must be positive semi-definite (within tolerance)")
+
+
+def covariance_verdict(check, p, name="P"):
+    """The message that check(p, name) raises, or None if p passes."""
+    try:
+        check(p, name)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def boundary_matrix(scale, factor):
+    """[[s, s + d], [s + d, s]], whose eigenvalues are -d and 2s + d, with d
+    `factor` times the tolerance EPS_SYM * max(1, s)."""
+    off = scale + factor * EPS_SYM * max(1.0, scale)
+    return np.array([[scale, off], [off, scale]])
+
+
+BOUNDARY_SCALES = [1e-6, 0.5, 1.0, 2.0, 1e6]  # |P|max below, at and above 1
+
+COVARIANCE_CASES = [
+    *(boundary_matrix(s, f) for s in BOUNDARY_SCALES for f in (1 - 1e-3, 1 + 1e-3)),
+    np.zeros((1, 1)),
+    np.zeros((3, 3)),
+    np.array([[-0.0]]),
+    np.array([[-0.0, 0.0], [0.0, 1.0]]),
+    np.array([[-0.0, 1.0], [1.0, -0.0]]),   # -0.0 on the diagonal, eigenvalue -1
+    np.array([[1.0, 1.0], [1.0, 1.0]]),     # singular: eigenvalue 0 up to rounding
+    np.array([[-1e-300]]),
+    np.array([[1.0, 2.0], [2.0, -0.5]]),    # negative diagonal and a negative eigenvalue
+    np.diag([1e-12, 0.0, 3.0]),
+]
+
+
+class TestCovarianceCheckOracle:
+    """_check_covariance against the formula it replaced: the same verdict and
+    message on every matrix, alone and in FilterState, _filter_state and
+    ProcessModel."""
+
+    @pytest.mark.parametrize("scale", BOUNDARY_SCALES)
+    def test_cases_straddle_the_tolerance(self, scale):
+        for factor, passes in ((1 - 1e-3, True), (1 + 1e-3, False)):
+            p = boundary_matrix(scale, factor)
+            low = np.linalg.eigvalsh(p)[0]
+            tolerance = EPS_SYM * max(1.0, float(np.abs(p).max()))
+            assert low < 0 and bool(low >= -tolerance) is passes
+
+    @pytest.mark.parametrize("p", COVARIANCE_CASES)
+    def test_same_verdict_as_reference(self, p):
+        for name in ("P", "Q", "R"):
+            assert (covariance_verdict(_check_covariance, p, name)
+                    == covariance_verdict(reference_check_covariance, p, name))
+
+    @pytest.mark.parametrize("p", COVARIANCE_CASES)
+    def test_constructors_agree_with_reference(self, p):
+        n = p.shape[0]
+        ident = lambda x: x
+        public = lambda: FilterState(np.zeros(n), p)
+        fast = lambda: _filter_state(np.zeros(n), p.copy(), 0)
+        q_model = lambda: ProcessModel(n, ident, ident, p, np.eye(n))
+        r_model = lambda: ProcessModel(n, ident, ident, np.eye(n), p)
+        if covariance_verdict(reference_check_covariance, p) is None:
+            assert public().P.tobytes() == fast().P.tobytes() == p.tobytes()
+            assert q_model().Q.tobytes() == r_model().R.tobytes() == p.tobytes()
+            return
+        raise_alike(fast, public)
+        for name, build in (("P", public), ("Q", q_model), ("R", r_model)):
+            message = covariance_verdict(reference_check_covariance, p, name)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        magnitude=st.integers(-8, 8),
+        shift=st.floats(-2.0, 2.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_matrices_near_the_tolerance(self, seed, n, magnitude, shift):
+        # a random symmetric matrix moved so that its smallest eigenvalue
+        # lies within two tolerances of zero, on either side
+        a = np.random.default_rng(seed).normal(0.0, 10.0**magnitude, (n, n))
+        a = 0.5 * (a + a.T)
+        tolerance = EPS_SYM * max(1.0, float(np.abs(a).max()))
+        p = a + (shift * tolerance - np.linalg.eigvalsh(a)[0]) * np.eye(n)
+        assert (covariance_verdict(_check_covariance, p)
+                == covariance_verdict(reference_check_covariance, p))
+
+
+class TestTracedEntryPoints:
+    """bench/tracing.py times the filter by rebinding predict, update and
+    numeric_jacobian in this module; a step that stopped calling them
+    through the module would read 0 there without any error."""
+
+    @pytest.mark.parametrize("analytic, jacobians_per_reading", [(False, 2), (True, 0)])
+    def test_run_filter_calls_each_step_through_the_module(
+            self, monkeypatch, analytic, jacobians_per_reading):
+        names = ("predict", "update", "numeric_jacobian")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _name=name, _original=getattr(ekf, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(ekf, name, counted)
+
+        def f(x):
+            return np.array([x[0] + 0.1 * x[1], 0.9 * x[1]])
+
+        def h(x):
+            return np.array([np.hypot(x[0], x[1] + 2.0)])
+
+        jacobians = {}
+        if analytic:
+            jacobians = dict(F_jac=lambda x: np.array([[1.0, 0.1], [0.0, 0.9]]),
+                             H_jac=lambda x: np.array([[x[0], x[1] + 2.0]]) / h(x))
+        model = ProcessModel(2, f, h, np.diag([1e-3, 2e-3]), np.array([[0.05]]), **jacobians)
+        trace = trace_from_pairs([(t, 2.0 + 0.1 * t) for t in range(1, 8)], "n0",
+                                 SensorKind.PRESSURE)
+        run_filter(model, FilterState([0.3, -0.2], np.eye(2)), trace)
+        assert calls == {"predict": 7, "update": 7, "numeric_jacobian": 7 * jacobians_per_reading}

@@ -1,7 +1,8 @@
 """The scenario loader parses with libyaml when pyyaml has it; these tests
 check that it reads every scenario and override exactly as the pure-Python
-loader with the same resolvers does, and that it reads an exponent without
-a dot as a float."""
+loader with the same resolvers does, that it reads an exponent without a dot
+as a float, and that YAML 1.1's base-60 and leading-zero octal forms stay
+strings."""
 
 import copy
 from pathlib import Path
@@ -76,7 +77,7 @@ def test_loaders_agree_on_dumped_bench_style_variants(sort_keys):
 @needs_libyaml
 @pytest.mark.parametrize("raw", [
     "1e3", ".5", "1_000", "0x1f", "yes", "null", "~", "[1, 2]", "'abc'", "-.inf",
-    "-2E+3", "1.0e5", "'1e-12'", "1.5e",
+    "-2E+3", "1.0e5", "'1e-12'", "1.5e", "1:00:00", "12:30", "017", "0b101", "-0",
 ])
 def test_loaders_agree_on_override_scalars(raw):
     fast, pure = both_loaders(raw)
@@ -133,3 +134,48 @@ def test_scenario_file_with_exponent_without_dot(tmp_path, capsys):
     assert main(["--quiet", "validate", "--config", str(path)]) == 0
     assert capsys.readouterr().err == ""
 
+
+
+@pytest.mark.parametrize("raw, value", [
+    # YAML 1.1 reads these as 3600, 750, 90.5, 15, -15 and 0
+    ("1:00:00", "1:00:00"), ("12:30", "12:30"), ("1:30.5", "1:30.5"), ("017", "017"),
+    ("-017", "-017"), ("00", "00"),
+    # and these as the same numbers as before
+    ("0", 0), ("-0", 0), ("+17", 17), ("1_000", 1000), ("0x1f", 31), ("-0b101", -5),
+    ("017.5", 17.5), ("0.5", 0.5), (".5", 0.5), ("-.inf", float("-inf")), ("1e-12", 1e-12),
+    ("'017'", "017"), ("!!int 017", 15),
+])
+def test_base_60_and_leading_zero_octal_are_strings(raw, value):
+    got = yaml.load(raw, Loader=config._Loader)
+    assert got == value and type(got) is type(value)
+
+
+@pytest.mark.parametrize("override, error", [
+    ("horizon=1:00:00", "horizon: expected a positive integer, got '1:00:00'"),
+    ("seed=017", "seed: expected a non-negative integer, got '017'"),
+])
+def test_override_in_base_60_or_octal_is_refused(override, error, tmp_path, capsys):
+    with pytest.raises(ConfigError) as exc:
+        load_scenario(SCENARIOS[0], [override])
+    assert exc.value.errors == [error]
+    code = main(["run", "--config", str(SCENARIOS[0]), "--override", override,
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"pipefuse: error [config-invalid] {error}\n"
+
+
+def test_gateway_id_in_base_60_form_is_a_string_id():
+    scenario = load_scenario(SCENARIOS[0], ["topology.gateway_id=12:30"])
+    assert scenario.topology.gateway_id == "12:30"
+    assert scenario == load_scenario(SCENARIOS[0], ["topology.gateway_id='12:30'"])
+
+
+def test_scenario_file_with_octal_seed_is_refused(tmp_path):
+    text = SCENARIOS[0].read_text(encoding="utf-8")
+    assert "\nseed: 42\n" in text
+    path = tmp_path / "octal.yaml"
+    path.write_text(text.replace("\nseed: 42\n", "\nseed: 042\n"), encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        load_scenario(path)
+    assert exc.value.errors == ["seed: expected a non-negative integer, got '042'"]

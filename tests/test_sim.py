@@ -9,7 +9,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from pipefuse import fusvaf
+from pipefuse import consensus, fusvaf
 from pipefuse.cli import main
 from pipefuse.core import SensorKind, TraceError, check_stream, left_sum, trace_from_pairs
 from pipefuse.ekf import NumericFailureError
@@ -1166,6 +1166,16 @@ class TestConsensusStage:
         assert result.consensus_runs == []
         assert result.metrics.consensus_messages == 0
 
+
+def test_consensus_stage_runs_through_the_consensus_module(monkeypatch):
+    # bench/tracing.py times consensus by rebinding consensus.run_consensus;
+    # a stage that bound the function itself would read 0 there without any error
+    calls = []
+    original = consensus.run_consensus
+    monkeypatch.setattr(consensus, "run_consensus",
+                        lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+    result = run_simulation(load_scenario(BUNDLED))
+    assert len(calls) == len(result.consensus_runs) == 1
 
 def streak_onsets(flags, persistence):
     """The leak streak loop of detect_events before persistent_onsets."""
