@@ -3,9 +3,9 @@ implementation: the figure CSVs of scripts/reproduce_figures.py, the
 library paths the simulator does not run (a 4-state EKF with numeric
 Jacobians, a 48-agent consensus, and FUSVAF over gapped and late-joining
 traces with either predictor), and the whole `pipefuse run` output tree of
-the bundled scenario (fused, fused with adaptive alpha, and all-raw, the
-last also over a 4,800-tick horizon), pinned by one sha256 manifest per
-case.
+the bundled scenario (fused, fused with adaptive alpha, relay clusters,
+and all-raw, the last also over a 4,800-tick horizon), pinned by one
+sha256 manifest per case.
 
 `PYTHONPATH=src python tests/test_golden.py` rewrites tests/golden/library;
 do that only when a change to those outputs is intended.
@@ -42,6 +42,8 @@ PIPELINE_OVERRIDES = {
     "raw_long": RAW + ["--override", "horizon=4800"],
     # most single-member FUSVAF ticks are converged holds over this horizon
     "fused_long": ["--override", "horizon=4800"],
+    # clusters relay node reports while the node filter and consensus stay on
+    "relay": ["--override", "fusion.cluster_fusvaf=false"],
 }
 
 
@@ -182,7 +184,7 @@ def read_manifest(path: Path) -> dict:
 
 @pytest.mark.parametrize("seed,pipeline", [
     (0, "fused"), (0, "raw"), (42, "fused"), (42, "raw"), (42, "fused_adaptive"),
-    (42, "raw_long"), (42, "fused_long"),
+    (42, "raw_long"), (42, "fused_long"), (42, "relay"),
 ])
 def test_run_outputs_match_golden(tmp_path, pipeline, seed):
     args = ["--quiet", "run", "--config", str(SCENARIO), "--seed", str(seed),
