@@ -38,6 +38,8 @@ def _as_covariance(a, name: str) -> np.ndarray:
     m = np.atleast_2d(np.asarray(a, dtype=float))
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    if not m.size:
+        raise ValueError(f"{name} must not be empty, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} must be finite")
     if not np.allclose(m, m.T, atol=1e-12, rtol=0):
@@ -107,8 +109,9 @@ class FilterState:
 
 
 def _check_shape(x: np.ndarray, p: np.ndarray) -> None:
-    n = x.shape[0]
-    if x.ndim != 1 or p.shape != (n, n):
+    if not x.size:
+        raise ValueError(f"x_hat must not be empty, got shape {x.shape}")
+    if x.ndim != 1 or p.shape != x.shape * 2:  # (n,) * 2 == (n, n)
         raise ValueError(f"shape mismatch: x_hat {x.shape}, P {p.shape}")
 
 

@@ -19,12 +19,7 @@ from .config import (
 from .detect import Detection, detect_events
 from .metrics import RunMetrics, write_metrics_csv
 from .runner import SimulationResult, run_simulation
-from .stages import (
-    MessageKind,
-    cluster_stage,
-    consensus_stage,
-    node_stage,
-)
+from .stages import cluster_stage, consensus_stage, node_stage
 from .world import WorldData, generate_world
 
 __all__ = [
@@ -35,7 +30,6 @@ __all__ = [
     "EnergyConfig",
     "EventSpec",
     "FusionConfig",
-    "MessageKind",
     "NodeSpec",
     "RunMetrics",
     "ScenarioConfig",

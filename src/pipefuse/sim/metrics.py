@@ -15,7 +15,6 @@ import numpy as np
 
 from ..core import write_columns, write_csv
 from .config import ScenarioConfig
-from .stages import MessageKind
 
 
 class EventOutcome(NamedTuple):
@@ -59,21 +58,6 @@ class RunMetrics(NamedTuple):
     false_positives: int
     mean_detection_latency: float
     validated_detections: int
-
-
-def tally_messages(ledger, node_ids) -> dict:
-    """Split a message ledger {(src, dst, kind): (messages, bits)} into the
-    architecture's levels: {"<level>_messages": n, "<level>_bits": n}."""
-    tally = {f"{level}_{unit}": 0 for level in ("node", "cluster", "consensus", "alert")
-             for unit in ("messages", "bits")}
-    for (src, _, kind), (messages, bits) in ledger.items():
-        if kind in (MessageKind.CONSENSUS, MessageKind.ALERT):
-            level = kind.value
-        else:
-            level = "node" if src in node_ids else "cluster"
-        tally[f"{level}_messages"] += messages
-        tally[f"{level}_bits"] += bits
-    return tally
 
 
 def match_events(config: ScenarioConfig, detections) -> tuple[list, int]:

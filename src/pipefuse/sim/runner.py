@@ -14,15 +14,8 @@ from ..core import SensorKind, left_sum, left_sums
 from ..ekf import NumericFailureError
 from .config import ScenarioConfig
 from .detect import detect_events
-from .metrics import RunMetrics, match_events, tally_messages
-from .stages import (
-    MessageKind,
-    add_messages,
-    cluster_stage,
-    consensus_stage,
-    hold_series,
-    node_stage,
-)
+from .metrics import RunMetrics, match_events
+from .stages import cluster_stage, consensus_stage, hold_series, node_stage
 from .world import WorldData, generate_world
 
 
@@ -36,7 +29,7 @@ class SimulationResult(NamedTuple):
     event_outcomes: list  # one EventOutcome per injected event
     suspected_faulty: list  # [(cluster_id, kind, node_id, window_index)]
     consensus_runs: list
-    messages: dict  # ledger of the whole run
+    messages: dict  # "node", "cluster", "consensus", "alert" -> (messages, bits)
     metrics: RunMetrics
 
 
@@ -61,21 +54,21 @@ def _energy(figure: str, amount, scale: float = 1.0) -> float:
     return energy
 
 
+def _level(results) -> tuple:
+    """The (messages, bits) of stage results, summed."""
+    pairs = [result.messages for result in results]
+    return sum(n for n, _ in pairs), sum(bits for _, bits in pairs)
+
+
 def run_simulation(config: ScenarioConfig) -> SimulationResult:
     world = generate_world(config)
     topology = config.topology
-    gateway = topology.gateway_id
 
     # level 1: per-node pre-processing and report-on-change
     node_results: dict = {}
-    messages: dict = {}
     ops = 0
     for key in world.stream_keys():
-        node_id, kind = key
-        dst = topology.node(node_id).cluster_id
-        result = node_stage(world.traces[key], node_id, kind, config, dst)
-        node_results[key] = result
-        add_messages(messages, result.messages)
+        result = node_results[key] = node_stage(world.traces[key], *key, config)
         ops += result.ops
 
     # level 2: cluster-head fusion and aggregation
@@ -88,9 +81,8 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
             for n in topology.members_of(cluster_id)
             if kind in n.sensors
         }
-        result = cluster_stage(cluster_id, kind, member_reports, config, gateway)
+        result = cluster_stage(cluster_id, kind, member_reports, config)
         cluster_results[(cluster_id, kind)] = result
-        add_messages(messages, result.messages)
         ops += result.ops
         suspected.extend(
             (cluster_id, kind, node_id, w) for node_id, w in result.suspected_faulty
@@ -113,13 +105,15 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
                 # clusters without a pressure estimate can sever the peer
                 # graph; the alert still goes out, just without agreement
                 continue
-            add_messages(messages, stage.messages)
             ops += stage.ops
             consensus_runs.append(stage)
             detections[i] = det._replace(consensus_value=stage.agreed)
-    alerts = len(detections)
-    bits = alerts * config.energy.sample_bits
-    add_messages(messages, {(gateway, "gcc", MessageKind.ALERT): (alerts, bits)})
+    messages = {
+        "node": _level(node_results.values()),
+        "cluster": _level(cluster_results.values()),
+        "consensus": _level(consensus_runs),
+        "alert": (len(detections), len(detections) * config.energy.sample_bits),
+    }
 
     # estimation quality: zero-order-hold reconstruction vs ground truth
     reported_series: dict = {}
@@ -132,7 +126,7 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
             rmse_per_stream[stream] = _rmse(stream, held, world.truth[key])
 
     rmse_values = [rmse_per_stream[k] for k in sorted(rmse_per_stream)]
-    total_bits = sum(bits for _, bits in messages.values())
+    total_messages, total_bits = map(sum, zip(*messages.values()))
     energy = config.energy
     radio_energy = _energy("radio_energy", total_bits * energy.ops_per_bit, energy.per_op_cost)
     compute_energy = _energy("compute_energy", ops, energy.per_op_cost)
@@ -144,8 +138,9 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
         scenario=config.name,
         seed=config.seed,
         horizon=config.horizon,
-        **tally_messages(messages, {n.node_id for n in topology.nodes}),
-        total_messages=sum(n for n, _ in messages.values()),
+        **{f"{level}_{unit}": n for level, pair in messages.items()
+           for unit, n in zip(("messages", "bits"), pair)},
+        total_messages=total_messages,
         total_bits=total_bits,
         compute_ops=ops,
         radio_energy=radio_energy,

@@ -1,15 +1,13 @@
 """Per-level processing stages: node filtering, cluster fusion, peer consensus.
 
-Message accounting is explicit: every stage returns a message ledger
-{(src, dst, MessageKind): (messages, bits)} of what it sent, so the runner
-can charge radio energy and verify conservation. Between report-on-change
-reports, a node's value is reconstructed downstream by zero-order hold: a
-report means "valid until superseded".
+Every stage sends at one level of the network and returns the
+(messages, bits) it sent there, so the runner can charge radio energy per
+level. Between report-on-change reports, a node's value is reconstructed
+downstream by zero-order hold: a report means "valid until superseded".
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from itertools import repeat
 from typing import NamedTuple, Optional
 
@@ -25,24 +23,6 @@ from .detect import persistent_onsets
 BINARY_DELTA = 0.5
 
 
-class MessageKind(str, Enum):
-    RAW = "raw"
-    AGGREGATED = "aggregated"
-    FUSED = "fused"
-    ALERT = "alert"
-    CONSENSUS = "consensus"
-
-
-def add_messages(ledger: dict, entries: dict) -> dict:
-    """Add entries {(src, dst, kind): (messages, bits)} to a message ledger
-    and return it; an entry without messages adds no key."""
-    for key, (messages, bits) in entries.items():
-        if messages:
-            m, b = ledger.get(key, (0, 0))
-            ledger[key] = (m + messages, b + bits)
-    return ledger
-
-
 REPORT = np.dtype([("tick", np.int64), ("value", np.float64)])  # one transmitted report
 # one reporting window of one (cluster, kind) stream: entry w covers ticks
 # w*window..(w+1)*window-1; avg, max and min are nan without reports, and
@@ -55,12 +35,12 @@ class NodeStageResult(NamedTuple):
     node_id: str
     kind: SensorKind
     reports: np.ndarray  # of REPORT, the (tick, value) actually transmitted
-    messages: dict  # ledger
+    messages: tuple  # (messages, bits) sent to the cluster head
     ops: int
 
 
 def node_stage(
-    values: np.ndarray, node_id: str, kind: SensorKind, config: ScenarioConfig, dst: str
+    values: np.ndarray, node_id: str, kind: SensorKind, config: ScenarioConfig
 ) -> NodeStageResult:
     """On-node pre-processing of one raw stream, a float array indexed by tick.
 
@@ -87,9 +67,8 @@ def node_stage(
         reports = np.empty(len(values), REPORT)
         reports["tick"], reports["value"] = np.arange(len(values)), values
 
-    n = len(reports)
-    sent = {(node_id, dst, MessageKind.RAW): (n, n * config.energy.sample_bits)}
-    return NodeStageResult(node_id, kind, reports, add_messages({}, sent), ops)
+    sent = (len(reports), len(reports) * config.energy.sample_bits)
+    return NodeStageResult(node_id, kind, reports, sent, ops)
 
 
 def hold_series(reports, horizon: int) -> np.ndarray:
@@ -112,16 +91,12 @@ class ClusterStageResult(NamedTuple):
     fusion: Optional[fusvaf.FusionColumns]  # slot i is member_order[i]; None without FUSVAF
     member_order: list
     suspected_faulty: list  # [(node_id, window_index)] first flagged
-    messages: dict  # ledger
+    messages: tuple  # (messages, bits) sent to the gateway
     ops: int
 
 
 def cluster_stage(
-    cluster_id: str,
-    kind: SensorKind,
-    member_reports: dict,
-    config: ScenarioConfig,
-    gateway_id: str,
+    cluster_id: str, kind: SensorKind, member_reports: dict, config: ScenarioConfig
 ) -> ClusterStageResult:
     """Fuse and aggregate the co-located same-kind streams of one cluster
     into WINDOW entries.
@@ -213,18 +188,16 @@ def cluster_stage(
         # per window: one fused value if any, one 4-value aggregate if any reports
         fused = n_windows if fuse else 0
         summaries = int(np.count_nonzero(counts))
-        sent = {MessageKind.FUSED: (fused, fused * bits),
-                MessageKind.AGGREGATED: (summaries, summaries * 4 * bits)}
+        sent = (fused + summaries, (fused + 4 * summaries) * bits)
         ops = config.energy.aggregation_ops_per_value * len(received)
         if fusion is not None:
             ops += config.energy.fusvaf_ops_per_value * horizon * len(member_order)
     else:
-        sent = {MessageKind.RAW: (len(received), len(received) * bits)}
+        sent = (len(received), len(received) * bits)
         ops = 0  # the mains-powered gateway summarizes the relayed reports
-    messages = add_messages({}, {(cluster_id, gateway_id, k): v for k, v in sent.items()})
 
     return ClusterStageResult(
-        cluster_id, kind, windows, fusion, member_order, suspected, messages, ops
+        cluster_id, kind, windows, fusion, member_order, suspected, sent, ops
     )
 
 
@@ -233,7 +206,7 @@ class ConsensusStageResult(NamedTuple):
     rounds: int
     converged: bool
     mse_history: tuple
-    messages: dict  # ledger
+    messages: tuple  # (messages, bits) sent between cluster heads
     ops: int
     participants: list
 
@@ -256,18 +229,14 @@ def consensus_stage(estimates: dict, config: ScenarioConfig) -> ConsensusStageRe
         tol=config.fusion.consensus_tol,
         max_iter=config.fusion.consensus_max_iter,
     )
-    sent = (run.iterations, run.iterations * config.energy.sample_bits)
-    messages = add_messages({}, {
-        (participants[a], participants[b], MessageKind.CONSENSUS): sent
-        for i, j in graph.edges for a, b in ((i, j), (j, i))
-    })
+    sent = 2 * len(graph.edges) * run.iterations  # both directions of each edge, per round
     ops = config.energy.consensus_ops_per_value * run.iterations * len(participants)
     return ConsensusStageResult(
         agreed=float(consensus_mod.estimate_mean(run.estimates)),
         rounds=run.iterations,
         converged=run.converged,
         mse_history=run.mse_history,
-        messages=messages,
+        messages=(sent, sent * config.energy.sample_bits),
         ops=ops,
         participants=participants,
     )

@@ -371,10 +371,18 @@ class TestValidation:
         (np.eye(2), [[-0.1]], "R diagonal must be non-negative"),
         (np.eye(2), [[np.nan]], "R must be finite"),
         (np.eye(2), [[1.0, 0.5], [0.0, 1.0]], "R must be symmetric"),
+        (np.zeros((0, 0)), np.eye(1), "Q must not be empty, got shape (0, 0)"),
+        (np.eye(2), np.zeros((0, 0)), "R must not be empty, got shape (0, 0)"),
     ])
     def test_process_model_rejects_bad_noise_covariance(self, q, r, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             ProcessModel(2, lambda x: x, lambda x: x[:1], q, r)
+
+    @pytest.mark.parametrize("x_hat", [[], np.zeros((0, 2))])
+    def test_filter_state_rejects_an_empty_state(self, x_hat):
+        with pytest.raises(ValueError) as got:
+            FilterState(x_hat, np.zeros((0, 0)))
+        assert str(got.value) == f"x_hat must not be empty, got shape {np.shape(x_hat)}"
 
     def test_process_model_noise_covariance_tolerance_as_filter_state(self):
         # eigenvalue -1e-12: within FilterState's tolerance, so accepted by both
@@ -429,6 +437,7 @@ class TestStepConstructor:
     @pytest.mark.parametrize("x, p", [
         ([[0.0]], [[1.0]]),                      # x_hat not a vector
         ([0.0, 1.0], [[1.0]]),                   # P of the wrong size
+        ([], np.zeros((0, 0))),                  # no state at all
         ([np.nan], [[1.0]]),
         ([0.0], [[np.inf]]),
         ([0.0], [[-1.0]]),
@@ -442,6 +451,7 @@ class TestStepConstructor:
     @pytest.mark.parametrize("f, x1", [
         (lambda x: np.array([x[0], x[0]]), [0.5, 0.5]),
         (lambda x: np.reshape(x, (1, 1)), [[0.5]]),
+        (lambda x: np.zeros(0), []),
     ])
     def test_wrong_shape_from_model_f(self, f, x1):
         model = scalar_model(0.1, 0.1, f=f, F_jac=lambda x: np.array([[1.0]]))

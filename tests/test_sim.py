@@ -24,7 +24,6 @@ from pipefuse.fusvaf import (
 )
 from pipefuse.sim import (
     ConfigError,
-    MessageKind,
     apply_overrides,
     cluster_stage,
     consensus_stage,
@@ -51,7 +50,6 @@ from pipefuse.sim.metrics import match_events
 from pipefuse.sim.runner import _rmse
 from pipefuse.sim.stages import WINDOW, hold_series
 
-RAW, FUSED, CONSENSUS = MessageKind.RAW, MessageKind.FUSED, MessageKind.CONSENSUS
 BUNDLED = Path(__file__).resolve().parent.parent / "scenarios" / "baseline_10node.yaml"
 
 
@@ -702,22 +700,17 @@ class TestCheckStream:
 
 
 def pressure_stage(values, config):
-    return node_stage(np.asarray(values, dtype=float), "n0", SensorKind.PRESSURE, config, "c0")
-
-
-def sent(ledger):
-    """All messages in a ledger {(src, dst, kind): (messages, bits)}."""
-    return sum(n for n, _ in ledger.values())
+    return node_stage(np.asarray(values, dtype=float), "n0", SensorKind.PRESSURE, config)
 
 
 class TestNodeStage:
     def test_constant_noiseless_sends_one_message(self):
         result = pressure_stage([500.0] * 100, make_config())
-        assert result.messages == {("n0", "c0", RAW): (1, 32)}
+        assert result.messages == (1, 32)
 
     def test_raw_mode_forwards_every_tick(self):
         result = pressure_stage([500.0] * 100, make_config(fusion={"node_ekf": False}))
-        assert result.messages == {("n0", "c0", RAW): (100, 3200)}
+        assert result.messages == (100, 3200)
         assert result.ops == 0
 
     def test_filter_suppresses_messages_on_noisy_constant(self):
@@ -726,14 +719,14 @@ class TestNodeStage:
         values = 500.0 + rng.normal(0, noise_std, size=1000)
         smart = pressure_stage(values, make_config(fusion={"report_delta": 3 * noise_std}))
         raw = pressure_stage(values, make_config(fusion={"node_ekf": False}))
-        assert sent(smart.messages) == len(smart.reports)
-        assert sent(smart.messages) < sent(raw.messages) == 1000
+        assert smart.messages[0] == len(smart.reports)
+        assert smart.messages[0] < raw.messages[0] == 1000
 
     def test_report_count_monotone_in_delta(self):
         rng = np.random.default_rng(4)
         values = 500.0 + rng.normal(0, 1.0, size=500)
         counts = [
-            sent(pressure_stage(values, make_config(fusion={"report_delta": d})).messages)
+            pressure_stage(values, make_config(fusion={"report_delta": d})).messages[0]
             for d in (0.0, 0.5, 1.0, 2.0, 4.0)
         ]
         assert counts == sorted(counts, reverse=True)
@@ -749,13 +742,13 @@ class TestNodeStage:
         # an explicit gate floor: the derived one grows with report_delta
         config = make_config(fusion={"node_ekf": node_ekf, "report_delta": report_delta,
                                      "gate_w_min": 1.0})
-        assert node_stage(values, "n0", kind, config, "c0").reports[0][0] == 0
+        assert node_stage(values, "n0", kind, config).reports[0][0] == 0
 
     def test_binary_stream_reports_transitions(self):
         values = np.array([0.0] * 10 + [1.0] * 5 + [0.0] * 10)
-        result = node_stage(values, "n1", SensorKind.PIR, make_config(), "c0")
+        result = node_stage(values, "n1", SensorKind.PIR, make_config())
         assert [(t, v) for t, v in result.reports] == [(0, 0.0), (10, 1.0), (15, 0.0)]
-        assert result.messages == {("n1", "c0", RAW): (3, 96)}
+        assert result.messages == (3, 96)
         assert result.ops == 0  # no filter on 0/1 channels
 
 
@@ -773,10 +766,10 @@ class TestHoldSeries:
         for late in ([(2, 501.0), (4, 502.0)], []):
             reports = {"a": on_time, "b": late}
             with pytest.raises(ValueError) as got:
-                cluster_stage("c0", SensorKind.PRESSURE, reports, make_config(), "gw")
+                cluster_stage("c0", SensorKind.PRESSURE, reports, make_config())
             assert str(got.value) == "cluster c0: reports of b do not start at tick 0"
             relay = make_config(fusion={"cluster_fusvaf": False})
-            result = cluster_stage("c0", SensorKind.PRESSURE, reports, relay, "gw")
+            result = cluster_stage("c0", SensorKind.PRESSURE, reports, relay)
             assert result.windows["count"].sum() == 200 + len(late)
 
 
@@ -784,14 +777,14 @@ class TestClusterStage:
     def test_single_member_tracks_reports(self):
         config = make_config()
         reports = {"n0": [(t, 500.0 + 0.0 * t) for t in range(0, 200, 1)]}
-        result = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
+        result = cluster_stage("c0", SensorKind.PRESSURE, reports, config)
         fused = result.windows["fused"].tolist()
         assert fused == pytest.approx([500.0] * len(fused), abs=0.01)
 
     def test_window_aggregates(self):
         config = make_config(detection={"window": 10})
         reports = {"n0": [(0, 1.0), (2, 2.0), (5, 3.0), (9, 4.0)]}
-        result = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
+        result = cluster_stage("c0", SensorKind.PRESSURE, reports, config)
         assert result.windows[["count", "avg", "max", "min"]][0].tolist() == (4, 2.5, 4.0, 1.0)
 
     def test_stuck_member_flagged_suspected_faulty(self):
@@ -800,7 +793,7 @@ class TestClusterStage:
         good = [(t, 500.0) for t in range(200)]
         stuck = [(t, 560.0) for t in range(200)]
         reports = {"a": list(good), "b": list(good), "c": stuck}
-        result = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
+        result = cluster_stage("c0", SensorKind.PRESSURE, reports, config)
         flagged = [node_id for node_id, _ in result.suspected_faulty]
         assert "c" in flagged
         assert "a" not in flagged and "b" not in flagged
@@ -808,8 +801,9 @@ class TestClusterStage:
     def test_one_fused_message_per_window(self):
         config = make_config(detection={"window": 10})
         reports = {"n0": [(t, 500.0) for t in range(200)]}
-        result = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
-        assert result.messages[("c0", "gw", FUSED)] == (200 // 10, 200 // 10 * 32)
+        result = cluster_stage("c0", SensorKind.PRESSURE, reports, config)
+        # every window sends one fused value and, having reports, one 4-value summary
+        assert result.messages == (2 * 200 // 10, (1 + 4) * 200 // 10 * 32)
 
     @given(data=st.data(), window=st.integers(1, 12), n_windows=st.integers(1, 8),
            fuse=st.booleans())
@@ -828,7 +822,7 @@ class TestClusterStage:
                       for t in sorted(data.draw(tick_sets) | ({0} if fuse else set()))]
             for node_id in data.draw(st.sets(st.sampled_from("abcd"), min_size=1))
         }
-        result = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
+        result = cluster_stage("c0", SensorKind.PRESSURE, reports, config)
         assert len(result.windows) == horizon // window
         received = summaries = 0
         for w, (count, avg, high, low, _) in enumerate(result.windows.tolist()):
@@ -844,20 +838,19 @@ class TestClusterStage:
             summaries += bool(values)
         energy, bits = config.energy, config.energy.sample_bits
         if fuse:
-            sent = {FUSED: (n_windows, n_windows * bits),
-                    MessageKind.AGGREGATED: (summaries, summaries * 4 * bits)}
+            sent = (n_windows + summaries, (n_windows + 4 * summaries) * bits)
             assert result.ops == (energy.fusvaf_ops_per_value * horizon * len(reports)
                                   + energy.aggregation_ops_per_value * received)
         else:
-            sent = {RAW: (received, received * bits)}
+            sent = (received, received * bits)
             assert result.ops == 0
-        assert result.messages == {("c0", "gw", k): v for k, v in sent.items() if v[0]}
+        assert result.messages == sent
 
     def test_window_average_adds_member_by_member(self):
         # in tick order the 1.0 would be lost against 1e16 and the average be 0.0
         config = make_config(fusion={"cluster_fusvaf": False})
         reports = {"a": [(0, 1e16), (1, -1e16)], "b": [(0, 1.0)]}
-        window = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw").windows[0]
+        window = cluster_stage("c0", SensorKind.PRESSURE, reports, config).windows[0]
         assert (window["count"], window["avg"]) == (3, 1.0 / 3)
 
     def test_reports_outside_the_horizon_rejected(self):
@@ -866,7 +859,7 @@ class TestClusterStage:
         for tick in (200, -1):
             reports = {"n0": [(0, 1.0), (50, 2.0)], "n1": sorted([(10, 3.0), (tick, 4.0)])}
             with pytest.raises(ValueError) as got:
-                cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
+                cluster_stage("c0", SensorKind.PRESSURE, reports, config)
             assert str(got.value) == (
                 f"cluster c0: report of n1 at tick {tick} is outside ticks 0..199")
 
@@ -893,7 +886,7 @@ class TestClusterStage:
                                    SensorKind.PRESSURE)
                   for node_id in member_order]
         fusion = config.fusion
-        run = lambda: cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
+        run = lambda: cluster_stage("c0", SensorKind.PRESSURE, reports, config)
         try:
             points = fusvaf_stream(
                 traces, FusionParams(fusion.fusvaf_alpha, fusion.fusvaf_omega),
@@ -944,20 +937,20 @@ class TestClusterStage:
                               + config.energy.aggregation_ops_per_value * aggregated)
 
     def test_no_members_fuse_nothing(self):
-        result = cluster_stage("c0", SensorKind.PRESSURE, {}, make_config(), "gw")
-        assert result.fusion is None and result.messages == {}
+        result = cluster_stage("c0", SensorKind.PRESSURE, {}, make_config())
+        assert result.fusion is None and result.messages == (0, 0)
         assert np.isnan(result.windows["fused"]).all() and not result.windows["count"].any()
 
     def test_unordered_reports_rejected(self):
         reports = {"n0": [(5, 1.0), (2, 2.0)]}
         with pytest.raises(ValueError, match="tick order"):
-            cluster_stage("c0", SensorKind.PRESSURE, reports, make_config(), "gw")
+            cluster_stage("c0", SensorKind.PRESSURE, reports, make_config())
 
     def test_relay_mode_forwards_reports(self):
         config = make_config(fusion={"node_ekf": False, "cluster_fusvaf": False})
         reports = {"n0": [(t, 500.0) for t in range(50)]}
-        result = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
-        assert result.messages == {("c0", "gw", RAW): (50, 1600)}
+        result = cluster_stage("c0", SensorKind.PRESSURE, reports, config)
+        assert result.messages == (50, 1600)
         assert result.ops == 0
 
 
@@ -1049,7 +1042,7 @@ class TestArrayPassOracles:
         value = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0]) if fuse else ORACLE_VALUES
         reports = {node_id: [(t, data.draw(value)) for t in data.draw(ticks)]
                    for node_id in data.draw(st.sets(st.sampled_from("abc"), min_size=1))}
-        stage = lambda: cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
+        stage = lambda: cluster_stage("c0", SensorKind.PRESSURE, reports, config)
         try:
             expected = loop_windows("c0", reports, horizon, window, fuse)
         except ValueError as exc:
@@ -1107,16 +1100,13 @@ class TestConsensusStage:
         assert stage.agreed == pytest.approx(2.0, abs=1e-9)
         assert stage.rounds == 1
         # one message per peer edge per direction per round
-        assert stage.messages == {
-            (a, b, CONSENSUS): (1, 32)
-            for a in ("c0", "c1", "c2") for b in ("c0", "c1", "c2") if a != b
-        }
+        assert stage.messages == (6, 192)
 
     def test_identical_estimates_need_no_messages(self):
         config = self.config_three_heads()
         stage = consensus_stage({"c0": 7.0, "c1": 7.0, "c2": 7.0}, config)
         assert stage.rounds == 0
-        assert stage.messages == {}
+        assert stage.messages == (0, 0)
 
     def test_requires_two_heads(self):
         with pytest.raises(ValueError):
@@ -1309,7 +1299,7 @@ class TestPersistence:
 
         reports = {node_id: [(t, 1.0) for t in range(horizon)] for node_id in members}
         with mock.patch.object(fusvaf, "_fusvaf_kernel", kernel):
-            result = cluster_stage("c0", SensorKind.PRESSURE, reports, config, "gw")
+            result = cluster_stage("c0", SensorKind.PRESSURE, reports, config)
         assert result.suspected_faulty == zero_streak_flags(
             members, sigma, [OracleWindow(w, w * window, (w + 1) * window - 1)
                              for w in range(len(result.windows))], persistence)
@@ -1408,27 +1398,30 @@ class TestRunSimulation:
             events=[{"kind": "leak", "start": 100, "end": 110, "location": 0.0,
                      "magnitude": 60.0, "radius": 150.0}],
         ))
-        topology = run_config.topology
-        entity_ids = (
-            {n.node_id for n in topology.nodes}
-            | {c.cluster_id for c in topology.cluster_heads}
-            | {topology.gateway_id, "gcc"}
-        )
-        # no message is lost or invented: every ledger entry links two distinct
-        # live entities and carries at least one message of at least one bit,
-        # and splitting the ledger by receiver reassembles it exactly
-        ledger = result.messages
-        for (src, dst, kind), (count, bits) in ledger.items():
-            assert src in entity_ids and dst in entity_ids and src != dst
-            assert isinstance(kind, MessageKind)
+        world = result.world
+
+        def summed(results):
+            pairs = [r.messages for r in results]
+            return sum(n for n, _ in pairs), sum(bits for _, bits in pairs)
+
+        # no message is lost or invented: each level is the sum of what the
+        # stages at that level sent, one alert goes out per detection, and
+        # every level carries at least one message of at least one bit
+        node_results = [node_stage(world.traces[key], *key, run_config)
+                        for key in world.stream_keys()]
+        alerts = len(result.detections)
+        assert result.messages == {
+            "node": summed(node_results),
+            "cluster": summed(result.cluster_results.values()),
+            "consensus": summed(result.consensus_runs),
+            "alert": (alerts, alerts * run_config.energy.sample_bits),
+        }
+        for count, bits in result.messages.values():
             assert 1 <= count <= bits
-        inboxes = {e: [n for (_, dst, _), (n, _) in ledger.items() if dst == e]
-                   for e in entity_ids}
-        assert sum(sum(v) for v in inboxes.values()) == sent(ledger)
-        assert {kind for _, _, kind in ledger} >= {RAW, FUSED, CONSENSUS, MessageKind.ALERT}
         m = result.metrics
-        assert m.total_messages == sent(ledger)
-        assert m.total_bits == sum(bits for _, bits in ledger.values())
+        assert [(getattr(m, f"{level}_messages"), getattr(m, f"{level}_bits"))
+                for level in result.messages] == list(result.messages.values())
+        assert m.alert_messages == m.detections == alerts
         level_sum = (m.node_messages + m.cluster_messages
                      + m.consensus_messages + m.alert_messages)
         assert level_sum == m.total_messages
