@@ -1392,6 +1392,31 @@ class TestRunSimulation:
         # one report-on-change message per stream, one fused+agg window message set
         assert m.node_messages == 6  # 4 pressure + 2 binary streams
 
+    def test_rmse_mean_adds_streams_in_string_order(self):
+        # the bundled scenario's pattern over 25 nodes in a chain of 5
+        # clusters: from n10 on, sorting "node:kind" strings ("n10:..." <
+        # "n1:...") and sorting stream keys ("n1" < "n10") disagree
+        data = yaml.safe_load(BUNDLED.read_text(encoding="utf-8"))
+        extras = [[], ["temperature"], ["humidity"], ["pir"], ["magnetic"]]
+        data["topology"]["nodes"] = [
+            {"node_id": f"n{i}", "cluster_id": f"c{i // 5}", "position": 20.0 * i,
+             "sensors": ["pressure", *extras[i % 5]]} for i in range(25)]
+        data["topology"]["cluster_heads"] = [
+            {"cluster_id": f"c{c}", "peers": [f"c{p}" for p in (c - 1, c + 1) if 0 <= p < 5]}
+            for c in range(5)]
+        data["seed"] = 4  # one of the seeds where the two orders round differently
+        result = run_simulation(scenario_from_dict(data))
+        rmse = {}  # in stream_keys() order
+        for node_id, kind in result.world.stream_keys():
+            if not kind.is_binary:
+                stream = f"{node_id}:{kind.value}"
+                rmse[stream] = _rmse(stream, result.reported_series[(node_id, kind)],
+                                     result.world.truth[(node_id, kind)])
+        string_order = left_sum(rmse[s] for s in sorted(rmse)) / len(rmse)
+        key_order = left_sum(rmse.values()) / len(rmse)
+        assert string_order != key_order
+        assert repr(result.metrics.rmse_mean) == repr(string_order)
+
     def test_message_conservation(self):
         result = run_simulation(run_config := make_config(
             signals={"pressure": {"baseline": 500.0, "noise_std": 0.5}},
