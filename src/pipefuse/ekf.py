@@ -316,30 +316,6 @@ def random_walk_step(x: float, p: float, y: float, q: float, r: float) -> tuple[
     return x, p
 
 
-def random_walk_estimates(
-    measurements: Sequence[float], q: float, r: float, x0: float, p0: float
-) -> list[float]:
-    """Posterior estimates of the scalar random-walk filter over the
-    measurements of ticks 0, 1, ...
-
-    Equals `[p.estimate for p in run_filter(random_walk_model(q, r),
-    FilterState([x0], [[p0]]), trace)]` for a trace of these measurements,
-    without building a state object per reading.
-    """
-    check_random_walk(q, r, p0)
-    if not math.isfinite(x0):
-        raise NumericFailureError("filter state contains non-finite values")
-    x, p = float(x0), float(p0)
-    estimates = []
-    for tick, y in enumerate(measurements):
-        try:
-            x, p = random_walk_step(x, p, y, q, r)
-        except NumericFailureError as exc:
-            raise type(exc)(f"tick {tick}: {exc}") from exc
-        estimates.append(x)
-    return estimates
-
-
 def write_filter_csv(points: Sequence[FilterPoint], path) -> None:
     """Emit `tick,measurement,estimate,variance` rows for plotting."""
     write_csv(

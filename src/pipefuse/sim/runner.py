@@ -24,7 +24,6 @@ class SimulationResult(NamedTuple):
     world: WorldData
     cluster_results: dict
     reported_series: dict  # (node_id, kind) -> float array of the value held at every tick
-    rmse_per_stream: dict  # "node_id:kind" -> rmse of each continuous stream
     detections: list
     event_outcomes: list  # one EventOutcome per injected event
     suspected_faulty: list  # [(cluster_id, kind, node_id, window_index)]
@@ -117,7 +116,7 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
 
     # estimation quality: zero-order-hold reconstruction vs ground truth
     reported_series: dict = {}
-    rmse_per_stream: dict = {}
+    rmse_per_stream: dict = {}  # "node_id:kind" -> rmse of each continuous stream
     for key in world.stream_keys():
         node_id, kind = key
         held = reported_series[key] = hold_series(node_results[key].reports, config.horizon)
@@ -125,6 +124,7 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
             stream = f"{node_id}:{kind.value}"
             rmse_per_stream[stream] = _rmse(stream, held, world.truth[key])
 
+    # summed in "node_id:kind" order, which is not stream-key order from n10 on
     rmse_values = [rmse_per_stream[k] for k in sorted(rmse_per_stream)]
     total_messages, total_bits = map(sum, zip(*messages.values()))
     energy = config.energy
@@ -160,7 +160,6 @@ def run_simulation(config: ScenarioConfig) -> SimulationResult:
         world=world,
         cluster_results=cluster_results,
         reported_series=reported_series,
-        rmse_per_stream=rmse_per_stream,
         detections=detections,
         event_outcomes=event_outcomes,
         suspected_faulty=suspected,

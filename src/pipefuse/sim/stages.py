@@ -32,8 +32,6 @@ WINDOW = np.dtype([("count", np.int64), ("avg", np.float64), ("max", np.float64)
 
 
 class NodeStageResult(NamedTuple):
-    node_id: str
-    kind: SensorKind
     reports: np.ndarray  # of REPORT, the (tick, value) actually transmitted
     messages: tuple  # (messages, bits) sent to the cluster head
     ops: int
@@ -45,30 +43,35 @@ def node_stage(
     """On-node pre-processing of one raw stream, a float array indexed by tick.
 
     With node_ekf on, analog streams are smoothed by a scalar random-walk
-    filter and reported only when the estimate moves more than report_delta
-    since the last transmission (binary streams skip the filter and report
-    transitions). With node_ekf off every raw sample is forwarded.
+    filter, one `ekf.random_walk_step` per tick from x = values[0], p = 1,
+    and reported only when the estimate moves more than report_delta since
+    the last transmission (binary streams skip the filter and report
+    transitions). With node_ekf off every raw sample is forwarded. A filter
+    failure raises NumericFailureError naming the stream and the tick.
     """
     fusion = config.fusion
-    ops = 0
+    analog = not kind.is_binary
+    ops = config.energy.ekf_ops_per_update * len(values) if fusion.node_ekf and analog else 0
     if fusion.node_ekf:
         series = values.tolist()
-        if not kind.is_binary:
-            series = ekf.random_walk_estimates(series, fusion.ekf_q, fusion.ekf_r, series[0], 1.0)
-            ops += config.energy.ekf_ops_per_update * len(series)
-        delta = BINARY_DELTA if kind.is_binary else fusion.report_delta
+        delta, q, r = (fusion.report_delta if analog else BINARY_DELTA), fusion.ekf_q, fusion.ekf_r
+        x, p = (series[0] if analog else None), 1.0
         kept, last_sent = [], None
-        for tick, value in enumerate(series):
-            if last_sent is None or abs(value - last_sent) > delta:
-                kept.append((tick, value))
-                last_sent = value
+        try:
+            for tick, y in enumerate(series):
+                x, p = ekf.random_walk_step(x, p, y, q, r) if analog else (y, p)
+                if last_sent is None or abs(x - last_sent) > delta:
+                    kept.append((tick, x))
+                    last_sent = x
+        except ekf.NumericFailureError as exc:
+            raise type(exc)(f"stream {node_id}:{kind.value}: tick {tick}: {exc}") from None
         reports = np.array(kept, REPORT)
     else:
         reports = np.empty(len(values), REPORT)
         reports["tick"], reports["value"] = np.arange(len(values)), values
 
     sent = (len(reports), len(reports) * config.energy.sample_bits)
-    return NodeStageResult(node_id, kind, reports, sent, ops)
+    return NodeStageResult(reports, sent, ops)
 
 
 def hold_series(reports, horizon: int) -> np.ndarray:
@@ -85,8 +88,6 @@ def hold_series(reports, horizon: int) -> np.ndarray:
 class ClusterStageResult(NamedTuple):
     """One (cluster, kind) stream at its cluster head, one WINDOW entry per window."""
 
-    cluster_id: str
-    kind: SensorKind
     windows: np.ndarray  # of WINDOW
     fusion: Optional[fusvaf.FusionColumns]  # slot i is member_order[i]; None without FUSVAF
     member_order: list
@@ -196,9 +197,7 @@ def cluster_stage(
         sent = (len(received), len(received) * bits)
         ops = 0  # the mains-powered gateway summarizes the relayed reports
 
-    return ClusterStageResult(
-        cluster_id, kind, windows, fusion, member_order, suspected, sent, ops
-    )
+    return ClusterStageResult(windows, fusion, member_order, suspected, sent, ops)
 
 
 class ConsensusStageResult(NamedTuple):

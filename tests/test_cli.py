@@ -192,6 +192,10 @@ class TestRun:
         # a relayed window's mean overflows before the leak detector reads it
         (["signals.pressure.noise_std=3.0e+307", "fusion.cluster_fusvaf=false"],
          "cluster c0 [pressure]: window 0: mean -inf is not finite"),
+        # finite readings whose innovation overflows the node filter's update
+        (["seed=1", "fusion.cluster_fusvaf=false", "signals.pressure.baseline=0",
+          "signals.pressure.noise_std=4e307"],
+         "stream n0:pressure: tick 273: filter state contains non-finite values"),
     ])
     def test_overflow_exits_3_and_names_where(self, tmp_path, capsys, overrides, message):
         args = [a for o in overrides for a in ("--override", o)]
@@ -199,7 +203,8 @@ class TestRun:
                      "--out", str(tmp_path / "o")] + args)
         err = capsys.readouterr().err
         assert code == 3
-        assert f"pipefuse: error [runtime-failure] {message}" in err
+        assert err.startswith(f"pipefuse: error [runtime-failure] {message}")
+        assert err.count("\n") == 1  # one line: no traceback
 
     @pytest.mark.parametrize("override, error", [
         ("horizon=-3", "horizon: expected a positive integer, got -3"),

@@ -12,9 +12,9 @@ from pipefuse.ekf import (
     NumericFailureError,
     ProcessModel,
     SingularBracketError,
+    check_random_walk,
     numeric_jacobian,
     predict,
-    random_walk_estimates,
     random_walk_model,
     random_walk_step,
     run_filter,
@@ -527,25 +527,12 @@ class TestStepConstructor:
 class TestClosedFormRandomWalk:
     """The closed-form scalar filter against the general n-D filter."""
 
-    @given(
-        q=st.floats(1e-6, 10),
-        r=st.floats(1e-6, 10),
-        p0=st.floats(1e-6, 10),
-        values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_estimates_equal_run_filter_exactly(self, q, r, p0, values):
-        trace = trace_from_pairs(list(enumerate(values)), "n0", SensorKind.TEMPERATURE)
-        init = FilterState([values[0]], [[p0]])
-        expected = [p.estimate for p in run_filter(random_walk_model(q, r), init, trace)]
-        assert random_walk_estimates(values, q, r, values[0], p0) == expected
-
     def test_zero_noise_and_variance_is_singular(self):
         trace = trace_from_pairs([(0, 1.0), (1, 2.0)], "n0", SensorKind.TEMPERATURE)
         with pytest.raises(SingularBracketError):
             run_filter(random_walk_model(0.0, 0.0), FilterState([1.0], [[0.0]]), trace)
-        with pytest.raises(SingularBracketError, match="tick 0"):
-            random_walk_estimates([1.0, 2.0], 0.0, 0.0, 1.0, 0.0)
+        with pytest.raises(SingularBracketError):
+            random_walk_step(1.0, 0.0, 2.0, 0.0, 0.0)
 
     def test_non_finite_measurement_raises(self):
         with pytest.raises(NumericFailureError):
@@ -556,8 +543,8 @@ class TestClosedFormRandomWalk:
     @pytest.mark.parametrize("q, r, p0", [(-0.1, 0.1, 1.0), (0.1, float("nan"), 1.0),
                                           (0.1, 0.1, -1.0), (float("inf"), 0.1, 1.0)])
     def test_bad_parameters_rejected(self, q, r, p0):
-        with pytest.raises(ValueError):
-            random_walk_estimates([1.0], q, r, 1.0, p0)
+        with pytest.raises(ValueError, match="must be finite and non-negative"):
+            check_random_walk(q, r, p0)
 
 
 def reference_check_covariance(p, name="P"):

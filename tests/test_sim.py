@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from pipefuse import consensus, fusvaf
 from pipefuse.cli import main
 from pipefuse.core import SensorKind, TraceError, check_stream, left_sum, trace_from_pairs
-from pipefuse.ekf import NumericFailureError
+from pipefuse.ekf import FilterState, NumericFailureError, random_walk_model, run_filter
 from pipefuse.fusvaf import (
     DegenerateDenominatorError,
     EkfPredictor,
@@ -48,7 +48,7 @@ from pipefuse.sim.config import (
 from pipefuse.sim.detect import Detection, _uav_covers, detect_events, persistent_onsets
 from pipefuse.sim.metrics import match_events
 from pipefuse.sim.runner import _rmse
-from pipefuse.sim.stages import WINDOW, hold_series
+from pipefuse.sim.stages import REPORT, WINDOW, hold_series
 
 BUNDLED = Path(__file__).resolve().parent.parent / "scenarios" / "baseline_10node.yaml"
 
@@ -743,6 +743,38 @@ class TestNodeStage:
         config = make_config(fusion={"node_ekf": node_ekf, "report_delta": report_delta,
                                      "gate_w_min": 1.0})
         assert node_stage(values, "n0", kind, config).reports[0][0] == 0
+
+    @given(kind=st.sampled_from(SensorKind), report_delta=st.floats(0, 1.7e308),
+           q=st.floats(1e-6, 10), r=st.floats(1e-6, 10), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_filter_and_deadband_equal_run_filter(self, kind, report_delta, q, r, data):
+        value = st.sampled_from([0.0, 1.0]) if kind.is_binary else st.floats(-1e6, 1e6)
+        values = data.draw(st.lists(value, min_size=1, max_size=60))
+        config = make_config(fusion={"ekf_q": q, "ekf_r": r, "report_delta": report_delta,
+                                     "gate_w_min": 1.0})
+        result = node_stage(np.array(values), "n0", kind, config)
+        if kind.is_binary:
+            estimates, delta, ops = values, 0.5, 0
+        else:
+            trace = trace_from_pairs(list(enumerate(values)), "n0", kind)
+            points = run_filter(random_walk_model(q, r), FilterState([values[0]], [[1.0]]), trace)
+            estimates, delta = [p.estimate for p in points], report_delta
+            ops = config.energy.ekf_ops_per_update * len(values)
+        expected, last_sent = [], None
+        for tick, estimate in enumerate(estimates):
+            if last_sent is None or abs(estimate - last_sent) > delta:
+                expected.append((tick, estimate))
+                last_sent = estimate
+        assert result.reports.tobytes() == np.array(expected, REPORT).tobytes()
+        assert result.messages == (len(expected), len(expected) * config.energy.sample_bits)
+        assert result.ops == ops
+
+    def test_filter_overflow_names_the_stream_and_tick(self):
+        # tick 1's innovation, 1.5e308 - -1.5e308, overflows
+        with pytest.raises(NumericFailureError) as exc:
+            pressure_stage([-1.5e308, 1.5e308], make_config())
+        assert str(exc.value) == ("stream n0:pressure: tick 1: "
+                                  "filter state contains non-finite values")
 
     def test_binary_stream_reports_transitions(self):
         values = np.array([0.0] * 10 + [1.0] * 5 + [0.0] * 10)
