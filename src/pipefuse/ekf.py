@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import math
+import numbers
 
 import numpy as np
 
@@ -94,8 +95,8 @@ class FilterState:
         x = np.atleast_1d(np.asarray(self.x_hat, dtype=float))
         p = np.atleast_2d(np.asarray(self.P, dtype=float))
         _check_shape(x, p)
-        if self.tick < 0:
-            raise ValueError(f"tick must be non-negative, got {self.tick}")
+        if not isinstance(self.tick, numbers.Integral) or self.tick < 0:
+            raise ValueError(f"tick must be a non-negative integer, got {self.tick!r}")
         _check_finite(x, p)
         if not np.allclose(p, p.T, atol=1e-9, rtol=1e-9):
             raise ValueError("P must be symmetric")
@@ -121,33 +122,61 @@ def _check_finite(x: np.ndarray, p: np.ndarray) -> None:
 
 
 def _check_covariance(p: np.ndarray, name: str = "P") -> None:
-    """Non-negative diagonal, then PSD within tolerance."""
-    if p.diagonal().min() < 0:
+    """Non-negative diagonal, then PSD within tolerance. `p` is one matrix
+    or a stack of them along leading axes, each with its own tolerance."""
+    if p.diagonal(axis1=-2, axis2=-1).min() < 0:
         raise ValueError(f"{name} diagonal must be non-negative")
     # eigvalsh returns the eigenvalues in ascending order. The tolerance is
     # negative, so a smallest eigenvalue >= 0 passes it without computing it.
-    low = np.linalg.eigvalsh(p)[0]
-    if low < 0 and low < -EPS_SYM * max(1.0, float(np.abs(p).max())):
+    low = np.linalg.eigvalsh(p)[..., 0]
+    if (low < 0).any() and (
+            low < -EPS_SYM * np.maximum(1.0, np.abs(p).max(axis=(-2, -1)))).any():
         raise ValueError(f"{name} must be positive semi-definite (within tolerance)")
 
 
-def _filter_state(x: np.ndarray, p: np.ndarray, tick: int) -> FilterState:
-    """FilterState over arrays that predict/update just created; it takes
-    them over and makes them read-only instead of copying them.
-
-    Runs, in FilterState's order, every check that the filter arithmetic
-    can fail: shape, finiteness, non-negative diagonal and PSD. It leaves
-    out the two that hold by construction: P comes out of _symmetrize, so
-    it is exactly symmetric, and the tick is a non-negative tick plus 0 or 1.
-    """
-    _check_shape(x, p)
-    _check_finite(x, p)
-    _check_covariance(p)
+def _adopt(x: np.ndarray, p: np.ndarray, tick: int) -> FilterState:
+    """FilterState over arrays that the filter just created, unchecked: it
+    takes them over and makes them read-only instead of copying them."""
     x.flags.writeable = False
     p.flags.writeable = False
     state = object.__new__(FilterState)
     vars(state).update(x_hat=x, P=p, tick=tick)
     return state
+
+
+def _filter_state(x: np.ndarray, p: np.ndarray, tick: int) -> FilterState:
+    """_adopt after every check that the filter arithmetic can fail, in
+    FilterState's order: shape, finiteness, non-negative diagonal and PSD.
+    It leaves out the two that hold by construction: P comes out of
+    _symmetrize, so it is exactly symmetric, and the tick is a checked tick
+    plus 0 or 1."""
+    _check_shape(x, p)
+    _check_finite(x, p)
+    _check_covariance(p)
+    return _adopt(x, p, tick)
+
+
+class _Unchecked(NamedTuple):
+    """A state of run_filter's first pass. predict and update given one
+    return one, with no check; run_filter checks them all after the pass."""
+
+    x_hat: np.ndarray
+    P: np.ndarray
+    tick: int
+
+    @property
+    def dim(self) -> int:
+        return self.x_hat.shape[0]
+
+
+def _successor(state, x: np.ndarray, p: np.ndarray, tick: int):
+    """The state that predict or update makes from `state`: checked, unless
+    `state` is _Unchecked. Read-only either way, as the model sees it."""
+    if type(state) is _Unchecked:
+        x.flags.writeable = False
+        p.flags.writeable = False
+        return _Unchecked(x, p, tick)
+    return _filter_state(x, p, tick)
 
 
 def numeric_jacobian(fn, x, eps=None) -> np.ndarray:
@@ -163,8 +192,8 @@ def numeric_jacobian(fn, x, eps=None) -> np.ndarray:
         steps = 1e-6 * np.maximum(1.0, np.abs(x))
     else:
         steps = np.broadcast_to(np.asarray(eps, dtype=float), (n,)).copy()
-        if np.any(steps <= 0):
-            raise ValueError("eps must be positive")
+        if not (np.isfinite(steps).all() and (steps > 0).all()):
+            raise ValueError(f"eps must be positive and finite, got {eps}")
     # Probe j is x +- row j of diag(steps), not x with component j stepped in
     # place: the other components are x_k +- 0.0, which turns -0.0 into 0.0.
     probes = np.diag(steps)
@@ -200,7 +229,7 @@ def predict(state: FilterState, model: ProcessModel) -> FilterState:
         raise NumericFailureError("state transition produced non-finite values")
     F = _jacobian_of(model.f, model.F_jac, state.x_hat)
     P1 = _symmetrize(F @ state.P @ F.T + model.Q)
-    return _filter_state(x1, P1, state.tick + 1)
+    return _successor(state, x1, P1, state.tick + 1)
 
 
 def update(prior: FilterState, y, model: ProcessModel) -> FilterState:
@@ -233,7 +262,7 @@ def update(prior: FilterState, y, model: ProcessModel) -> FilterState:
     innovation = y - z_pred
     x1 = prior.x_hat + K @ innovation
     P1 = _symmetrize((np.eye(prior.dim) - K @ H) @ prior.P)
-    return _filter_state(x1, P1, prior.tick)
+    return _successor(prior, x1, P1, prior.tick)
 
 
 class FilterPoint(NamedTuple):
@@ -253,15 +282,10 @@ class FilterPoint(NamedTuple):
         return float(self.state.P[0, 0])
 
 
-@np.errstate(all="ignore")  # predict and update check each state
-def run_filter(model: ProcessModel, init: FilterState, measurements: Trace) -> list[FilterPoint]:
-    """Filter a scalar-measurement trace, one predict+update per reading.
-
-    Output has one posterior and its innovation per measurement, so callers
-    can watch for divergence; an overflow raises NumericFailureError.
-    """
-    points = []
-    state = init
+def _filter_steps(model: ProcessModel, state, measurements: Trace):
+    """run_filter's work per reading, from `state`: predict, the innovation
+    and update. Yields (tick, measurement, prior, posterior, innovation); a
+    failing step's error is prefixed with `tick N:`."""
     for tick, value in zip(measurements.timestamps, measurements.values):
         try:
             prior = predict(state, model)
@@ -269,8 +293,50 @@ def run_filter(model: ProcessModel, init: FilterState, measurements: Trace) -> l
             state = update(prior, [value], model)
         except (NumericFailureError, ValueError) as exc:
             raise type(exc)(f"tick {tick}: {exc}") from exc
-        points.append(FilterPoint(tick, value, state, innovation))
+        yield tick, value, prior, state, innovation
+
+
+def _run_unchecked(model: ProcessModel, init: FilterState, measurements: Trace):
+    """run_filter's first pass: the steps on _Unchecked states, each prior
+    and posterior copied into a stack as it comes, then one check of all."""
+    count = len(measurements.values)
+    xs = np.empty((2 * count,) + init.x_hat.shape)
+    ps = np.empty((2 * count,) + init.P.shape)
+    points = []
+    steps = _filter_steps(model, _Unchecked(init.x_hat, init.P, init.tick), measurements)
+    for i, (tick, value, prior, state, innovation) in enumerate(steps):
+        for k, s in enumerate((prior, state), 2 * i):
+            # exact shapes only: numpy would broadcast an x_hat of shape (1,) into a row
+            if s.x_hat.shape != init.x_hat.shape or s.P.shape != init.P.shape:
+                raise ValueError("shape mismatch")
+            xs[k], ps[k] = s.x_hat, s.P
+        points.append(FilterPoint(tick, value, _adopt(*state), innovation))
+    _check_finite(xs, ps)
+    _check_covariance(ps)
     return points
+
+
+@np.errstate(all="ignore")  # every state is checked
+def run_filter(model: ProcessModel, init: FilterState, measurements: Trace) -> list[FilterPoint]:
+    """Filter a scalar-measurement trace, one predict+update per reading.
+
+    Output has one posterior and its innovation per measurement, so callers
+    can watch for divergence; an overflow raises NumericFailureError.
+
+    The states are checked once per run: predict and update skip their
+    checks, and every prior and posterior is checked in one batch at the
+    end. A run that fails that check, or raises, is filtered again from
+    `init` with each state checked as it is made, and raises what that
+    pass raises, so the error names the first failing tick as the
+    step-by-step path would. On such a run the model's functions are
+    called again from the start.
+    """
+    try:
+        return _run_unchecked(model, init, measurements)
+    except Exception:
+        pass  # the checked pass below raises the step-by-step path's error
+    return [FilterPoint(tick, value, state, innovation)
+            for tick, value, _, state, innovation in _filter_steps(model, init, measurements)]
 
 
 def random_walk_model(q: float, r: float) -> ProcessModel:

@@ -20,6 +20,7 @@ from pipefuse.ekf import (
     run_filter,
     update,
     _check_covariance,
+    _check_finite,
     _filter_state,
 )
 
@@ -45,6 +46,14 @@ class TestNumericJacobian:
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(ValueError):
             numeric_jacobian(lambda v: v, np.array([1.0]), eps=0.0)
+        # nan and inf are refused as arguments: inf used to give an all-zero
+        # Jacobian, nan a NumericFailureError
+        for eps, shown in ((np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"), (-1e-6, "-1e-06"),
+                           ([1e-6, np.nan], "[1e-06, nan]")):
+            with pytest.raises(ValueError) as got:
+                numeric_jacobian(np.tanh, np.array([0.5, 1.0]), eps=eps)
+            assert type(got.value) is ValueError
+            assert str(got.value) == f"eps must be positive and finite, got {shown}"
 
     def test_divergent_function_raises(self):
         def bad(v):
@@ -384,6 +393,17 @@ class TestValidation:
             FilterState(x_hat, np.zeros((0, 0)))
         assert str(got.value) == f"x_hat must not be empty, got shape {np.shape(x_hat)}"
 
+    @pytest.mark.parametrize("tick", [np.nan, 1.5, "3", None, -1, np.int64(-2), 2.0])
+    def test_filter_state_rejects_a_tick_that_is_not_a_non_negative_integer(self, tick):
+        with pytest.raises(ValueError) as got:
+            FilterState([0.0], [[1.0]], tick)
+        assert str(got.value) == f"tick must be a non-negative integer, got {tick!r}"
+
+    def test_filter_state_takes_any_non_negative_integer_tick(self):
+        for tick in (0, 7, np.int64(3), 10**30):
+            state = predict(FilterState([0.0], [[1.0]], tick), scalar_model(0.1, 0.1))
+            assert state.tick == tick + 1
+
     def test_process_model_noise_covariance_tolerance_as_filter_state(self):
         # eigenvalue -1e-12: within FilterState's tolerance, so accepted by both
         near_psd = [[1.0, 1.0 + 1e-12], [1.0 + 1e-12, 1.0]]
@@ -524,6 +544,173 @@ class TestStepConstructor:
             assert point.innovation.tobytes() == innovation.tobytes()
 
 
+def reference_filter(model, init, trace):
+    """run_filter as a loop of public steps, update(predict(FilterState(...))),
+    each state rebuilt by the public constructor and each failing step's
+    error prefixed with its tick: the oracle of TestRunFilterOracle."""
+    points, state = [], init
+    with np.errstate(all="ignore"):
+        for tick, value in zip(trace.timestamps, trace.values):
+            try:
+                prior = predict(FilterState(state.x_hat, state.P, state.tick), model)
+                innovation = value - np.atleast_1d(np.asarray(model.h(prior.x_hat), dtype=float))
+                state = update(FilterState(prior.x_hat, prior.P, prior.tick), [value], model)
+            except (NumericFailureError, ValueError) as exc:
+                raise type(exc)(f"tick {tick}: {exc}") from None
+            points.append((tick, value, state, innovation))
+    return points
+
+
+# Failures that a counter model makes at reading k. Component 0 of its state
+# counts the readings (x[0] is k after k of them, exactly): f adds 1 to it,
+# nothing else depends on it and h does not observe it. The failures of h and
+# H_jac come one reading early: they see the prior, whose x[0] is k + 1.
+COUNTER_FAILURES = ("f_non_finite", "non_psd_posterior", "wrong_shape", "writes_argument",
+                    "h_writes_argument")
+
+
+def smooth_model(rng, n, analytic):
+    """f(x) = A x + 0.1 sin(x) with A contracting, h(x) = c.x + 0.05 |x|^2."""
+    A = rng.normal(size=(n, n))
+    A *= 0.9 / max(1.0, max(abs(np.linalg.eigvals(A))))
+    c = rng.normal(size=n)
+    jacobians = {}
+    if analytic:
+        jacobians = dict(F_jac=lambda x: A + 0.1 * np.diag(np.cos(x)),
+                         H_jac=lambda x: (c + 0.1 * x)[None, :])
+    return dict(f=lambda x: A @ x + 0.1 * np.sin(x), h=lambda x: np.array([c @ x + 0.05 * x @ x]),
+                Q=np.diag(rng.uniform(1e-3, 0.5, n)), R=np.array([[rng.uniform(1e-2, 1.0)]]),
+                **jacobians)
+
+
+def counter_model(rng, n, analytic, failure, k):
+    """A model of n >= 2 components whose `failure` starts at x[0] = k."""
+    rest = smooth_model(rng, n - 1, analytic=True)
+    A, observed = rest["F_jac"], np.concatenate([[0.0], np.ones(n - 1)])[None, :]
+    on = lambda x: x[0] > k - 0.5
+
+    def f(x):
+        if on(x):
+            if failure == "f_non_finite":
+                return np.full(n, np.nan)
+            if failure == "wrong_shape":  # (1,) for an n-state model
+                return x[:1] + 1.0
+            if failure == "writes_argument":
+                x += 0.0
+        return np.concatenate([x[:1] + 1.0, rest["f"](x[1:])])
+
+    def F_jac(x):
+        jac = np.eye(n)
+        jac[1:, 1:] = A(x[1:])
+        return jac
+
+    def h(x):
+        if failure == "h_writes_argument" and on(x):
+            x += 0.0
+        return np.array([x[1:].sum()])
+
+    model = dict(f=f, h=h,
+                 Q=np.diag(np.concatenate([[1e-3], np.diag(rest["Q"])])), R=rest["R"])
+    if analytic:
+        model.update(F_jac=F_jac, H_jac=lambda x: observed)
+    if failure == "non_psd_posterior":
+        # R < 0 below S: once H observes, the posterior variance goes
+        # negative (n = 2) or P loses its PSD (n >= 3); before, H = 0
+        model.update(R=np.array([[-1e-6]]),
+                     H_jac=lambda x: observed if on(x) else np.zeros((1, n)))
+    return model
+
+
+@st.composite
+def filter_cases(draw):
+    failure = draw(st.sampled_from((None, "singular", "overflow") + COUNTER_FAILURES))
+    n = draw(st.integers(2 if failure in COUNTER_FAILURES else 1, 5))
+    analytic = draw(st.booleans())
+    steps = draw(st.integers(1, 25))
+    k = draw(st.integers(0, steps + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if failure in COUNTER_FAILURES:
+        parts = counter_model(rng, n, analytic, failure, k)
+        x0 = np.concatenate([[0.0], rng.normal(size=n - 1)])
+    else:
+        parts = smooth_model(rng, n, analytic)
+        x0 = rng.normal(size=n)
+    p0 = np.diag(rng.uniform(0.1, 2.0, n))
+    if failure == "singular":  # S = H 0 H^T + 0
+        parts.update(Q=np.zeros((n, n)), R=np.zeros((1, 1)))
+        p0 = np.zeros((n, n))
+    values = rng.normal(0.0, 2.0, steps)
+    if failure == "overflow":  # readings of +-1.5e308 from reading k on
+        values[k:] = 1.5e308 * (-1.0) ** np.arange(values[k:].size)
+    start = draw(st.integers(0, 5))
+    trace = trace_from_pairs(list(enumerate(values, start=start)), "n0", SensorKind.PRESSURE)
+    build = unchecked_model if failure == "non_psd_posterior" else ProcessModel  # R < 0
+    model = build(n, parts.pop("f"), parts.pop("h"), parts.pop("Q"), parts.pop("R"), **parts)
+    return failure, k, model, FilterState(x0, p0), trace
+
+
+class TestRunFilterOracle:
+    """run_filter checks its states once per run and reruns the checked loop
+    on a failure; either way it gives the step-by-step path's points, bytes
+    and errors."""
+
+    @given(case=filter_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_public_step_by_step_loop(self, case):
+        failure, k, model, init, trace = case
+        try:
+            expected = reference_filter(model, init, trace)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as got:
+                run_filter(model, init, trace)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            return
+        # each failure the cases draw happens once its reading is reached; an
+        # overflow may stay finite for a reading or two
+        early = failure in ("non_psd_posterior", "h_writes_argument")
+        assert failure in (None, "overflow") or (
+            failure != "singular" and k >= len(trace) + early)
+        points = run_filter(model, init, trace)
+        assert len(points) == len(expected)
+        for point, (tick, value, state, innovation) in zip(points, expected):
+            assert (point.tick, point.measurement, point.state.tick) == (tick, value, state.tick)
+            assert point.state.x_hat.tobytes() == state.x_hat.tobytes()
+            assert point.state.P.tobytes() == state.P.tobytes()
+            assert point.innovation.tobytes() == innovation.tobytes()
+            assert not point.state.x_hat.flags.writeable and not point.state.P.flags.writeable
+            assert type(point.state) is FilterState
+
+    def test_overflow_on_the_last_reading_names_its_tick(self):
+        # the last posterior is the first non-finite state: no later step
+        # fails on it, so only the check after the loop can see it
+        trace = trace_from_pairs([(0, -1.5e308), (1, 1.5e308)], "n0", SensorKind.PRESSURE)
+        model, init = scalar_model(0.1, 0.1), FilterState([0.0], [[1.0]])
+        with pytest.raises(NumericFailureError) as got:
+            run_filter(model, init, trace)
+        assert str(got.value) == "tick 1: filter state contains non-finite values"
+        with pytest.raises(NumericFailureError) as expected:
+            reference_filter(model, init, trace)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_wrong_shape_that_broadcasts_into_a_valid_state(self, n, k):
+        # f returns (1,) from reading k on. H = 0, so K = 0 and the posterior
+        # is (n,) + x_hat: the bad x_hat of each prior broadcasts into a
+        # finite, PSD posterior. Only its shape shows the fault.
+        identity, zero = np.eye(n), np.zeros((1, n))
+
+        def f(x):
+            return x[:1] + 1.0 if x[0] > k - 0.5 else x + np.eye(n)[0]
+
+        model = ProcessModel(n, f, lambda x: np.array([0.0]), np.eye(n), np.eye(1),
+                             F_jac=lambda x: identity, H_jac=lambda x: zero)
+        trace = trace_from_pairs(list(enumerate(np.arange(k + 3.0))), "n0", SensorKind.PRESSURE)
+        with pytest.raises(ValueError) as got:
+            run_filter(model, FilterState(np.zeros(n), np.eye(n)), trace)
+        assert str(got.value) == f"tick {k}: shape mismatch: x_hat (1,), P ({n}, {n})"
+
+
 class TestClosedFormRandomWalk:
     """The closed-form scalar filter against the general n-D filter."""
 
@@ -641,6 +828,49 @@ class TestCovarianceCheckOracle:
         p = a + (shift * tolerance - np.linalg.eigvalsh(a)[0]) * np.eye(n)
         assert (covariance_verdict(_check_covariance, p)
                 == covariance_verdict(reference_check_covariance, p))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), count=st.integers(1, 12),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_stack_gets_the_single_matrix_verdict(self, seed, n, count, data):
+        # PSD fillers with |P|max from 1e-12 to 1e12, so that one tolerance
+        # over the whole stack would be wrong for the bad matrix
+        rng = np.random.default_rng(seed)
+        stack = np.empty((count, n, n))
+        for m in stack:
+            a = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-6, 7)
+            m[:] = a @ a.T
+        bad = data.draw(st.sampled_from(("negative_diagonal", "below", "above")[:1 if n == 1 else 3]))
+        index = data.draw(st.integers(0, count - 1))
+        p = stack[index]
+        if bad == "negative_diagonal":
+            j = rng.integers(n)
+            p[j, j] = -(10.0 ** rng.integers(-300, 3))
+        else:
+            # boundary_matrix's 2x2 block among smaller positive variances:
+            # the same smallest eigenvalue and |P|max as the block alone
+            scale = data.draw(st.sampled_from(BOUNDARY_SCALES))
+            p[:] = np.diag(rng.uniform(0.1, 1.0, n) * scale)
+            j = rng.integers(n - 1)
+            p[j:j + 2, j:j + 2] = boundary_matrix(scale, 1 + 1e-3 if bad == "below" else 1 - 1e-3)
+        verdicts = [covariance_verdict(reference_check_covariance, m) for m in stack]
+        assert [i for i, v in enumerate(verdicts) if v] == ([] if bad == "above" else [index])
+        assert covariance_verdict(_check_covariance, stack) == verdicts[index]
+
+    def test_stack_with_nan_is_non_finite_as_one_state(self):
+        stack = np.stack([np.eye(3), np.diag([1.0, 2.0, 3.0]), 4.0 * np.eye(3)])
+        stack[1, 0, 2] = stack[1, 2, 0] = np.nan
+        xs = np.zeros((3, 3))
+
+        def batched():
+            _check_finite(xs, stack)
+            _check_covariance(stack)
+
+        raise_alike(batched, lambda: _filter_state(np.zeros(3), stack[1].copy(), 0))
+        stack[1] = np.eye(3)
+        xs[2, 1] = np.inf
+        _check_covariance(stack)  # the covariances pass; an x_hat row does not
+        raise_alike(batched, lambda: _filter_state(xs[2].copy(), np.eye(3), 0))
 
 
 class TestTracedEntryPoints:
