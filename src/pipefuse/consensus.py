@@ -9,14 +9,13 @@ progress metric and stop condition.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import write_csv
+from .core import is_integer, write_csv
 
 
 class DisconnectedGraphError(ValueError):
@@ -206,7 +205,7 @@ def run_consensus(
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+    if not is_integer(max_iter) or max_iter < 1:
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter}")
     if initial.n != graph.n:
         raise ValueError(f"state has {initial.n} estimates but graph has {graph.n} agents")

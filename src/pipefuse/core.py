@@ -57,6 +57,12 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
+def is_integer(value) -> bool:
+    """An integer of any type but bool, which is a numbers.Integral too:
+    the library's one test for a tick, a count or a window length."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_stream(node_id: str, kind: SensorKind, values, ticks, non_finite=TraceError) -> None:
     """The one reading check: every value finite, and a binary kind's
     exactly 0.0 or 1.0. values[i] is the reading at tick ticks[i]. A
@@ -112,7 +118,7 @@ class Trace:
         if len(ticks) != len(values):
             raise TraceError(f"{stream}: {len(ticks)} timestamps but {len(values)} values")
         for t in ticks:
-            if isinstance(t, bool) or not isinstance(t, numbers.Integral):
+            if not is_integer(t):
                 raise TraceError(f"{stream}: timestamp {t!r} is not an integer")
         if ticks[0] < 0:
             raise TraceError(f"{stream}: timestamp {ticks[0]} is negative")

@@ -8,14 +8,14 @@ propagation step; the update uses the plain (I - KH)P covariance form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import math
-import numbers
 
 import numpy as np
 
-from .core import Trace, write_csv
+from .core import Trace, is_integer, write_csv
 
 # Tolerated eigenvalue negativity of a covariance before it is rejected.
 EPS_SYM = 1e-9
@@ -95,7 +95,7 @@ class FilterState:
         x = np.atleast_1d(np.asarray(self.x_hat, dtype=float))
         p = np.atleast_2d(np.asarray(self.P, dtype=float))
         _check_shape(x, p)
-        if not isinstance(self.tick, numbers.Integral) or self.tick < 0:
+        if not is_integer(self.tick) or self.tick < 0:
             raise ValueError(f"tick must be a non-negative integer, got {self.tick!r}")
         _check_finite(x, p)
         if not np.allclose(p, p.T, atol=1e-9, rtol=1e-9):
@@ -157,26 +157,18 @@ def _filter_state(x: np.ndarray, p: np.ndarray, tick: int) -> FilterState:
 
 
 class _Unchecked(NamedTuple):
-    """A state of run_filter's first pass. predict and update given one
-    return one, with no check; run_filter checks them all after the pass."""
+    """A state of run_filter's first pass: predict and update take and return
+    it unchecked (update with the innovation); run_filter checks them all."""
 
     x_hat: np.ndarray
     P: np.ndarray
     tick: int
 
-    @property
-    def dim(self) -> int:
-        return self.x_hat.shape[0]
-
-
-def _successor(state, x: np.ndarray, p: np.ndarray, tick: int):
-    """The state that predict or update makes from `state`: checked, unless
-    `state` is _Unchecked. Read-only either way, as the model sees it."""
-    if type(state) is _Unchecked:
-        x.flags.writeable = False
+    @classmethod
+    def adopt(cls, x: np.ndarray, p: np.ndarray, tick: int) -> _Unchecked:
+        x.flags.writeable = False  # read-only, as the model sees a checked state
         p.flags.writeable = False
-        return _Unchecked(x, p, tick)
-    return _filter_state(x, p, tick)
+        return cls(x, p, tick)
 
 
 def numeric_jacobian(fn, x, eps=None) -> np.ndarray:
@@ -212,6 +204,11 @@ def _symmetrize(p: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
+@lru_cache(maxsize=8)
+def _identity(n: int) -> np.ndarray:
+    return _freeze(np.eye(n))
+
+
 def _jacobian_of(fn, analytic, x) -> np.ndarray:
     if analytic is not None:
         jac = np.atleast_2d(np.asarray(analytic(x), dtype=float))
@@ -225,18 +222,25 @@ def predict(state: FilterState, model: ProcessModel) -> FilterState:
     """Propagate the estimate one step: x' = f(x), P' = F P F^T + Q."""
     # a copy, so the state never freezes or aliases an array that f handed back
     x1 = np.atleast_1d(np.array(model.f(state.x_hat), dtype=float))
-    if not np.isfinite(x1).all():
+    unchecked = type(state) is _Unchecked  # then x1, the next prior, is checked in the batch
+    if not (unchecked or np.isfinite(x1).all()):
         raise NumericFailureError("state transition produced non-finite values")
     F = _jacobian_of(model.f, model.F_jac, state.x_hat)
     P1 = _symmetrize(F @ state.P @ F.T + model.Q)
-    return _successor(state, x1, P1, state.tick + 1)
+    if unchecked:
+        return _Unchecked.adopt(x1, P1, state.tick + 1)
+    return _filter_state(x1, P1, state.tick + 1)
 
 
-def update(prior: FilterState, y, model: ProcessModel) -> FilterState:
+def update(
+    prior: FilterState, y, model: ProcessModel
+) -> FilterState | tuple[_Unchecked, np.ndarray]:
     """Fold measurement y into the prior.
 
     Innovation uses the nonlinear h; the gain solves
-    K = P H^T (H P H^T + R)^(-1) with H evaluated at the prior.
+    K = P H^T (H P H^T + R)^(-1) with H evaluated at the prior. Given
+    run_filter's private _Unchecked prior, and only then, it returns
+    (posterior, innovation).
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     z_pred = np.atleast_1d(np.asarray(model.h(prior.x_hat), dtype=float))
@@ -261,8 +265,10 @@ def update(prior: FilterState, y, model: ProcessModel) -> FilterState:
         )
     innovation = y - z_pred
     x1 = prior.x_hat + K @ innovation
-    P1 = _symmetrize((np.eye(prior.dim) - K @ H) @ prior.P)
-    return _successor(prior, x1, P1, prior.tick)
+    P1 = _symmetrize((_identity(len(prior.P)) - K @ H) @ prior.P)
+    if type(prior) is _Unchecked:
+        return _Unchecked.adopt(x1, P1, prior.tick), innovation
+    return _filter_state(x1, P1, prior.tick)
 
 
 class FilterPoint(NamedTuple):
@@ -297,19 +303,21 @@ def _filter_steps(model: ProcessModel, state, measurements: Trace):
 
 
 def _run_unchecked(model: ProcessModel, init: FilterState, measurements: Trace):
-    """run_filter's first pass: the steps on _Unchecked states, each prior
-    and posterior copied into a stack as it comes, then one check of all."""
+    """run_filter's first pass: predict and update on _Unchecked states, each
+    prior and posterior copied into a stack as it comes, then one check."""
     count = len(measurements.values)
     xs = np.empty((2 * count,) + init.x_hat.shape)
     ps = np.empty((2 * count,) + init.P.shape)
+    shapes = (init.x_hat.shape, init.P.shape) * 2
+    state = _Unchecked(init.x_hat, init.P, init.tick)
     points = []
-    steps = _filter_steps(model, _Unchecked(init.x_hat, init.P, init.tick), measurements)
-    for i, (tick, value, prior, state, innovation) in enumerate(steps):
-        for k, s in enumerate((prior, state), 2 * i):
-            # exact shapes only: numpy would broadcast an x_hat of shape (1,) into a row
-            if s.x_hat.shape != init.x_hat.shape or s.P.shape != init.P.shape:
-                raise ValueError("shape mismatch")
-            xs[k], ps[k] = s.x_hat, s.P
+    for k, tick, value in zip(range(0, 2 * count, 2), measurements.timestamps, measurements.values):
+        prior = predict(state, model)
+        state, innovation = update(prior, [value], model)
+        # exact shapes only: numpy would broadcast an x_hat of shape (1,) into a row
+        if (prior.x_hat.shape, prior.P.shape, state.x_hat.shape, state.P.shape) != shapes:
+            raise ValueError("shape mismatch")
+        xs[k], ps[k], xs[k + 1], ps[k + 1] = prior.x_hat, prior.P, state.x_hat, state.P
         points.append(FilterPoint(tick, value, _adopt(*state), innovation))
     _check_finite(xs, ps)
     _check_covariance(ps)
@@ -325,11 +333,12 @@ def run_filter(model: ProcessModel, init: FilterState, measurements: Trace) -> l
 
     The states are checked once per run: predict and update skip their
     checks, and every prior and posterior is checked in one batch at the
-    end. A run that fails that check, or raises, is filtered again from
-    `init` with each state checked as it is made, and raises what that
-    pass raises, so the error names the first failing tick as the
-    step-by-step path would. On such a run the model's functions are
-    called again from the start.
+    end, f(x) as the next prior. update hands back its innovation, so f and
+    h are each called 1 + 2n times per reading of an n-state model (once
+    with analytic Jacobians). A run that fails that check, or raises, is
+    filtered again from `init` with each state checked as it is made, and
+    raises what that pass raises, so the error names the first failing
+    tick as the step-by-step path would; the model is then called again.
     """
     try:
         return _run_unchecked(model, init, measurements)

@@ -11,13 +11,12 @@ single faulty sensor cannot inflate it.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .core import Trace, left_sum, merge_traces, write_columns
+from .core import Trace, is_integer, left_sum, merge_traces, write_columns
 from . import ekf
 
 
@@ -162,7 +161,7 @@ class GateAdaptation:
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if self.w_min > self.w_max:
             raise ValueError(f"w_min must not exceed w_max, got {self.w_min} > {self.w_max}")
-        if not isinstance(self.window, numbers.Integral) or self.window < 1:
+        if not is_integer(self.window) or self.window < 1:
             raise ValueError(f"window must be an integer >= 1, got {self.window}")
         if self.initial_half_width is not None and not 0 < self.initial_half_width < math.inf:
             raise ValueError(

@@ -61,6 +61,7 @@ def assert_run_equals_step_by_step(values, graph, tol, max_iter):
     """run_consensus gives, bit for bit, what the public consensus_step
     loop with np.mean dispersions gives, and returns its run."""
 
+    @np.errstate(over="ignore", invalid="ignore")  # extreme inputs overflow to inf and nan
     def np_mean_dispersion(state):
         mean = float(np.mean(state.estimates))
         return float(np.mean((state.estimates - mean) ** 2))
@@ -211,7 +212,7 @@ class TestRunConsensus:
         with pytest.raises(ValueError):
             run_consensus(state, CommGraph.path(3))
 
-    @pytest.mark.parametrize("max_iter", [2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, "3", None, True])
     def test_non_integer_max_iter_rejected(self, max_iter):
         state = ConsensusState([0.0, 1.0, 100.0])
         message = rf"^max_iter must be an integer >= 1, got {max_iter}$"

@@ -76,7 +76,7 @@ def reference_numeric_jacobian(fn, x, eps=None):
         if np.any(steps <= 0):
             raise ValueError("eps must be positive")
     hi, lo = [], []
-    with np.errstate(invalid="ignore"):
+    with np.errstate(all="ignore"):  # the functions below overflow and divide by zero
         for dx in np.diag(steps):
             hi.append(np.atleast_1d(np.asarray(fn(x + dx), dtype=float)))
             lo.append(np.atleast_1d(np.asarray(fn(x - dx), dtype=float)))
@@ -96,6 +96,7 @@ JACOBIAN_FNS = [
     lambda v: np.copysign(v + 1.0, v),
     lambda v: np.log(v),
     lambda v: np.array([np.hypot(v[0], v[-1])]),
+    lambda v: [v[0] * v[-1], float(v.sum())],
 ]
 
 jacobian_components = st.one_of(
@@ -103,6 +104,19 @@ jacobian_components = st.one_of(
     st.floats(-1e3, 1e3),
     st.floats(1e150, 1e300).flatmap(lambda a: st.sampled_from([a, -a])),
 )
+
+
+# Outputs whose shape depends on the probe, at x = SHAPE_X: probe j steps
+# component j, and the hi probes step it up.
+SHAPE_X = np.array([1.0, 2.0, 3.0])
+
+
+def stepped(v):
+    return int(np.argmax(v != SHAPE_X))
+
+
+def is_hi(v):
+    return bool((v > SHAPE_X).any())
 
 
 class TestNumericJacobianOracle:
@@ -143,6 +157,44 @@ class TestNumericJacobianOracle:
             with pytest.raises(NumericFailureError,
                                match="^numeric Jacobian produced non-finite values$"):
                 numeric_jacobian(fn, np.array(x))
+
+    @pytest.mark.parametrize("fn", [
+        lambda v: np.zeros(stepped(v) + 1),
+        lambda v: [v[0]] * (stepped(v) + 1),
+    ], ids=["array", "list"])
+    def test_output_ragged_across_probes(self, fn):
+        # Converting all 2n outputs at once would report shape (6,); numpy's
+        # error is the one converting the hi side alone gives, shape (3,).
+        with pytest.raises(ValueError) as want:
+            np.array([fn(SHAPE_X + d) for d in np.diag([1e-6, 2e-6, 3e-6])], dtype=float)
+        assert "(3,)" in str(want.value)
+        with pytest.raises(ValueError):
+            reference_numeric_jacobian(fn, SHAPE_X)
+        with pytest.raises(ValueError) as got:
+            numeric_jacobian(fn, SHAPE_X)
+        assert type(got.value) is ValueError
+        assert str(got.value) == str(want.value)
+
+    def test_sides_of_different_widths_do_not_broadcast(self):
+        fn = lambda v: np.zeros(2 if is_hi(v) else 3)
+        with pytest.raises(ValueError):
+            reference_numeric_jacobian(fn, SHAPE_X)
+        with pytest.raises(ValueError) as got:
+            numeric_jacobian(fn, SHAPE_X)
+        assert type(got.value) is ValueError
+        assert str(got.value).startswith(
+            "operands could not be broadcast together with shapes (3,2) (3,3)")
+
+    @pytest.mark.parametrize("fn", [
+        lambda v: np.full(2 if is_hi(v) else 1, v[0]),
+        lambda v: v[1] if is_hi(v) else np.array([v[1]]),
+        lambda v: [v[0] ** 2, v[-1]],
+        lambda v: np.zeros(0),
+    ], ids=["widths-2-and-1", "scalar-and-1-vector", "list", "empty"])
+    def test_sides_that_broadcast_equal_the_reference(self, fn):
+        got, want = numeric_jacobian(fn, SHAPE_X), reference_numeric_jacobian(fn, SHAPE_X)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPredict:
@@ -393,7 +445,7 @@ class TestValidation:
             FilterState(x_hat, np.zeros((0, 0)))
         assert str(got.value) == f"x_hat must not be empty, got shape {np.shape(x_hat)}"
 
-    @pytest.mark.parametrize("tick", [np.nan, 1.5, "3", None, -1, np.int64(-2), 2.0])
+    @pytest.mark.parametrize("tick", [np.nan, 1.5, "3", None, -1, np.int64(-2), 2.0, True, False])
     def test_filter_state_rejects_a_tick_that_is_not_a_non_negative_integer(self, tick):
         with pytest.raises(ValueError) as got:
             FilterState([0.0], [[1.0]], tick)
@@ -680,6 +732,39 @@ class TestRunFilterOracle:
             assert not point.state.x_hat.flags.writeable and not point.state.P.flags.writeable
             assert type(point.state) is FilterState
 
+    @pytest.mark.parametrize("analytic", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_checked_rerun_gives_the_fast_pass_bytes(self, monkeypatch, n, analytic):
+        # the fast pass takes update's innovation y - h(x); the checked rerun
+        # works out value - h(x) itself, so the two must agree byte for byte
+        shift = 0.9 * np.eye(n) + 0.1 * np.eye(n, k=1)
+
+        def h(x):
+            return np.array([np.sin(x[0]) + 0.3 * x @ x])
+
+        jacobians = {}
+        if analytic:
+            jacobians = dict(F_jac=lambda x: shift,
+                             H_jac=lambda x: (0.6 * x + np.cos(x[0]) * np.eye(n)[0])[None, :])
+        model = ProcessModel(n, lambda x: shift @ x, h, 1e-3 * np.eye(n), np.array([[0.05]]),
+                             **jacobians)
+        values = np.random.default_rng(n).normal(1.0, 3.0, 40)
+        trace = trace_from_pairs(list(enumerate(values)), "n0", SensorKind.PRESSURE)
+        init = FilterState(np.linspace(-0.7, 0.4, n), np.eye(n))
+        fast = run_filter(model, init, trace)
+
+        def fail(*args):
+            raise NumericFailureError("forced")
+
+        monkeypatch.setattr(ekf, "_run_unchecked", fail)
+        checked = run_filter(model, init, trace)
+        assert len(fast) == len(checked) == len(values)
+        for a, b in zip(fast, checked):
+            assert (a.tick, a.measurement, a.state.tick) == (b.tick, b.measurement, b.state.tick)
+            assert a.innovation.tobytes() == b.innovation.tobytes()
+            assert a.state.x_hat.tobytes() == b.state.x_hat.tobytes()
+            assert a.state.P.tobytes() == b.state.P.tobytes()
+
     def test_overflow_on_the_last_reading_names_its_tick(self):
         # the last posterior is the first non-finite state: no later step
         # fails on it, so only the check after the loop can see it
@@ -904,3 +989,38 @@ class TestTracedEntryPoints:
                                  SensorKind.PRESSURE)
         run_filter(model, FilterState([0.3, -0.2], np.eye(2)), trace)
         assert calls == {"predict": 7, "update": 7, "numeric_jacobian": 7 * jacobians_per_reading}
+
+
+class TestModelCalls:
+    """A run that succeeds evaluates h once per reading besides the
+    Jacobian's probes: the innovation is update's own."""
+
+    @pytest.mark.parametrize("analytic", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_calls_per_reading_of_a_successful_run(self, n, analytic):
+        calls = dict.fromkeys(("f", "h", "F_jac", "H_jac"), 0)
+
+        def counted(name, fn):
+            def call(x):
+                calls[name] += 1
+                return fn(x)
+            return call
+
+        shift = 0.9 * np.eye(n) + 0.1 * np.eye(n, k=1)
+        f = counted("f", lambda x: shift @ x)
+        h = counted("h", lambda x: np.array([0.5 * x @ x + x[0]]))
+        jacobians = {}
+        if analytic:
+            jacobians = dict(F_jac=counted("F_jac", lambda x: shift),
+                             H_jac=counted("H_jac", lambda x: (x + np.eye(n)[0])[None, :]))
+        model = ProcessModel(n, f, h, 1e-3 * np.eye(n), np.array([[0.05]]), **jacobians)
+        readings = 6
+        trace = trace_from_pairs([(t, 1.0 + 0.1 * t) for t in range(readings)], "n0",
+                                 SensorKind.PRESSURE)
+        points = run_filter(model, FilterState(np.full(n, 0.5), np.eye(n)), trace)
+        assert len(points) == readings
+        if analytic:
+            want = dict(f=readings, h=readings, F_jac=readings, H_jac=readings)
+        else:
+            want = dict(f=(1 + 2 * n) * readings, h=(1 + 2 * n) * readings, F_jac=0, H_jac=0)
+        assert calls == want

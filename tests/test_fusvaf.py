@@ -402,7 +402,7 @@ class TestFusvafStream:
             GateAdaptation(w_min=5.0, w_max=1.0)
         assert str(got.value) == "w_min must not exceed w_max, got 5.0 > 1.0"
 
-    @pytest.mark.parametrize("window", [2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("window", [2.5, 3.0, "3", None, True])
     def test_adaptation_rejects_non_integer_window(self, window):
         with pytest.raises(ValueError, match=rf"^window must be an integer >= 1, got {window}$"):
             GateAdaptation(window=window)
