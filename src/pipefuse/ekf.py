@@ -176,9 +176,12 @@ def numeric_jacobian(fn, x, eps=None) -> np.ndarray:
 
     Column j is (fn(x + e_j*eps_j) - fn(x - e_j*eps_j)) / (2*eps_j). `eps`
     may be a scalar, a per-component vector, or None for the default step
-    1e-6 * max(1, |x_j|).
+    1e-6 * max(1, |x_j|). `x` is a scalar or a non-empty vector; any other
+    shape raises ValueError before fn is called.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.ndim != 1 or not x.size:
+        raise ValueError(f"x must be a non-empty vector, got shape {x.shape}")
     n = x.shape[0]
     if eps is None:
         steps = 1e-6 * np.maximum(1.0, np.abs(x))

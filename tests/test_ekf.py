@@ -196,6 +196,20 @@ class TestNumericJacobianOracle:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("x, shape", [
+        ([[1.0], [2.0]], "(2, 1)"),  # a column: its probes would be rows of 2-vectors
+        ([[1.0, 2.0]], "(1, 2)"),  # a row
+        ([], "(0,)"),
+        ([[]], "(1, 0)"),
+    ], ids=["column", "row", "empty", "empty-row"])
+    def test_refuses_a_point_that_is_not_a_non_empty_vector(self, x, shape):
+        calls = []
+        fn = lambda v: calls.append(v) or 2 * np.atleast_1d(v)
+        with pytest.raises(ValueError) as got:
+            numeric_jacobian(fn, x)
+        assert str(got.value) == f"x must be a non-empty vector, got shape {shape}"
+        assert calls == []
+
 
 class TestPredict:
     def test_identity_dynamics_no_noise(self):
