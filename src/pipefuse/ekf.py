@@ -191,13 +191,17 @@ def numeric_jacobian(fn, x, eps=None) -> np.ndarray:
             raise ValueError(f"eps must be positive and finite, got {eps}")
     # Probe j is x +- row j of diag(steps), not x with component j stepped in
     # place: the other components are x_k +- 0.0, which turns -0.0 into 0.0.
-    probes = np.diag(steps)
+    # diag(steps) is built as np.diag builds it, zeros with steps on the
+    # diagonal. I * steps would differ: a non-finite x_j has a non-finite
+    # step, and 0 * inf is nan.
+    probes = np.zeros((n, n))
+    probes.ravel()[::n + 1] = steps
     with np.errstate(all="ignore"):  # divergent probes are caught below
         hi = np.array([fn(p) for p in x + probes], dtype=float).reshape(n, -1)
         lo = np.array([fn(p) for p in x - probes], dtype=float).reshape(n, -1)
         # Row j of hi - lo is column j. The Jacobian stays in C order: BLAS
         # rounds F @ P @ F.T differently for a Fortran-ordered F.
-        jac = np.ascontiguousarray((hi - lo).T) / (2.0 * steps)
+        jac = np.divide((hi - lo).T, 2.0 * steps, order="C")
     if not np.isfinite(jac).all():
         raise NumericFailureError("numeric Jacobian produced non-finite values")
     return jac

@@ -196,6 +196,37 @@ class TestNumericJacobianOracle:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.filterwarnings("error")  # no numpy warning may escape the probes
+    @pytest.mark.parametrize("fn", [
+        lambda v: v,
+        lambda v: np.copysign(1.0, v),
+        lambda v: np.isnan(v) * 1.0,
+        lambda v: float(np.isinf(v).sum()),
+    ], ids=["identity", "copysign", "isnan", "count-inf"])
+    @pytest.mark.parametrize("x", [[1.0, np.inf], [np.nan, 2.0], [-np.inf, -0.0]],
+                             ids=["inf", "nan", "-inf-and--0"])
+    def test_non_finite_and_signed_zero_probes(self, fn, x):
+        # a non-finite x_j has a non-finite default step: its probes must be
+        # x +- diag(steps) all the same, with 0.0, not 0 * inf = nan, off the
+        # diagonal
+        x = np.array(x)
+        with np.errstate(all="ignore"):
+            steps = 1e-6 * np.maximum(1.0, np.abs(x))
+            want_probes = [*(x + np.diag(steps)), *(x - np.diag(steps))]
+        probes = []
+        recording = lambda v: probes.append(v.copy()) or fn(v)
+        try:
+            with np.errstate(all="ignore"):
+                want = reference_numeric_jacobian(fn, x)
+        except NumericFailureError as exc:
+            with pytest.raises(NumericFailureError, match=f"^{re.escape(str(exc))}$"):
+                numeric_jacobian(recording, x)
+        else:
+            got = numeric_jacobian(recording, x)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert [p.tobytes() for p in probes] == [p.tobytes() for p in want_probes]
+
     @pytest.mark.parametrize("x, shape", [
         ([[1.0], [2.0]], "(2, 1)"),  # a column: its probes would be rows of 2-vectors
         ([[1.0, 2.0]], "(1, 2)"),  # a row
