@@ -139,6 +139,11 @@ def _adopt(x: np.ndarray, p: np.ndarray, tick: int) -> FilterState:
     takes them over and makes them read-only instead of copying them."""
     x.flags.writeable = False
     p.flags.writeable = False
+    return _read_only_state(x, p, tick)
+
+
+def _read_only_state(x: np.ndarray, p: np.ndarray, tick: int) -> FilterState:
+    """FilterState over arrays that are already read-only, unchecked."""
     state = object.__new__(FilterState)
     vars(state).update(x_hat=x, P=p, tick=tick)
     return state
@@ -325,7 +330,7 @@ def _run_unchecked(model: ProcessModel, init: FilterState, measurements: Trace):
         if (prior.x_hat.shape, prior.P.shape, state.x_hat.shape, state.P.shape) != shapes:
             raise ValueError("shape mismatch")
         xs[k], ps[k], xs[k + 1], ps[k + 1] = prior.x_hat, prior.P, state.x_hat, state.P
-        points.append(FilterPoint(tick, value, _adopt(*state), innovation))
+        points.append(FilterPoint(tick, value, _read_only_state(*state), innovation))
     _check_finite(xs, ps)
     _check_covariance(ps)
     return points

@@ -14,6 +14,7 @@ import math
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import Trace, is_integer, left_sum, merge_traces, write_columns
@@ -440,24 +441,22 @@ def fusvaf_stream(
     adaptive_alpha: bool = True,
 ) -> list[FusionPoint]:
     """fusvaf_columns as one FusionPoint per fused tick, its readings in
-    trace order; outputs during gate warm-up are flagged."""
+    trace order; outputs during gate warm-up are flagged.
+
+    The records are built column by column: one SensorReading per cell of
+    each slot, one tuple of readings per tick from zipping the slots, and
+    the FusionPoints from zipping those with the other columns. Only when
+    some trace misses a fused tick are its empty cells dropped tick by tick.
+    """
     columns = fusvaf_columns(traces, params, predictor, adaptation, adaptive_alpha)
-    node_ids = [t.node_id for t in traces]
-    return [
-        FusionPoint(
-            tick=tick,
-            fused=columns.fused[i],
-            predicted=columns.predicted[i],
-            readings=tuple(
-                SensorReading(node_id, values[i], sigmas[i])
-                for node_id, values, sigmas in zip(node_ids, columns.value, columns.sigma)
-                if values[i] is not None
-            ),
-            warmup=i < adaptation.window,
-            half_width=columns.half_width[i],
-        )
-        for i, tick in enumerate(columns.tick)
-    ]
+    slots = [list(map(SensorReading._make, zip(repeat(trace.node_id), values, sigmas)))
+             for trace, values, sigmas in zip(traces, columns.value, columns.sigma)]
+    readings = zip(*slots)
+    if any(len(trace.timestamps) < len(columns.tick) for trace in traces):
+        readings = [tuple(r for r in row if r.value is not None) for row in readings]
+    warmup = chain(repeat(True, adaptation.window), repeat(False))
+    return list(map(FusionPoint._make, zip(columns.tick, columns.fused, columns.predicted,
+                                          readings, warmup, columns.half_width)))
 
 
 def write_fusion_columns(columns: FusionColumns, path) -> None:

@@ -809,6 +809,8 @@ class TestRunFilterOracle:
             assert a.innovation.tobytes() == b.innovation.tobytes()
             assert a.state.x_hat.tobytes() == b.state.x_hat.tobytes()
             assert a.state.P.tobytes() == b.state.P.tobytes()
+            assert type(a.state) is FilterState
+            assert not a.state.x_hat.flags.writeable and not a.state.P.flags.writeable
 
     def test_overflow_on_the_last_reading_names_its_tick(self):
         # the last posterior is the first non-finite state: no later step

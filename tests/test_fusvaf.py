@@ -13,7 +13,9 @@ from pipefuse.fusvaf import (
     DegenerateDenominatorError,
     EkfPredictor,
     FusionParams,
+    FusionPoint,
     GateAdaptation,
+    SensorReading,
     SmoothingPredictor,
     ValidationGate,
     adapt_gate,
@@ -699,6 +701,16 @@ def hold_ends_at_shortcut_case():
             EkfPredictor, GateAdaptation(w_max=5.0, window=3), False)
 
 
+def gapped_slot_case():
+    """Three members, one of which misses ticks 4-6 and every tick from 10
+    on: its readings are absent from those ticks' records."""
+    kept = [t for t in range(14) if t < 4 or 6 < t < 10]
+    traces = [temp_trace("s0", [20.0 + 0.1 * t for t in range(14)]),
+              trace_from_pairs([(t, 20.3 - 0.05 * t) for t in kept], "s1", SensorKind.TEMPERATURE),
+              temp_trace("s2", [19.8] * 14)]
+    return traces, FusionParams(1.0, 1.0), EkfPredictor, GateAdaptation(w_max=5.0, window=3), False
+
+
 def assert_same_outcome(traces, params, predictor, adaptation, adaptive_alpha):
     """fusvaf_stream returns what the reference loop returns, or raises the
     exception it raises; `predictor()` makes a fresh predictor."""
@@ -708,8 +720,15 @@ def assert_same_outcome(traces, params, predictor, adaptation, adaptive_alpha):
     except (DegenerateDenominatorError, ekf.NumericFailureError):
         raise_alike(lambda: fusvaf_stream(*args()), lambda: reference_fusvaf(*args()))
         return
+    points = fusvaf_stream(*args())
     # repr tells 0.0 from -0.0 and matches nan to nan
-    assert repr(as_tuples(fusvaf_stream(*args()))) == repr(expected)
+    assert repr(as_tuples(points)) == repr(expected)
+    for point, (*_, warmup, gate) in zip(points, expected):
+        assert type(point) is FusionPoint and type(point.readings) is tuple
+        assert all(type(r) is SensorReading for r in point.readings)
+        assert point.warmup is warmup
+        # the gate's flank is half_width / 2, which doubles back exactly
+        assert point.half_width.hex() == (2.0 * gate.a_l).hex()
 
 
 class TestKernelOracle:
@@ -733,6 +752,7 @@ class TestKernelOracle:
     @example(case=hold_ends_at_shortcut_case())
     @example(case=jump_outside_gate_case())
     @example(case=alpha_settles_case())
+    @example(case=gapped_slot_case())
     @settings(max_examples=300, deadline=None)
     def test_equals_reference_loop(self, case):
         assert_same_outcome(*case)
