@@ -135,29 +135,24 @@ def _check_covariance(p: np.ndarray, name: str = "P") -> None:
 
 
 def _adopt(x: np.ndarray, p: np.ndarray, tick: int) -> FilterState:
-    """FilterState over arrays that the filter just created, unchecked: it
-    takes them over and makes them read-only instead of copying them."""
-    x.flags.writeable = False
-    p.flags.writeable = False
-    return _read_only_state(x, p, tick)
-
-
-def _read_only_state(x: np.ndarray, p: np.ndarray, tick: int) -> FilterState:
-    """FilterState over arrays that are already read-only, unchecked."""
+    """FilterState over read-only arrays that the filter just created,
+    unchecked: it takes them over instead of copying them."""
     state = object.__new__(FilterState)
     vars(state).update(x_hat=x, P=p, tick=tick)
     return state
 
 
 def _filter_state(x: np.ndarray, p: np.ndarray, tick: int) -> FilterState:
-    """_adopt after every check that the filter arithmetic can fail, in
-    FilterState's order: shape, finiteness, non-negative diagonal and PSD.
-    It leaves out the two that hold by construction: P comes out of
-    _symmetrize, so it is exactly symmetric, and the tick is a checked tick
-    plus 0 or 1."""
+    """_adopt, of x and p made read-only, after every check that the filter
+    arithmetic can fail, in FilterState's order: shape, finiteness,
+    non-negative diagonal and PSD. It leaves out the two that hold by
+    construction: P comes out of _symmetrize, so it is exactly symmetric,
+    and the tick is a checked tick plus 0 or 1."""
     _check_shape(x, p)
     _check_finite(x, p)
     _check_covariance(p)
+    x.flags.writeable = False
+    p.flags.writeable = False
     return _adopt(x, p, tick)
 
 
@@ -181,8 +176,7 @@ def numeric_jacobian(fn, x, eps=None) -> np.ndarray:
 
     Column j is (fn(x + e_j*eps_j) - fn(x - e_j*eps_j)) / (2*eps_j). `eps`
     may be a scalar, a per-component vector, or None for the default step
-    1e-6 * max(1, |x_j|). `x` is a scalar or a non-empty vector; any other
-    shape raises ValueError before fn is called.
+    1e-6 * max(1, |x_j|). x must be a scalar or a non-empty vector.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim != 1 or not x.size:
@@ -196,9 +190,8 @@ def numeric_jacobian(fn, x, eps=None) -> np.ndarray:
             raise ValueError(f"eps must be positive and finite, got {eps}")
     # Probe j is x +- row j of diag(steps), not x with component j stepped in
     # place: the other components are x_k +- 0.0, which turns -0.0 into 0.0.
-    # diag(steps) is built as np.diag builds it, zeros with steps on the
-    # diagonal. I * steps would differ: a non-finite x_j has a non-finite
-    # step, and 0 * inf is nan.
+    # Built as np.diag builds it: I * steps would put 0 * inf = nan off the
+    # diagonal for the infinite step of an infinite x_j.
     probes = np.zeros((n, n))
     probes.ravel()[::n + 1] = steps
     with np.errstate(all="ignore"):  # divergent probes are caught below
@@ -330,7 +323,7 @@ def _run_unchecked(model: ProcessModel, init: FilterState, measurements: Trace):
         if (prior.x_hat.shape, prior.P.shape, state.x_hat.shape, state.P.shape) != shapes:
             raise ValueError("shape mismatch")
         xs[k], ps[k], xs[k + 1], ps[k + 1] = prior.x_hat, prior.P, state.x_hat, state.P
-        points.append(FilterPoint(tick, value, _read_only_state(*state), innovation))
+        points.append(FilterPoint(tick, value, _adopt(*state), innovation))
     _check_finite(xs, ps)
     _check_covariance(ps)
     return points

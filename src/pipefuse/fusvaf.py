@@ -441,15 +441,11 @@ def fusvaf_stream(
     adaptive_alpha: bool = True,
 ) -> list[FusionPoint]:
     """fusvaf_columns as one FusionPoint per fused tick, its readings in
-    trace order; outputs during gate warm-up are flagged.
-
-    The records are built column by column: one SensorReading per cell of
-    each slot, one tuple of readings per tick from zipping the slots, and
-    the FusionPoints from zipping those with the other columns. Only when
-    some trace misses a fused tick are its empty cells dropped tick by tick.
-    """
+    trace order; outputs during gate warm-up are flagged. The records are
+    built column by column, and the readings of a trace that misses some
+    fused tick are filtered tick by tick."""
     columns = fusvaf_columns(traces, params, predictor, adaptation, adaptive_alpha)
-    slots = [list(map(SensorReading._make, zip(repeat(trace.node_id), values, sigmas)))
+    slots = [map(SensorReading._make, zip(repeat(trace.node_id), values, sigmas))
              for trace, values, sigmas in zip(traces, columns.value, columns.sigma)]
     readings = zip(*slots)
     if any(len(trace.timestamps) < len(columns.tick) for trace in traces):
