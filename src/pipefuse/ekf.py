@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import math
@@ -67,8 +68,8 @@ class ProcessModel:
     H_jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.state_dim < 1:
-            raise ValueError(f"state_dim must be positive, got {self.state_dim}")
+        if not is_integer(self.state_dim) or self.state_dim < 1:
+            raise ValueError(f"state_dim must be a positive integer, got {self.state_dim!r}")
         q = _as_covariance(self.Q, "Q")
         r = _as_covariance(self.R, "R")
         if q.shape != (self.state_dim, self.state_dim):
@@ -151,24 +152,25 @@ def _filter_state(x: np.ndarray, p: np.ndarray, tick: int) -> FilterState:
     _check_shape(x, p)
     _check_finite(x, p)
     _check_covariance(p)
-    x.flags.writeable = False
-    p.flags.writeable = False
+    x.flags.writeable = p.flags.writeable = False
     return _adopt(x, p, tick)
 
 
 class _Unchecked(NamedTuple):
-    """A state of run_filter's first pass: predict and update take and return
-    it unchecked (update with the innovation); run_filter checks them all."""
+    """A state of run_filter's fast pass, which predict and update leave unchecked."""
 
     x_hat: np.ndarray
     P: np.ndarray
     tick: int
+    innovation: Optional[np.ndarray] = None
 
-    @classmethod
-    def adopt(cls, x: np.ndarray, p: np.ndarray, tick: int) -> _Unchecked:
-        x.flags.writeable = False  # read-only, as the model sees a checked state
-        p.flags.writeable = False
-        return cls(x, p, tick)
+
+def _step_result(state, x: np.ndarray, p: np.ndarray, tick: int, innovation=None):
+    """A checked FilterState, or for an _Unchecked `state` an _Unchecked of x and p."""
+    if type(state) is not _Unchecked:
+        return _filter_state(x, p, tick)
+    x.flags.writeable = p.flags.writeable = False  # as the model sees a checked state
+    return _Unchecked(x, p, tick, innovation)
 
 
 def numeric_jacobian(fn, x, eps=None) -> np.ndarray:
@@ -225,27 +227,27 @@ def _jacobian_of(fn, analytic, x) -> np.ndarray:
 
 def predict(state: FilterState, model: ProcessModel) -> FilterState:
     """Propagate the estimate one step: x' = f(x), P' = F P F^T + Q."""
+    n = model.state_dim
+    if state.x_hat.shape != (n,):
+        raise ValueError(
+            f"x_hat must have shape ({n},) for a {n}-state model, got {state.x_hat.shape}")
     # a copy, so the state never freezes or aliases an array that f handed back
     x1 = np.atleast_1d(np.array(model.f(state.x_hat), dtype=float))
-    unchecked = type(state) is _Unchecked  # then x1, the next prior, is checked in the batch
-    if not (unchecked or np.isfinite(x1).all()):
+    # an _Unchecked state's x1, the next prior, is checked in run_filter's batch
+    if type(state) is not _Unchecked and not np.isfinite(x1).all():
         raise NumericFailureError("state transition produced non-finite values")
     F = _jacobian_of(model.f, model.F_jac, state.x_hat)
-    P1 = _symmetrize(F @ state.P @ F.T + model.Q)
-    if unchecked:
-        return _Unchecked.adopt(x1, P1, state.tick + 1)
-    return _filter_state(x1, P1, state.tick + 1)
+    prior = _step_result(state, x1, _symmetrize(F @ state.P @ F.T + model.Q), state.tick + 1)
+    if x1.shape != (n,):  # after _step_result, so that FilterState's own errors come first
+        raise ValueError(f"f must return shape ({n},) for a {n}-state model, got {x1.shape}")
+    return prior
 
 
-def update(
-    prior: FilterState, y, model: ProcessModel
-) -> FilterState | tuple[_Unchecked, np.ndarray]:
+def update(prior: FilterState, y, model: ProcessModel) -> FilterState:
     """Fold measurement y into the prior.
 
     Innovation uses the nonlinear h; the gain solves
-    K = P H^T (H P H^T + R)^(-1) with H evaluated at the prior. Given
-    run_filter's private _Unchecked prior, and only then, it returns
-    (posterior, innovation).
+    K = P H^T (H P H^T + R)^(-1) with H evaluated at the prior.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     z_pred = np.atleast_1d(np.asarray(model.h(prior.x_hat), dtype=float))
@@ -271,9 +273,7 @@ def update(
     innovation = y - z_pred
     x1 = prior.x_hat + K @ innovation
     P1 = _symmetrize((_identity(len(prior.P)) - K @ H) @ prior.P)
-    if type(prior) is _Unchecked:
-        return _Unchecked.adopt(x1, P1, prior.tick), innovation
-    return _filter_state(x1, P1, prior.tick)
+    return _step_result(prior, x1, P1, prior.tick, innovation)
 
 
 class FilterPoint(NamedTuple):
@@ -294,39 +294,15 @@ class FilterPoint(NamedTuple):
 
 
 def _filter_steps(model: ProcessModel, state, measurements: Trace):
-    """run_filter's work per reading, from `state`: predict, the innovation
-    and update. Yields (tick, measurement, prior, posterior, innovation); a
-    failing step's error is prefixed with `tick N:`."""
+    """run_filter's one loop, from `state`: predict and update through the module.
+    Yields (tick, measurement, prior, posterior); errors are prefixed `tick N:`."""
     for tick, value in zip(measurements.timestamps, measurements.values):
         try:
             prior = predict(state, model)
-            innovation = value - np.atleast_1d(np.asarray(model.h(prior.x_hat), dtype=float))
             state = update(prior, [value], model)
         except (NumericFailureError, ValueError) as exc:
             raise type(exc)(f"tick {tick}: {exc}") from exc
-        yield tick, value, prior, state, innovation
-
-
-def _run_unchecked(model: ProcessModel, init: FilterState, measurements: Trace):
-    """run_filter's first pass: predict and update on _Unchecked states, each
-    prior and posterior copied into a stack as it comes, then one check."""
-    count = len(measurements.values)
-    xs = np.empty((2 * count,) + init.x_hat.shape)
-    ps = np.empty((2 * count,) + init.P.shape)
-    shapes = (init.x_hat.shape, init.P.shape) * 2
-    state = _Unchecked(init.x_hat, init.P, init.tick)
-    points = []
-    for k, tick, value in zip(range(0, 2 * count, 2), measurements.timestamps, measurements.values):
-        prior = predict(state, model)
-        state, innovation = update(prior, [value], model)
-        # exact shapes only: numpy would broadcast an x_hat of shape (1,) into a row
-        if (prior.x_hat.shape, prior.P.shape, state.x_hat.shape, state.P.shape) != shapes:
-            raise ValueError("shape mismatch")
-        xs[k], ps[k], xs[k + 1], ps[k + 1] = prior.x_hat, prior.P, state.x_hat, state.P
-        points.append(FilterPoint(tick, value, _adopt(*state), innovation))
-    _check_finite(xs, ps)
-    _check_covariance(ps)
-    return points
+        yield tick, value, prior, state
 
 
 @np.errstate(all="ignore")  # every state is checked
@@ -336,21 +312,36 @@ def run_filter(model: ProcessModel, init: FilterState, measurements: Trace) -> l
     Output has one posterior and its innovation per measurement, so callers
     can watch for divergence; an overflow raises NumericFailureError.
 
-    The states are checked once per run: predict and update skip their
-    checks, and every prior and posterior is checked in one batch at the
-    end, f(x) as the next prior. update hands back its innovation, so f and
-    h are each called 1 + 2n times per reading of an n-state model (once
-    with analytic Jacobians). A run that fails that check, or raises, is
-    filtered again from `init` with each state checked as it is made, and
-    raises what that pass raises, so the error names the first failing
-    tick as the step-by-step path would; the model is then called again.
+    One loop, _filter_steps, serves two passes. The fast pass runs it from
+    an _Unchecked copy of `init`, whose steps skip their checks; update keeps
+    its innovation on the posterior, so f and h are each called 1 + 2n times
+    per reading of an n-state model (once with analytic Jacobians). Every
+    prior and posterior is stacked at its exact shape and checked in one
+    batch at the end. If that check fails, or the pass raises, the loop runs
+    again from `init`, each state checked as it is made, and raises what
+    that pass raises: the step-by-step path's error and tick. That pass
+    calls the model again, and h once more per reading for the innovation.
     """
     try:
-        return _run_unchecked(model, init, measurements)
+        xs = np.empty((2 * len(measurements.values),) + init.x_hat.shape)
+        ps = np.empty((2 * len(measurements.values),) + init.P.shape)
+        shapes = (init.x_hat.shape, init.P.shape) * 2
+        points = []
+        for k, (tick, value, prior, state) in zip(count(0, 2), _filter_steps(
+                model, _Unchecked(init.x_hat, init.P, init.tick), measurements)):
+            # exact shapes only: numpy would broadcast an x_hat of shape (1,) into a row
+            if (prior.x_hat.shape, prior.P.shape, state.x_hat.shape, state.P.shape) != shapes:
+                raise ValueError("shape mismatch")
+            xs[k], ps[k], xs[k + 1], ps[k + 1] = prior.x_hat, prior.P, state.x_hat, state.P
+            points.append(FilterPoint(tick, value, _adopt(*state[:3]), state.innovation))
+        _check_finite(xs, ps)
+        _check_covariance(ps)
+        return points
     except Exception:
         pass  # the checked pass below raises the step-by-step path's error
-    return [FilterPoint(tick, value, state, innovation)
-            for tick, value, _, state, innovation in _filter_steps(model, init, measurements)]
+    return [FilterPoint(tick, value, state,
+                        value - np.atleast_1d(np.asarray(model.h(prior.x_hat), dtype=float)))
+            for tick, value, prior, state in _filter_steps(model, init, measurements)]
 
 
 def random_walk_model(q: float, r: float) -> ProcessModel:

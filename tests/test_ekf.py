@@ -462,9 +462,17 @@ class TestValidation:
                 np.eye(2),
             )
 
-    def test_process_model_rejects_bad_dim(self):
-        with pytest.raises(ValueError):
-            ProcessModel(0, lambda x: x, lambda x: x, np.eye(1), np.eye(1))
+    @pytest.mark.parametrize("dim, shown", [
+        (0, "0"), (True, "True"), (1.0, "1.0"), (2.5, "2.5"), ("1", "'1'")])
+    def test_process_model_rejects_bad_dim(self, dim, shown):
+        with pytest.raises(ValueError) as got:
+            ProcessModel(dim, lambda x: x, lambda x: x, np.eye(1), np.eye(1))
+        assert str(got.value) == f"state_dim must be a positive integer, got {shown}"
+
+    def test_process_model_takes_a_numpy_integer_dim(self):
+        model = ProcessModel(np.int64(2), lambda x: x, lambda x: x[:1], np.eye(2), np.eye(1))
+        state = update(predict(FilterState([1.0, 2.0], np.eye(2)), model), [1.5], model)
+        assert state.x_hat.shape == (2,) and state.P.shape == (2, 2)
 
     @pytest.mark.parametrize("q, r, message", [
         (np.ones((2, 3)), np.eye(1), "Q must be a square matrix, got shape (2, 3)"),
@@ -641,6 +649,48 @@ class TestStepConstructor:
             assert point.innovation.tobytes() == innovation.tobytes()
 
 
+# A 1-state model given a 2-vector: as the state it starts from, or from an
+# f that maps R^1 to R^2. numpy would broadcast the 1x1 Q onto a 2x2 P.
+WRONG_DIM_CASES = [
+    (lambda x: x, lambda x: np.eye(x.size), FilterState([0.0, 0.0], np.eye(2)),
+     "x_hat must have shape (1,) for a 1-state model, got (2,)"),
+    (lambda x: np.array([x[0], 2.0 * x[0]]), lambda x: np.array([[1.0], [2.0]]),
+     FilterState([0.5], [[1.0]]), "f must return shape (1,) for a 1-state model, got (2,)"),
+]
+
+
+class TestStateDim:
+    """predict holds the state it is given, and the one f makes, to the
+    model's state_dim."""
+
+    @staticmethod
+    def model(f, F_jac, analytic, calls):
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        jacobians = dict(F_jac=F_jac, H_jac=lambda x: np.eye(1, x.size)) if analytic else {}
+        return ProcessModel(1, counted, lambda x: x[:1], [[0.5]], [[0.1]], **jacobians)
+
+    @pytest.mark.parametrize("analytic", [False, True])
+    @pytest.mark.parametrize("f, F_jac, init, message", WRONG_DIM_CASES, ids=["init", "f"])
+    def test_predict_refuses_a_state_of_the_wrong_dim(self, f, F_jac, init, message, analytic):
+        calls = []
+        with pytest.raises(ValueError) as got:
+            predict(init, self.model(f, F_jac, analytic, calls))
+        assert str(got.value) == message
+        if message.startswith("x_hat"):
+            assert calls == []  # refused before f is called
+
+    @pytest.mark.parametrize("analytic", [False, True])
+    @pytest.mark.parametrize("f, F_jac, init, message", WRONG_DIM_CASES, ids=["init", "f"])
+    def test_run_filter_names_the_tick(self, f, F_jac, init, message, analytic):
+        trace = trace_from_pairs([(3, 1.0), (4, 1.2)], "n0", SensorKind.PRESSURE)
+        with pytest.raises(ValueError) as got:
+            run_filter(self.model(f, F_jac, analytic, []), init, trace)
+        assert str(got.value) == f"tick 3: {message}"
+
+
 def reference_filter(model, init, trace):
     """run_filter as a loop of public steps, update(predict(FilterState(...))),
     each state rebuilt by the public constructor and each failing step's
@@ -798,11 +848,18 @@ class TestRunFilterOracle:
         init = FilterState(np.linspace(-0.7, 0.4, n), np.eye(n))
         fast = run_filter(model, init, trace)
 
-        def fail(*args):
-            raise NumericFailureError("forced")
+        passes, steps = [], ekf._filter_steps
 
-        monkeypatch.setattr(ekf, "_run_unchecked", fail)
+        def run_then_fail(model, state, measurements):
+            # the fast pass runs to its end, then fails: the checked pass reruns
+            passes.append(type(state))
+            yield from steps(model, state, measurements)
+            if len(passes) == 1:
+                raise NumericFailureError("forced")
+
+        monkeypatch.setattr(ekf, "_filter_steps", run_then_fail)
         checked = run_filter(model, init, trace)
+        assert passes == [ekf._Unchecked, FilterState]
         assert len(fast) == len(checked) == len(values)
         for a, b in zip(fast, checked):
             assert (a.tick, a.measurement, a.state.tick) == (b.tick, b.measurement, b.state.tick)
