@@ -30,20 +30,22 @@ class CommGraph:
     edges: frozenset
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"graph needs at least one agent, got n={self.n}")
+        if not is_integer(self.n) or self.n < 1:
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
         normalized = set()
         for i, j in self.edges:
+            if not (is_integer(i) and is_integer(j)):
+                raise ValueError(f"edge ({i}, {j}): agents must be integers")
             if i == j:
                 raise ValueError(f"self-loop on agent {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
-            normalized.add((min(i, j), max(i, j)))
+            normalized.add((int(min(i, j)), int(max(i, j))))
         object.__setattr__(self, "edges", frozenset(normalized))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "CommGraph":
-        return cls(n=n, edges=frozenset((int(i), int(j)) for i, j in edges))
+        return cls(n=n, edges=frozenset((i, j) for i, j in edges))
 
     @classmethod
     def complete(cls, n: int) -> "CommGraph":
@@ -103,11 +105,13 @@ class ConsensusState:
         est = np.atleast_1d(np.array(self.estimates, dtype=float))
         if est.ndim != 1:
             raise ValueError(f"estimates must be a vector, got shape {est.shape}")
+        if not est.size:
+            raise ValueError(f"estimates must not be empty, got shape {est.shape}")
         bad = np.flatnonzero(~np.isfinite(est))
         if bad.size:
             raise ValueError(f"estimates must be finite, got {est[bad[0]]} at index {bad[0]}")
-        if self.iteration < 0:
-            raise ValueError(f"iteration must be non-negative, got {self.iteration}")
+        if not is_integer(self.iteration) or self.iteration < 0:
+            raise ValueError(f"iteration must be a non-negative integer, got {self.iteration!r}")
         est.flags.writeable = False
         object.__setattr__(self, "estimates", est)
 

@@ -91,6 +91,35 @@ class TestCommGraph:
         with pytest.raises(ValueError):
             CommGraph.from_edges(2, [(0, 5)])
 
+    @pytest.mark.parametrize("build", [
+        lambda n, edges: CommGraph(n, frozenset(edges)),
+        CommGraph.from_edges,
+    ], ids=["init", "from_edges"])
+    @pytest.mark.parametrize("n, edges, error", [
+        (0, [], "n must be a positive integer, got 0"),
+        (-2, [], "n must be a positive integer, got -2"),
+        (True, [], "n must be a positive integer, got True"),
+        (2.5, [], "n must be a positive integer, got 2.5"),
+        (3.0, [(0, 1)], "n must be a positive integer, got 3.0"),
+        ("3", [], "n must be a positive integer, got '3'"),
+        (3, [(0, 1.5), (1, 2)], "edge (0, 1.5): agents must be integers"),
+        (3, [(0, 1), (2.0, 1)], "edge (2.0, 1): agents must be integers"),
+        (3, [(True, 2)], "edge (True, 2): agents must be integers"),
+        (3, [("0", "1")], "edge (0, 1): agents must be integers"),
+    ])
+    def test_rejects_bad_input(self, build, n, edges, error):
+        with pytest.raises(ValueError) as exc:
+            build(n, edges)
+        assert str(exc.value) == error
+
+    def test_takes_numpy_integers(self):
+        i64 = np.int64
+        g = CommGraph(i64(3), frozenset({(i64(1), i64(0)), (i64(1), i64(2))}))
+        assert g.edges == frozenset({(0, 1), (1, 2)})
+        assert all(type(a) is int for edge in g.edges for a in edge)
+        run = run_consensus(ConsensusState([1.0, 2.0, 3.0]), g)
+        assert run.converged
+
     def test_edges_normalized_undirected(self):
         g = CommGraph.from_edges(3, [(2, 0), (0, 2), (1, 0)])
         assert g.edges == frozenset({(0, 2), (0, 1)})
@@ -138,6 +167,25 @@ class TestConsensusState:
         with pytest.raises(ValueError) as exc:
             ConsensusState(values)
         assert str(exc.value) == error
+
+    @pytest.mark.parametrize("values, iteration, error", [
+        ([], 0, "estimates must not be empty, got shape (0,)"),
+        (np.empty(0), 0, "estimates must not be empty, got shape (0,)"),
+        ([1.0], -1, "iteration must be a non-negative integer, got -1"),
+        ([1.0], 1.5, "iteration must be a non-negative integer, got 1.5"),
+        ([1.0], 1.0, "iteration must be a non-negative integer, got 1.0"),
+        ([1.0], True, "iteration must be a non-negative integer, got True"),
+        ([1.0], "a", "iteration must be a non-negative integer, got 'a'"),
+    ])
+    def test_rejects_bad_input(self, values, iteration, error):
+        with pytest.raises(ValueError) as exc:
+            ConsensusState(values, iteration=iteration)
+        assert str(exc.value) == error
+
+    def test_takes_a_numpy_integer_iteration(self):
+        state = ConsensusState([1.0, 2.0], iteration=np.int64(4))
+        assert state.iteration == 4
+        assert consensus_step(state, np.full((2, 2), 0.5)).iteration == 5
 
 
 class TestConsensusStep:

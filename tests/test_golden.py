@@ -67,6 +67,8 @@ def test_reproduce_figures_matches_golden(tmp_path):
         check=True, env=env, capture_output=True,
     )
     assert_same_csv_bytes(tmp_path, GOLDEN / "figures")
+    # nothing else either: no scratch directory or stray file is left behind
+    assert sorted(p.name for p in tmp_path.rglob("*")) == relative_files(GOLDEN / "figures")
 
 
 def turning_target(x):
